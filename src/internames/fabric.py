@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -37,7 +37,6 @@ from .names import Name, format_name
 from .nrs import (
     CacheStore,
     CallerRole,
-    ContextPredicate,
     NameResolutionService,
     NextHopTech,
     NrsRecord,
@@ -45,7 +44,6 @@ from .nrs import (
     ResolutionContext,
     Service,
     ServiceDescriptor,
-    resolve_cached,
     sd_list_text,
 )
 from .ors import ObjectResolutionService, OrsQuery, OrsResult
@@ -260,6 +258,9 @@ class Fabric:
         self._msg_ids = itertools.count(1)
         self._call_ids = itertools.count(1)
         self._partitioned: set[str] = set()
+        self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
+        self._routes: dict[tuple[str, str, str], tuple[str, ...] | None] = {}
+        self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
 
     # ---------------------------------------------------------------- topology
 
@@ -299,7 +300,16 @@ class Fabric:
                 raise RealmViolation(f"{n} is not a member of realm {realm_id}")
         link = Link(a, b, realm_id, delay)
         self.links.append(link)
+        for end in {a, b}:
+            adjacent = self._adjacency.setdefault((realm_id, end), [])
+            adjacent.append((link.other(end), link))
+            adjacent.sort(key=lambda pair: pair[0])  # stable: parallel links keep their order
+        self._topology_changed()
         return link
+
+    def _topology_changed(self) -> None:
+        self._routes.clear()
+        self._servers.clear()
 
     def host_content(self, node_id: str, name: Name, payload: bytes, fcn: str = "") -> None:
         node = self.nodes[node_id]
@@ -359,13 +369,7 @@ class Fabric:
         return "\n".join(ev.line() for ev in self.sorted_trace())
 
     def _adjacent(self, realm_id: str, node: str) -> list[tuple[str, Link]]:
-        out = []
-        for link in self.links:
-            if link.realm != realm_id or not link.alive:
-                continue
-            if node in (link.a, link.b):
-                out.append((link.other(node), link))
-        return sorted(out, key=lambda pair: pair[0])
+        return [pair for pair in self._adjacency.get((realm_id, node), ()) if pair[1].alive]
 
     def _link_between(self, realm_id: str, a: str, b: str) -> Link | None:
         for nbr, link in self._adjacent(realm_id, a):
@@ -374,23 +378,35 @@ class Fabric:
         return None
 
     def _path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
-        """Shortest path by total delay, ties broken by node-id order."""
+        """Shortest path by total delay, ties broken by node-id order.
+
+        Answers are memoised per (realm, src, dst); add_link, partition and
+        heal clear the memo.  add_node need not: a new node has no links."""
         if src == dst:
             return [src]
+        key = (realm_id, src, dst)
+        if key not in self._routes:
+            self._routes[key] = self._dijkstra(realm_id, src, dst)
+        route = self._routes[key]
+        return None if route is None else list(route)
+
+    def _dijkstra(self, realm_id: str, src: str, dst: str) -> tuple[str, ...] | None:
+        # (delay, path) is unique per push, so pops follow a total order and
+        # equal delays fall to the lexicographically smaller node-id path.
         best: dict[str, tuple[int, tuple[str, ...]]] = {src: (0, (src,))}
-        frontier = [(0, (src,), src)]
+        frontier = [(0, (src,))]
         while frontier:
-            frontier.sort(key=lambda item: (item[0], item[1]))
-            dist, path, node = frontier.pop(0)
+            dist, path = heapq.heappop(frontier)
+            node = path[-1]
             if node == dst:
-                return list(path)
-            if best.get(node, (dist, path)) < (dist, path):
+                return path
+            if best[node] < (dist, path):
                 continue
             for nbr, link in self._adjacent(realm_id, node):
                 cand = (dist + link.delay, path + (nbr,))
                 if nbr not in best or cand < best[nbr]:
                     best[nbr] = cand
-                    frontier.append((cand[0], cand[1], nbr))
+                    heapq.heappush(frontier, cand)
         return None
 
     def _path_delay(self, path: list[str], realm_id: str) -> int:
@@ -418,10 +434,14 @@ class Fabric:
         )
 
     def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
-        """Closest reachable server of the given kind: (server, delay, realm)."""
-        node = self.nodes[node_id]
+        """Closest reachable server of the given kind: (server, delay, realm).
+
+        Memoised per (node, kind) beside the route memo."""
+        key = (node_id, kind)
+        if key in self._servers:
+            return self._servers[key]
         best = None
-        for rid in sorted(node.realms):
+        for rid in sorted(self.nodes[node_id].realms):
             realm = self.realms[rid]
             for member in sorted(realm.member_nodes):
                 if self.nodes[member].kind is not kind:
@@ -432,17 +452,23 @@ class Fabric:
                 cand = (self._path_delay(path, rid), rid, member)
                 if best is None or cand < best:
                     best = cand
-        if best is None:
-            return None
-        return best[2], best[0], best[1]
+        found = None if best is None else (best[2], best[0], best[1])
+        self._servers[key] = found
+        return found
 
-    def _gateways(self, realm_id: str, exclude: str | None = None) -> list[str]:
-        realm = self.realms[realm_id]
-        return [
+    def _gateway(self, realm_id: str, node_id: str, toward: set[str]) -> str | None:
+        """The name-router that carries traffic from node_id out of realm_id.
+
+        The first reachable one, by node id, that borders a realm in toward;
+        failing that, the first reachable one."""
+        reachable = [
             n
-            for n in sorted(realm.member_nodes)
-            if self.nodes[n].kind is NodeKind.NAME_ROUTER and n != exclude
+            for n in sorted(self.realms[realm_id].member_nodes)
+            if self.nodes[n].kind is NodeKind.NAME_ROUTER
+            and self._path(realm_id, node_id, n) is not None
         ]
+        bordering = [n for n in reachable if toward.intersection(self.nodes[n].realms)]
+        return next(iter(bordering + reachable), None)
 
     def realm_partitioned(self, realm_id: str) -> bool:
         return realm_id in self._partitioned
@@ -508,6 +534,7 @@ class Fabric:
         for node in realm.member_nodes:
             self.node_tags[node] = frozenset({"disaster"})
         self._partitioned.add(realm_id)
+        self._topology_changed()
 
     def heal(self, realm_id: str, t: int) -> None:
         realm = self.realms.get(realm_id)
@@ -522,18 +549,18 @@ class Fabric:
         for node in realm.member_nodes:
             self.node_tags[node] = frozenset({"normal"})
         self._partitioned.discard(realm_id)
+        self._topology_changed()
 
     # ---------------------------------------------------------------- engine
 
-    def run(self, until_tick: int | None = None) -> list[TraceEvent]:
+    def run(self, until_tick: int | None = None) -> None:
         for _tick, fn in self.clock.pop_due(until_tick):
             fn()
         if until_tick is not None:
             self.clock.now_tick = max(self.clock.now_tick, until_tick)
-        return self.sorted_trace()
 
-    def run_until_idle(self) -> list[TraceEvent]:
-        return self.run(None)
+    def run_until_idle(self) -> None:
+        self.run(None)
 
     # ---------------------------------------------------------------- transport
 
@@ -566,9 +593,7 @@ class Fabric:
                 call.error = detail
 
     def _no_path_detail(self, realm_id: str) -> str:
-        severed = any(
-            not l.alive for l in self.links
-        )
+        severed = any(not l.alive and l.realm == realm_id for l in self.links)
         return "partitioned" if severed else "no-route"
 
     def _transmit(self, msg, src, realm_id, dst_node, t, first_event, call_id,
@@ -895,12 +920,11 @@ class Fabric:
         if remote:
             # The serving node may itself be the boundary router; sending to
             # itself just runs the egress re-resolution locally.
-            gateways = [g for g in self._gateways(realm_id)
-                        if self._path(realm_id, node_id, g) is not None]
-            if not gateways:
+            gateway = self._gateway(realm_id, node_id, {nap.realm_id for nap in remote})
+            if gateway is None:
                 self._drop(t, node_id, realm_id, msg, "unreachable-name", call_id)
                 return
-            self._transmit(msg, node_id, realm_id, gateways[0], t, EventKind.SEND, call_id)
+            self._transmit(msg, node_id, realm_id, gateway, t, EventKind.SEND, call_id)
 
     def _router_egress(self, msg, node_id, realm_id, t, call_id) -> None:
         """A boundary router received a name-addressed message: resolve the
@@ -1151,12 +1175,11 @@ class Fabric:
         if home in self.realms[realm_id].member_nodes:
             self._transmit(msg, node_id, realm_id, home, t, EventKind.SEND, call.call_id)
             return
-        gateways = [g for g in self._gateways(realm_id)
-                    if self._path(realm_id, node_id, g) is not None]
-        if not gateways:
+        gateway = self._gateway(realm_id, node_id, set(self.nodes[home].realms))
+        if gateway is None:
             self._drop(t, node_id, realm_id, msg, "unreachable-topic", call.call_id)
             return
-        self._transmit(msg, node_id, realm_id, gateways[0], t, EventKind.SEND, call.call_id)
+        self._transmit(msg, node_id, realm_id, gateway, t, EventKind.SEND, call.call_id)
 
     def start_search(self, caller: Name, keywords: tuple[str, ...], t: int,
                      then_pull: bool = False) -> CallRecord:

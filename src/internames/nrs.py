@@ -8,7 +8,7 @@ on top; registration is restricted to administrators and name-routers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateRecord, NotFound, NotResolvable, Unauthorized

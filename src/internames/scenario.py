@@ -8,11 +8,11 @@ fields.  Files round-trip: load(save(load(f))) == load(f).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from .errors import InvalidStep, ParseError, ValidationError
-from .fabric import EventKind, Fabric, NodeKind, RealmTech
+from .fabric import Fabric, NodeKind, RealmTech
 from .name_router import AccessPolicy, PolicyAction, PolicyOperation, PolicyRule
 from .names import (
     EntityKind,
@@ -21,7 +21,6 @@ from .names import (
     NamedEntity,
     NameRealm,
     NamingScheme,
-    format_name,
     parse_name,
 )
 from .nrs import (

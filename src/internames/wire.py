@@ -9,7 +9,7 @@ fields always in declared order.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
 

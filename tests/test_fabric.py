@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from internames.errors import (
     NoRoute,
@@ -193,7 +195,8 @@ def test_partition_injects_disaster_tag_and_heal_removes_it():
 
 def test_empty_fabric_empty_trace():
     f = Fabric()
-    assert f.run_until_idle() == []
+    f.run_until_idle()
+    assert f.sorted_trace() == []
     assert f.trace_text() == ""
 
 
@@ -231,3 +234,200 @@ def test_name_to_name_symmetry_over_builtins():
             response = fabric.messages[resp_id]
             request = fabric.messages[req_id]
             assert response.target_name == request.source_name
+
+
+# ------------------------------------------------------------ route oracle
+# Reference routing by a scan of every link and a sorted-list search; the
+# fabric's indexed adjacency and memoised routes must agree with it.
+
+
+def oracle_adjacent(f, realm_id, node):
+    out = []
+    for link in f.links:
+        if link.realm != realm_id or not link.alive:
+            continue
+        if node in (link.a, link.b):
+            out.append((link.other(node), link))
+    return sorted(out, key=lambda pair: pair[0])
+
+
+def oracle_link_between(f, realm_id, a, b):
+    for nbr, link in oracle_adjacent(f, realm_id, a):
+        if nbr == b:
+            return link
+    return None
+
+
+def oracle_path(f, realm_id, src, dst):
+    if src == dst:
+        return [src]
+    best = {src: (0, (src,))}
+    frontier = [(0, (src,), src)]
+    while frontier:
+        frontier.sort(key=lambda item: (item[0], item[1]))
+        dist, path, node = frontier.pop(0)
+        if node == dst:
+            return list(path)
+        if best.get(node, (dist, path)) < (dist, path):
+            continue
+        for nbr, link in oracle_adjacent(f, realm_id, node):
+            cand = (dist + link.delay, path + (nbr,))
+            if nbr not in best or cand < best[nbr]:
+                best[nbr] = cand
+                frontier.append((cand[0], cand[1], nbr))
+    return None
+
+
+def oracle_nearest_server(f, node_id, kind):
+    best = None
+    for rid in sorted(f.nodes[node_id].realms):
+        for member in sorted(f.realms[rid].member_nodes):
+            if f.nodes[member].kind is not kind:
+                continue
+            path = oracle_path(f, rid, node_id, member)
+            if path is None:
+                continue
+            delay = sum(oracle_link_between(f, rid, a, b).delay for a, b in zip(path, path[1:]))
+            cand = (delay, rid, member)
+            if best is None or cand < best:
+                best = cand
+    return None if best is None else (best[2], best[0], best[1])
+
+
+ROUTE_KINDS = st.sampled_from([NodeKind.HOST, NodeKind.ROUTER, NodeKind.NRS, NodeKind.ORS])
+ROUTE_NODE = st.tuples(ROUTE_KINDS, st.booleans())  # (kind, member of the cell)
+ROUTE_STEP = st.one_of(
+    # delays 1 and 2 make equal-delay ties; repeated endpoints make parallel links
+    st.tuples(st.just("link"), st.integers(0, 7), st.integers(0, 7), st.integers(1, 2)),
+    st.tuples(st.just("node"), ROUTE_NODE),
+    st.just(("partition",)),
+    st.just(("heal",)),
+)
+
+
+@settings(deadline=None)
+@given(st.lists(ROUTE_NODE, min_size=2, max_size=5), st.lists(ROUTE_STEP, max_size=10))
+def test_routes_match_link_scan_oracle(initial, steps):
+    # One routing realm, "net"; links of it that cross the edge of "cell"
+    # die on partition("cell") and come back on heal("cell").
+    f = Fabric()
+    f.add_realm("net", RealmTech.IPISH)
+    f.add_realm("cell", RealmTech.IPISH)
+    nodes = []
+
+    def add(kind, in_cell):
+        node = f"n{len(nodes)}"
+        f.add_node(node, kind, ["net", "cell"] if in_cell else ["net"])
+        nodes.append(node)
+
+    def check():
+        for a in nodes:
+            for b in nodes:
+                assert f._path("net", a, b) == oracle_path(f, "net", a, b)
+                assert f._link_between("net", a, b) is oracle_link_between(f, "net", a, b)
+            for kind in (NodeKind.NRS, NodeKind.ORS):
+                assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
+
+    for kind, in_cell in initial:
+        add(kind, in_cell)
+    check()
+    for step in steps:
+        if step[0] == "link":
+            a, b = nodes[step[1] % len(nodes)], nodes[step[2] % len(nodes)]
+            if a != b:
+                f.add_link(a, b, "net", step[3])
+        elif step[0] == "node":
+            add(*step[1])
+        else:
+            getattr(f, step[0])("cell", f.now)
+        check()
+
+
+def test_link_dying_in_flight_reroutes():
+    # a-b-x-c is the shortest path (3); b-d-c (delay 2 each) is the detour.
+    f = tiny_ip_fabric(("a",))
+    f.add_realm("cell", RealmTech.IPISH)
+    for node in "bcd":
+        f.add_node(node, NodeKind.HOST, ["net"])
+    f.add_node("x", NodeKind.ROUTER, ["net", "cell"])
+    for a, b, delay in (("a", "b", 1), ("b", "x", 1), ("x", "c", 1), ("b", "d", 2), ("d", "c", 2)):
+        f.add_link(a, b, "net", delay)
+    tgt = bound(f, "c", "carol")
+    assert f._path("net", "a", "c") == ["a", "b", "x", "c"]
+    assert f._path("net", "b", "c") == ["b", "x", "c"]  # memoised before x is cut off
+    f.at(1, lambda: f.partition("cell", 1))  # runs before the message leaves b
+    f.send("a.net", "c", resp(f, tgt), 0)
+    f.run_until_idle()
+    hops = [(e.tick, e.node, e.event) for e in f.sorted_trace() if e.event is not EventKind.REBIND]
+    assert hops == [
+        (0, "a", EventKind.SEND),
+        (1, "b", EventKind.FWD),
+        (3, "d", EventKind.FWD),
+        (5, "c", EventKind.RECV),
+        (5, "c", EventKind.DELIVER),
+    ]
+
+
+# Two name-routers in the server's realm; only the second borders the
+# requester's realm, so the response must leave through RNb.
+GATEWAY_SCN = """
+[realms]
+home,IPISH,-
+side,IPISH,-
+far,IPISH,-
+
+[nodes]
+cli,host,far
+nrsF,nrs,far
+nrsH,nrs,home
+rtrH,router,home
+RNa,name_router,home+side
+RNb,name_router,home+far
+pageS,server,home
+
+[links]
+cli,RNb,far,1
+nrsF,RNb,far,1
+pageS,rtrH,home,1
+nrsH,rtrH,home,1
+RNa,rtrH,home,1
+RNb,rtrH,home,1
+
+[entities]
+n2n://home.org:page,content,pageS,-,page-bytes,page,a home page
+
+[bindings]
+n2n://users:cli,cli.far
+
+[nrs]
+n2n://home.org:page,HTTPISH,-,IPISH,RNb,0,100,-,far,-,-
+n2n://home.org:page,HTTPISH,-,IPISH,pageS,0,100,-,home,-,-
+
+[timeline]
+0,pull,n2n://users:cli,n2n://home.org:page
+"""
+
+
+def test_return_path_leaves_through_router_bordering_target_realm():
+    result = run_scenario(parse_scenario(GATEWAY_SCN, name="gateway"))
+    (call,) = result.calls
+    assert call.result == b"page-bytes" and call.error is None
+    sends = [e for e in result.fabric.trace
+             if e.event is EventKind.SEND and e.node == "pageS"]
+    assert [e.detail.split()[0] for e in sends] == ["to=RNb"]
+
+
+def test_no_path_reason_ignores_dead_links_of_other_realms():
+    f = tiny_ip_fabric(("a",))
+    f.add_node("b", NodeKind.HOST, ["net"])  # in net, but linked to nothing
+    f.add_realm("far", RealmTech.IPISH)
+    f.add_realm("cell", RealmTech.IPISH)
+    f.add_node("c", NodeKind.HOST, ["far"])
+    f.add_node("d", NodeKind.HOST, ["far", "cell"])
+    f.add_link("c", "d", "far")
+    f.partition("cell", 0)
+    assert [l.alive for l in f.links] == [False]
+    tgt = bound(f, "b", "bob")
+    f.deliver_to_name(resp(f, tgt), "a", "net", 0, None)
+    drops = [e.detail for e in f.trace if e.event is EventKind.DROP]
+    assert drops == ["no-route"]
