@@ -74,4 +74,4 @@ from .scenario import (
 )
 from .wire import ContentStore, FibEntry, MessageKind, WireMessage, decode, encode, fib_lookup
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -28,15 +28,22 @@ EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 
 
+def _is_builtin(arg: str) -> bool:
+    return arg in BUILTIN_NAMES or arg in _SCENARIO_FILES
+
+
 def _resolve_scenario(arg: str):
-    if arg in BUILTIN_NAMES or arg in _SCENARIO_FILES:
+    if _is_builtin(arg):
         return load_builtin(arg)
     return load_scenario(arg)
 
 
-def _golden_path_for(name: str) -> str:
-    here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.join(here, "scenarios", f"{name}.golden")
+def _golden_path_for(arg: str) -> str:
+    """A builtin's golden lives in the package; a scenario file's sits beside it."""
+    if _is_builtin(arg):
+        here = os.path.dirname(os.path.abspath(__file__))
+        return os.path.join(here, "scenarios", f"{arg}.golden")
+    return os.path.splitext(arg)[0] + ".golden"
 
 
 def _cmd_run(args) -> int:
@@ -51,7 +58,7 @@ def _cmd_run(args) -> int:
     if args.bless:
         # Freezing a golden is always explicit; it is never rewritten as a
         # side effect of an ordinary run.
-        path = _golden_path_for(scenario.name)
+        path = _golden_path_for(args.scenario)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"blessed golden trace: {path}", file=sys.stderr)

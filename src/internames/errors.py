@@ -37,10 +37,6 @@ class NoFibMatch(InternamesError):
     pass
 
 
-class HopLimitExceeded(InternamesError):
-    pass
-
-
 class UnsupportedPair(InternamesError):
     pass
 
@@ -87,6 +83,10 @@ class AccessDenied(InternamesError):
 
 class Unreachable(InternamesError):
     pass
+
+
+class HopLimitExceeded(Unreachable):
+    """An interest was dropped after HOP_LIMIT hops without reaching its data."""
 
 
 class DeliveryFailed(InternamesError):

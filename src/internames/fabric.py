@@ -257,7 +257,6 @@ class Fabric:
         self.encapsulations: list[tuple[int, int, str]] = []  # (outer, inner, nested realm)
         self._msg_ids = itertools.count(1)
         self._call_ids = itertools.count(1)
-        self._partitioned: set[str] = set()
         self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
         self._routes: dict[tuple[str, str, str], tuple[str, ...] | None] = {}
         self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
@@ -470,9 +469,6 @@ class Fabric:
         bordering = [n for n in reachable if toward.intersection(self.nodes[n].realms)]
         return next(iter(bordering + reachable), None)
 
-    def realm_partitioned(self, realm_id: str) -> bool:
-        return realm_id in self._partitioned
-
     # ---------------------------------------------------------------- bindings
 
     def bind(self, name: Name, nap_id: str, t: int) -> None:
@@ -533,7 +529,6 @@ class Fabric:
                 link.alive = False
         for node in realm.member_nodes:
             self.node_tags[node] = frozenset({"disaster"})
-        self._partitioned.add(realm_id)
         self._topology_changed()
 
     def heal(self, realm_id: str, t: int) -> None:
@@ -548,7 +543,6 @@ class Fabric:
                 link.alive = True
         for node in realm.member_nodes:
             self.node_tags[node] = frozenset({"normal"})
-        self._partitioned.discard(realm_id)
         self._topology_changed()
 
     # ---------------------------------------------------------------- engine
@@ -829,9 +823,6 @@ class Fabric:
 
     # ------------------------------------------------------------- CCN forward
 
-    def _ccn_state(self, node_id, realm_id) -> CcnRouterState:
-        return self.nodes[node_id].ccn[realm_id]
-
     def _synth_data(self, interest, body) -> WireMessage:
         data = self._register_msg(WireMessage(
             msg_id=self.new_msg_id(),
@@ -845,8 +836,9 @@ class Fabric:
         return data
 
     def ccn_start(self, interest, node_id, realm_id, t, send_event, call_id) -> None:
-        """Originate (or bridge in) an interest at a CCN-capable node."""
-        state = self._ccn_state(node_id, realm_id)
+        """Answer an interest at a CCN node from its repo or content store, or
+        forward it by FIB, logging the hop as ``send_event``."""
+        state = self.nodes[node_id].ccn[realm_id]
         fcn = interest.target_fcn
         if fcn in state.repo:
             data = self._synth_data(interest, state.repo[fcn])
@@ -871,35 +863,12 @@ class Fabric:
                        send_event, call_id)
 
     def _ccn_arrive(self, interest, node_id, realm_id, t, call_id) -> None:
-        node = self.nodes[node_id]
-        if realm_id not in node.ccn:
+        if realm_id not in self.nodes[node_id].ccn:
             self._drop(t, node_id, realm_id, interest, "not-a-ccn-node", call_id)
             return
-        state = node.ccn[realm_id]
-        fcn = interest.target_fcn
         self._emit(t, node_id, realm_id, EventKind.RECV, interest.msg_id,
-                   interest.target_name, f"kind=CCN_INTEREST fcn={fcn}")
-        if fcn in state.repo:
-            data = self._synth_data(interest, state.repo[fcn])
-            self.deliver_to_name(data, node_id, realm_id, t, call_id)
-            return
-        cached = state.content_store.get(fcn)
-        if cached is not None:
-            self._emit(t, node_id, realm_id, EventKind.CS_HIT, interest.msg_id,
-                       interest.target_name, f"fcn={fcn}")
-            data = self._synth_data(interest, cached)
-            self.deliver_to_name(data, node_id, realm_id, t, call_id)
-            return
-        if interest.hop_count >= HOP_LIMIT:
-            self._drop(t, node_id, realm_id, interest, "hop-limit", call_id)
-            return
-        try:
-            next_hop = fib_lookup(state.fib, fcn)
-        except NoFibMatch:
-            self._drop(t, node_id, realm_id, interest, "no-fib-match", call_id)
-            return
-        self._transmit(interest.bumped(), node_id, realm_id, next_hop, t,
-                       EventKind.FWD, call_id)
+                   interest.target_name, f"kind=CCN_INTEREST fcn={interest.target_fcn}")
+        self.ccn_start(interest, node_id, realm_id, t, EventKind.FWD, call_id)
 
     # ------------------------------------------------------- named return path
 

@@ -8,8 +8,10 @@ that canonical text stays bit-exact in traces and config files.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TypeVar
 
 from .errors import MalformedUri
 
@@ -19,6 +21,8 @@ MAX_SEGMENT_BYTES = 255
 
 _REALM_RE = re.compile(r"[A-Za-z0-9.\-]+\Z")
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9._\-]+\Z")
+
+_V = TypeVar("_V")
 
 
 @dataclass(frozen=True, order=True)
@@ -82,6 +86,18 @@ def is_prefix_of(p: Name, n: Name) -> bool:
         and len(p.segments) <= len(n.segments)
         and n.segments[: len(p.segments)] == p.segments
     )
+
+
+def longest_prefix_hits(table: Mapping[tuple[str, ...], _V], segments: tuple[str, ...]) -> Iterator[_V]:
+    """Yield the values ``table`` holds for prefixes of ``segments``, longest first.
+
+    One dict probe per prefix length, down to the empty prefix, so the
+    walk costs O(len(segments)) whatever the size of the table.
+    """
+    for n in range(len(segments), -1, -1):
+        hit = table.get(segments[:n])
+        if hit is not None:
+            yield hit
 
 
 class NamingScheme(Enum):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .errors import (
     AccessDenied,
     DeliveryFailed,
+    HopLimitExceeded,
     NotFound,
     NotResolvable,
     Unreachable,
@@ -29,7 +30,7 @@ _ERROR_MAP = {
     "no-route": Unreachable,
     "partitioned": Unreachable,
     "no-fib-match": Unreachable,
-    "hop-limit": Unreachable,
+    "hop-limit": HopLimitExceeded,
     "unknown-topic": NotFound,
     "unreachable-topic": Unreachable,
 }

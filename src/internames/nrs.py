@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DuplicateRecord, NotFound, NotResolvable, Unauthorized
-from .names import Name, format_name
+from .names import Name, format_name, longest_prefix_hits
 
 DEFAULT_TTL_TICKS = 100
 
@@ -146,45 +146,42 @@ class NameResolutionService:
     """The record store plus prefix-walk resolution."""
 
     def __init__(self):
-        self._records: list[NrsRecord] = []
-        self._by_prefix: dict[tuple[str, tuple[str, ...]], list[NrsRecord]] = {}
+        # Records in registration order, keyed by NrsRecord.key(), and the
+        # same records bucketed per realm by prefix segments.
+        self._records: dict[tuple, NrsRecord] = {}
+        self._by_prefix: dict[str, dict[tuple[str, ...], list[NrsRecord]]] = {}
 
     def records(self) -> tuple[NrsRecord, ...]:
-        return tuple(self._records)
+        return tuple(self._records.values())
 
     def register(self, record: NrsRecord, role: CallerRole) -> None:
         if role not in _WRITER_ROLES:
             raise Unauthorized(f"role {role.value} may not register records")
-        if any(r.key() == record.key() for r in self._records):
+        key = record.key()
+        if key in self._records:
             raise DuplicateRecord(format_name(record.prefix))
-        self._records.append(record)
-        bucket = self._by_prefix.setdefault(
-            (record.prefix.realm_id, record.prefix.segments), []
-        )
-        bucket.append(record)
+        self._records[key] = record
+        realm = self._by_prefix.setdefault(record.prefix.realm_id, {})
+        realm.setdefault(record.prefix.segments, []).append(record)
 
     def withdraw(self, prefix: Name, next_hop_address: str, role: CallerRole = CallerRole.ADMINISTRATOR) -> None:
         if role not in _WRITER_ROLES:
             raise Unauthorized(f"role {role.value} may not withdraw records")
-        victims = [
-            r
-            for r in self._records
-            if r.prefix == prefix and r.sd.next_hop_address == next_hop_address
-        ]
-        if not victims:
+        realm = self._by_prefix.get(prefix.realm_id, {})
+        bucket = realm.get(prefix.segments, [])
+        keep = [r for r in bucket if r.sd.next_hop_address != next_hop_address]
+        if len(keep) == len(bucket):
             raise NotFound(f"{format_name(prefix)} via {next_hop_address}")
-        for r in victims:
-            self._records.remove(r)
-            bucket = self._by_prefix[(prefix.realm_id, prefix.segments)]
-            bucket.remove(r)
-            if not bucket:
-                del self._by_prefix[(prefix.realm_id, prefix.segments)]
+        for r in bucket:
+            if r.sd.next_hop_address == next_hop_address:
+                del self._records[r.key()]
+        if keep:
+            realm[prefix.segments] = keep
+        else:
+            del realm[prefix.segments]
 
     def resolve(self, name: Name, ctx: ResolutionContext) -> list[ServiceDescriptor]:
-        for length in range(len(name.segments), 0, -1):
-            bucket = self._by_prefix.get((name.realm_id, name.segments[:length]))
-            if not bucket:
-                continue
+        for bucket in longest_prefix_hits(self._by_prefix.get(name.realm_id, {}), name.segments):
             hits = [r for r in bucket if r.predicate.matches(ctx)]
             if not hits:
                 continue

@@ -53,11 +53,14 @@ class ObjectResolutionService:
 
     def __init__(self):
         self._entities: dict[Name, NamedEntity] = {}
+        self._postings: dict[str, list[Name]] = {}  # keyword token -> names
 
     def register(self, entity: NamedEntity) -> None:
         if entity.name in self._entities:
             raise DuplicateName(format_name(entity.name))
         self._entities[entity.name] = entity
+        for token in _keyword_tokens(entity):
+            self._postings.setdefault(token, []).append(entity.name)
 
     def get(self, name: Name) -> NamedEntity | None:
         return self._entities.get(name)
@@ -71,11 +74,14 @@ class ObjectResolutionService:
     def search(self, query: OrsQuery) -> OrsResult:
         if query.empty:
             return OrsResult()
+        if query.keywords:
+            postings = sorted((self._postings.get(k, []) for k in set(query.keywords)), key=len)
+            names = set(postings[0]).intersection(*postings[1:])
+            candidates = [self._entities[n] for n in sorted(names, key=format_name)]
+        else:
+            candidates = self.entities()
         hits = []
-        for entity in self.entities():
-            tokens = _keyword_tokens(entity)
-            if any(k not in tokens for k in query.keywords):
-                continue
+        for entity in candidates:
             if any(entity.metadata.get(k) != v for k, v in query.metadata_filters.items()):
                 continue
             hits.append((entity.name, dict(entity.metadata)))

@@ -9,12 +9,13 @@ fields always in declared order.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from enum import Enum
 
 from .errors import MalformedMessage, NoFibMatch
-from .names import Name, format_name, parse_name
+from .names import Name, format_name, longest_prefix_hits, parse_name
 
 HOP_LIMIT = 32
 CONTENT_STORE_CAPACITY = 16
@@ -149,21 +150,41 @@ class FibEntry:
         return fcn_segments(self.prefix)
 
 
-def fib_lookup(table: list[FibEntry], fcn: str) -> str:
-    """Longest '/'-segment prefix match; length ties take the smallest next hop."""
-    target = fcn_segments(fcn)
-    best_len = -1
-    best_hop: str | None = None
-    for entry in table:
-        p = entry.prefix_segments
-        if len(p) > len(target) or target[: len(p)] != p:
-            continue
-        if len(p) > best_len or (len(p) == best_len and entry.next_hop < best_hop):
-            best_len = len(p)
-            best_hop = entry.next_hop
-    if best_hop is None:
-        raise NoFibMatch(fcn)
-    return best_hop
+class Fib:
+    """A forwarding table: the FibEntrys appended to it, in order, plus an index.
+
+    The index maps each prefix's segments to the smallest next hop
+    registered for it, which is the tie-break between equal-length
+    matches, so a lookup is one dict probe per segment of the target.
+    """
+
+    def __init__(self, entries: Iterable[FibEntry] = ()):
+        self._entries: list[FibEntry] = []
+        self.best_hop: dict[tuple[str, ...], str] = {}
+        for entry in entries:
+            self.append(entry)
+
+    def append(self, entry: FibEntry) -> None:
+        self._entries.append(entry)
+        segments = entry.prefix_segments
+        hop = self.best_hop.get(segments)
+        if hop is None or entry.next_hop < hop:
+            self.best_hop[segments] = entry.next_hop
+
+    def __iter__(self) -> Iterator[FibEntry]:
+        return iter(self._entries)
+
+
+def fib_lookup(table: Fib | Iterable[FibEntry], fcn: str) -> str:
+    """Longest '/'-segment prefix match; length ties take the smallest next hop.
+
+    ``table`` is a Fib, or any iterable of FibEntry, which is indexed first.
+    """
+    if not isinstance(table, Fib):
+        table = Fib(table)
+    for hop in longest_prefix_hits(table.best_hop, fcn_segments(fcn)):
+        return hop
+    raise NoFibMatch(fcn)
 
 
 @dataclass
@@ -210,7 +231,7 @@ class CcnRouterState:
     """
 
     def __init__(self):
-        self.fib: list[FibEntry] = []
+        self.fib = Fib()
         self.content_store = ContentStore()
         self.repo: dict[str, bytes] = {}
 

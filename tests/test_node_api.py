@@ -1,9 +1,17 @@
 import pytest
 
-from internames.errors import NotFound, NotResolvable
+from internames.errors import HopLimitExceeded, NotFound, NotResolvable, Unreachable
 from internames.fabric import EventKind
 from internames.names import parse_name
 from internames.node_api import NodeApi
+from internames.nrs import (
+    CallerRole,
+    NextHopTech,
+    NrsRecord,
+    Protocol,
+    ServiceDescriptor,
+)
+from internames.wire import HOP_LIMIT, FibEntry
 
 U1 = parse_name("n2n://users:u1")
 U2 = parse_name("n2n://users:u2")
@@ -140,3 +148,19 @@ def test_api_exposes_no_locators(cross_realm_fabric):
     assert isinstance(body, bytes)
     result = api.search(["doc"])
     assert all(str(n).startswith("n2n://") for n in result.names)
+
+
+def test_interest_caught_in_fib_loop_raises_hop_limit(cross_realm_fabric):
+    fab = cross_realm_fabric
+    looped = parse_name("n2n://ccn.com:looped")
+    fab.nrs.register(NrsRecord(looped, ServiceDescriptor(
+        Protocol.CCNISH_OVER_UDPISH, "loop/x", NextHopTech.CCNISH, "coreX")),
+        CallerRole.ADMINISTRATOR)
+    for node, hop in [("cli2", "coreX"), ("coreX", "nrsY"), ("nrsY", "coreX")]:
+        fab.nodes[node].ccn["ccnet"].fib.append(FibEntry("loop", hop))
+    with pytest.raises(HopLimitExceeded) as caught:
+        NodeApi(fab, U2).pull(looped)
+    assert isinstance(caught.value, Unreachable)
+    drops = [e for e in fab.trace if e.event is EventKind.DROP]
+    assert [e.detail for e in drops] == ["hop-limit"]
+    assert sum(1 for e in fab.trace if e.event in (EventKind.SEND, EventKind.FWD)) == HOP_LIMIT

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from internames.errors import DuplicateRecord, NotFound, NotResolvable, Unauthorized
-from internames.names import Name, parse_name
+from internames.names import Name, is_prefix_of, parse_name
 from internames.nrs import (
     CacheStore,
     CallerRole,
@@ -172,6 +173,85 @@ def test_add_withdraw_sequence_matches_replay_oracle():
             shadow[key] = rec
     got = {(str(r.prefix), r.sd.next_hop_address) for r in nrs.records()}
     assert got == set(shadow)
+
+
+NRS_PREFIX = st.builds(
+    Name,
+    realm_id=st.sampled_from(["r", "s"]),
+    segments=st.lists(st.sampled_from("ab"), min_size=1, max_size=3).map(tuple),
+)
+NRS_PREDICATE = st.sampled_from([ContextPredicate(), ContextPredicate(context_tags=frozenset({"x"}))])
+NRS_RECORD = st.builds(
+    NrsRecord,
+    prefix=NRS_PREFIX,
+    sd=st.builds(sd, next_hop=st.sampled_from(["h0", "h1", "h2"]),
+                 priority=st.integers(min_value=0, max_value=1)),
+    predicate=NRS_PREDICATE,
+)
+NRS_STEP = st.one_of(
+    st.tuples(st.just("register"), NRS_RECORD),
+    st.tuples(st.just("withdraw"), st.tuples(NRS_PREFIX, st.sampled_from(["h0", "h1", "h2"]))),
+    st.tuples(st.just("resolve"), st.tuples(
+        NRS_PREFIX | NRS_PREFIX.map(lambda n: Name(n.realm_id, n.segments + ("c",))),
+        st.builds(ctx, tags=st.sampled_from([(), ("x",)]),
+                  service=st.sampled_from([Service.UNICAST, Service.ANYCAST])),
+    )),
+)
+
+
+def _replay_resolve(replayed, name, c):
+    """Linear scan: the longest prefix with a matching record, then priority order."""
+    matching = [r for r in replayed if is_prefix_of(r.prefix, name) and r.predicate.matches(c)]
+    if not matching:
+        raise NotResolvable(str(name))
+    longest = max(len(r.prefix.segments) for r in matching)
+    sds = sorted((r.sd for r in matching if len(r.prefix.segments) == longest),
+                 key=lambda d: (d.priority, d.canonical_text()))
+    return sds[:1] if c.requested_service is Service.ANYCAST else sds
+
+
+@settings(deadline=None)
+@given(st.lists(NRS_STEP, max_size=40))
+def test_nrs_index_matches_list_replay_oracle(steps):
+    nrs = NameResolutionService()
+    replayed: list[NrsRecord] = []
+    for op, arg in steps:
+        if op == "register":
+            if any(r.key() == arg.key() for r in replayed):
+                with pytest.raises(DuplicateRecord):
+                    nrs.register(arg, ADMIN)
+            else:
+                nrs.register(arg, ADMIN)
+                replayed.append(arg)
+        elif op == "withdraw":
+            prefix, hop = arg
+            victims = [r for r in replayed if r.prefix == prefix and r.sd.next_hop_address == hop]
+            if not victims:
+                with pytest.raises(NotFound):
+                    nrs.withdraw(prefix, hop)
+            else:
+                nrs.withdraw(prefix, hop)
+                replayed = [r for r in replayed if r not in victims]
+        else:
+            name, c = arg
+            try:
+                want = _replay_resolve(replayed, name, c)
+            except NotResolvable:
+                with pytest.raises(NotResolvable):
+                    nrs.resolve(name, c)
+            else:
+                assert nrs.resolve(name, c) == want
+        assert nrs.records() == tuple(replayed)
+
+
+def test_records_order_after_withdraw_and_reregister():
+    nrs = NameResolutionService()
+    first, second = record("n2n://r:a", "h1"), record("n2n://r:b", "h2")
+    nrs.register(first, ADMIN)
+    nrs.register(second, ADMIN)
+    nrs.withdraw(first.prefix, "h1")
+    nrs.register(first, ADMIN)
+    assert nrs.records() == (second, first)
 
 
 def test_cache_hit_within_ttl_miss_at_boundary():

@@ -108,3 +108,36 @@ def test_result_serialization_deterministic():
     b = small_corpus().search(OrsQuery(("article",))).to_text()
     assert a == b
     assert "n2n://" in a
+
+
+def test_index_edge_queries_match_linear_scan_oracle():
+    rng = random.Random(13)
+    ors = ObjectResolutionService()
+    corpus = []
+    for i in range(60):
+        kws = {rng.choice("xyz") + str(rng.randint(0, 2)) for _ in range(rng.randint(0, 3))}
+        meta = {"lang": rng.choice(["en", "fr"])} if rng.random() < 0.7 else {}
+        e = entity(f"n2n://gen:obj{i}", ",".join(sorted(kws)), **meta)
+        ors.register(e)
+        corpus.append((e, kws))
+    queries = [
+        OrsQuery(("x0", "x0")),
+        OrsQuery(("x0", " X0 ", "y1")),
+        OrsQuery(("nope",)),
+        OrsQuery(("x1", "nope")),
+        OrsQuery((), {"lang": "en"}),
+        OrsQuery((), {"lang": "de"}),
+        OrsQuery(("z2",), {"lang": "fr"}),
+    ]
+    for query in queries:
+        expected = [
+            (str(e.name), e.metadata)
+            for e, kws in sorted(corpus, key=lambda c: str(c[0].name))
+            if set(query.keywords) <= kws
+            and all(e.metadata.get(k) == v for k, v in query.metadata_filters.items())
+        ]
+        got = [(str(n), meta) for n, meta in ors.search(query).entries]
+        assert got == expected
+    # the repeated keyword and the metadata-only query have hits to get wrong
+    assert ors.search(OrsQuery(("x0", "x0"))).entries
+    assert ors.search(OrsQuery((), {"lang": "en"})).entries

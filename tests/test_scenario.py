@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+import internames
 from internames.cli import main
 from internames.errors import InvalidStep, ParseError, ValidationError
 from internames.fabric import EventKind
@@ -150,6 +153,21 @@ def test_cli_run_builtin(capsys, tmp_path):
     trace_file = tmp_path / "t.txt"
     assert main(["run", "fig3", "--trace", str(trace_file)]) == 0
     assert trace_file.read_text() == out
+
+
+def test_cli_bless_writes_user_golden_beside_scenario_file(tmp_path, capsys):
+    scn = tmp_path / "mine.scn"
+    scn.write_text(save_scenario(load_builtin("fig3")))
+    package_golden = Path(internames.__file__).parent / "scenarios" / "mine.golden"
+    try:
+        assert main(["run", str(scn), "--bless"]) == 0
+        assert not package_golden.exists()
+    finally:
+        package_golden.unlink(missing_ok=True)
+    out = capsys.readouterr().out
+    assert (tmp_path / "mine.golden").read_text() == out
+    assert main(["diff", str(scn), str(tmp_path / "mine.golden")]) == 0
+    capsys.readouterr()
 
 
 def test_cli_run_until(capsys):

@@ -161,6 +161,34 @@ def test_fib_random_tables_match_brute_force():
                 assert fib_lookup(table, fcn) == best[1]
 
 
+def test_fib_index_edge_cases():
+    state = CcnRouterState()
+    entries = [
+        FibEntry("a/b", "m-hop"),
+        FibEntry("ccnx://", "default-hop"),  # zero segments: matches every fcn
+        FibEntry("ccnx://a/b", "k-hop"),     # same segments as "a/b"
+        FibEntry("a/b", "m-hop"),            # repeated (prefix, hop)
+        FibEntry("ccnx://a", "z-hop"),
+    ]
+    for entry in entries:
+        state.fib.append(entry)
+    assert list(state.fib) == entries
+    assert [e.prefix for e in state.fib] == [e.prefix for e in entries]
+    for fcn, hop in [
+        ("a/b/c", "k-hop"),
+        ("ccnx://a/b", "k-hop"),
+        ("a/x", "z-hop"),
+        ("q", "default-hop"),
+        ("", "default-hop"),
+        ("ccnx://", "default-hop"),
+    ]:
+        assert fib_lookup(state.fib, fcn) == hop
+        assert fib_lookup(entries, fcn) == hop
+        assert fib_lookup(reversed(entries), fcn) == hop
+    with pytest.raises(NoFibMatch):
+        fib_lookup(entries[:1], "a")
+
+
 def test_content_store_capacity_and_eviction_order():
     cs = ContentStore()
     for i in range(CONTENT_STORE_CAPACITY + 4):
