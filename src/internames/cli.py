@@ -9,7 +9,7 @@ import argparse
 import os
 import sys
 
-from .errors import InternamesError, InvalidStep, ParseError, ValidationError
+from .errors import InternamesError
 from .scenario import (
     BUILTIN_NAMES,
     _SCENARIO_FILES,
@@ -133,9 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, InvalidStep) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except InternamesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -42,7 +42,6 @@ from .nrs import (
     NrsRecord,
     Protocol,
     ResolutionContext,
-    Service,
     ServiceDescriptor,
     sd_list_text,
 )
@@ -141,13 +140,6 @@ class NetworkAttachmentPoint:
 
 
 @dataclass
-class Binding:
-    entity_name: Name
-    naps: list[str]
-    since_tick: int
-
-
-@dataclass
 class Link:
     a: str
     b: str
@@ -189,10 +181,6 @@ class SimClock:
             self.now_tick = max(self.now_tick, tick)
             yield tick, fn
 
-    @property
-    def idle(self) -> bool:
-        return not self._pending
-
 
 @dataclass
 class CallRecord:
@@ -204,7 +192,6 @@ class CallRecord:
     error: str | None = None
     deliveries: list[tuple[str, Name, bytes]] = field(default_factory=list)  # (nap, name, body)
     search_result: OrsResult | None = None
-    sd_texts: list[str] = field(default_factory=list)
 
     @property
     def delivery_count(self) -> int:
@@ -225,7 +212,6 @@ def _body_text(body: bytes) -> str:
 
 _KIND_TO_OP = {
     MessageKind.HTTP_GET: PolicyOperation.PULL,
-    MessageKind.CCN_INTEREST: PolicyOperation.PULL,
     MessageKind.HTTP_PUSH: PolicyOperation.PUSH,
     MessageKind.SUB: PolicyOperation.SUBSCRIBE,
     MessageKind.PUB: PolicyOperation.PUBLISH,
@@ -354,6 +340,9 @@ class Fabric:
         self.messages[msg.msg_id] = msg
         return msg
 
+    def _new_msg(self, **fields) -> WireMessage:
+        return self._register_msg(WireMessage(msg_id=self.new_msg_id(), **fields))
+
     def at(self, tick: int, fn) -> None:
         self.clock.schedule(tick, fn)
 
@@ -423,13 +412,11 @@ class Fabric:
             return locator, None
         raise NoRoute(f"unknown locator {locator}")
 
-    def node_ctx(self, node_id: str, location: str, tick: int,
-                 service: Service = Service.UNICAST) -> ResolutionContext:
+    def node_ctx(self, node_id: str, location: str, tick: int) -> ResolutionContext:
         return ResolutionContext(
             now_tick=tick,
             location_tag=location,
             context_tags=self.node_tags[node_id],
-            requested_service=service,
         )
 
     def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
@@ -518,31 +505,23 @@ class Fabric:
     # ---------------------------------------------------------------- partition
 
     def partition(self, realm_id: str, t: int) -> None:
-        realm = self.realms.get(realm_id)
-        if realm is None:
-            raise UnknownRealm(realm_id)
-        for link in self.links:
-            if link.realm == realm_id:
-                continue
-            inside = (link.a in realm.member_nodes) != (link.b in realm.member_nodes)
-            if inside:
-                link.alive = False
-        for node in realm.member_nodes:
-            self.node_tags[node] = frozenset({"disaster"})
-        self._topology_changed()
+        self._set_edge(realm_id, False, "disaster")
 
     def heal(self, realm_id: str, t: int) -> None:
+        self._set_edge(realm_id, True, "normal")
+
+    def _set_edge(self, realm_id: str, alive: bool, tag: str) -> None:
+        """Set every link that crosses the realm's boundary alive or dead and
+        give its members the context tag."""
         realm = self.realms.get(realm_id)
         if realm is None:
             raise UnknownRealm(realm_id)
         for link in self.links:
-            if link.realm == realm_id:
-                continue
-            inside = (link.a in realm.member_nodes) != (link.b in realm.member_nodes)
-            if inside:
-                link.alive = True
+            crosses = (link.a in realm.member_nodes) != (link.b in realm.member_nodes)
+            if link.realm != realm_id and crosses:
+                link.alive = alive
         for node in realm.member_nodes:
-            self.node_tags[node] = frozenset({"normal"})
+            self.node_tags[node] = frozenset({tag})
         self._topology_changed()
 
     # ---------------------------------------------------------------- engine
@@ -581,10 +560,19 @@ class Fabric:
 
     def _drop(self, t, node, realm_id, msg, detail, call_id) -> None:
         self._emit(t, node, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, detail)
+        self._fail(call_id, detail)
+
+    def _drop_unsent(self, t, node, realm_id, name, detail, call_id) -> None:
+        """Drop a request that never went on the wire, under a fresh message id."""
+        self._emit(t, node, realm_id, EventKind.DROP, self.new_msg_id(), name, detail)
+        self._fail(call_id, detail)
+
+    def _fail(self, call_id, reason) -> None:
+        """Record a call's first failure, unless it already has a result."""
         if call_id is not None:
             call = self.calls[call_id]
             if call.error is None and call.result is None:
-                call.error = detail
+                call.error = reason
 
     def _no_path_detail(self, realm_id: str) -> str:
         severed = any(not l.alive and l.realm == realm_id for l in self.links)
@@ -622,69 +610,59 @@ class Fabric:
             self._tunnel_hop(msg, realm_id, path, i, t, call_id, on_arrive, link)
             return
         arrive_t = t + link.delay
+        self.at(arrive_t, lambda: self._landed(msg, realm_id, path, i, arrive_t,
+                                               call_id, on_arrive))
 
-        def deliver():
-            if i == len(path) - 1:
-                self._arrive(msg, node, realm_id, call_id, on_arrive)
-            else:
-                self._emit(arrive_t, node, realm_id, EventKind.FWD, msg.msg_id,
-                           msg.target_name, f"to={path[-1]} kind={msg.kind.value}")
-                self._schedule_hop(msg, realm_id, path, i + 1, arrive_t, call_id, on_arrive)
-
-        self.at(arrive_t, deliver)
+    def _landed(self, msg, realm_id, path, i, t, call_id, on_arrive) -> None:
+        """msg reached path[i]: arrive if it is the last hop, else forward."""
+        node = path[i]
+        if i == len(path) - 1:
+            self._arrive(msg, node, realm_id, call_id, on_arrive)
+            return
+        self._emit(t, node, realm_id, EventKind.FWD, msg.msg_id, msg.target_name,
+                   f"to={path[-1]} kind={msg.kind.value}")
+        self._schedule_hop(msg, realm_id, path, i + 1, t, call_id, on_arrive)
 
     def _tunnel_hop(self, msg, realm_id, path, i, t, call_id, on_arrive, link) -> None:
         """Carry a nested-realm link hop as a payload message in the parent."""
         prev, node = path[i - 1], path[i]
         parent = self.realms[realm_id].parent_realm
-        outer = self._register_msg(WireMessage(
-            msg_id=self.new_msg_id(),
-            kind=MessageKind.HTTP_PUSH,
-            target_name=None,
-            source_name=None,
-            body=encode(msg),
-        ))
+        outer = self._new_msg(kind=MessageKind.HTTP_PUSH, body=encode(msg))
         self.encapsulations.append((outer.msg_id, msg.msg_id, realm_id))
 
         def resume(arrive_t):
             self._emit(arrive_t, node, parent, EventKind.RECV, outer.msg_id, "-",
                        f"tunnel realm={realm_id} inner={msg.msg_id}")
-            if i == len(path) - 1:
-                self._arrive(msg, node, realm_id, call_id, on_arrive)
-            else:
-                self._emit(arrive_t, node, realm_id, EventKind.FWD, msg.msg_id,
-                           msg.target_name, f"to={path[-1]} kind={msg.kind.value}")
-                self._schedule_hop(msg, realm_id, path, i + 1, arrive_t, call_id, on_arrive)
+            self._landed(msg, realm_id, path, i, arrive_t, call_id, on_arrive)
 
         self._transmit(outer, prev, parent, node, t, EventKind.SEND, call_id,
                        on_arrive=resume, detail_extra=f"tunnel realm={realm_id} inner={msg.msg_id}")
 
     # ---------------------------------------------------------------- consults
 
+    def _server_for(self, node_id, kind, realm_id, name, t, call_id, cont):
+        """The nearest server of kind, as _nearest_server gives it; when there
+        is none, drop the consult and hand cont None."""
+        server = self._nearest_server(node_id, kind)
+        if server is None:
+            self._drop_unsent(t, node_id, realm_id, name, f"{kind.value}-unreachable", call_id)
+            self.at(t, lambda: cont(None))
+        return server
+
     def consult_nrs(self, node_id: str, name: Name, location: str, t: int,
-                    call_id, cont, cache: CacheStore | None = None,
-                    service: Service = Service.UNICAST) -> None:
+                    call_id, cont, cache: CacheStore | None = None) -> None:
         """Resolve over the fabric: NRS_Q now, NRS_R after the round trip.
 
         cont receives the descriptor list, or None when unresolvable."""
-        ctx0 = self.node_ctx(node_id, location, t, service)
         if cache is not None:
-            hit = cache.lookup(name, ctx0)
+            hit = cache.lookup(name, self.node_ctx(node_id, location, t))
             if hit is not None:
-                mid = self.new_msg_id()
-                self._emit(t, node_id, location, EventKind.CACHE_HIT, mid, name,
+                self._emit(t, node_id, location, EventKind.CACHE_HIT, self.new_msg_id(), name,
                            sd_list_text(hit))
-                if call_id is not None:
-                    self.calls[call_id].sd_texts.append(sd_list_text(hit))
                 self.at(t, lambda: cont(hit))
                 return
-        server = self._nearest_server(node_id, NodeKind.NRS)
+        server = self._server_for(node_id, NodeKind.NRS, location, name, t, call_id, cont)
         if server is None:
-            mid = self.new_msg_id()
-            self._emit(t, node_id, location, EventKind.DROP, mid, name, "nrs-unreachable")
-            if call_id is not None and self.calls[call_id].error is None:
-                self.calls[call_id].error = "nrs-unreachable"
-            self.at(t, lambda: cont(None))
             return
         _srv, delay, srv_realm = server
         qid = self.new_msg_id()
@@ -693,34 +671,26 @@ class Fabric:
         t_resp = t + 2 * delay
 
         def respond():
-            ctx = self.node_ctx(node_id, location, t_resp, service)
+            ctx = self.node_ctx(node_id, location, t_resp)
             try:
                 sds = self.nrs.resolve(name, ctx)
             except NotResolvable:
                 self._emit(t_resp, node_id, srv_realm, EventKind.NRS_R, qid, name, "no-record")
-                if call_id is not None and self.calls[call_id].error is None:
-                    self.calls[call_id].error = "not-resolvable"
+                self._fail(call_id, "not-resolvable")
                 cont(None)
                 return
             if cache is not None:
                 cache.store(name, ctx, sds)
             self._emit(t_resp, node_id, srv_realm, EventKind.NRS_R, qid, name, sd_list_text(sds))
-            if call_id is not None:
-                self.calls[call_id].sd_texts.append(sd_list_text(sds))
             cont(sds)
 
         self.at(t_resp, respond)
 
     def consult_ors(self, node_id: str, keywords: tuple[str, ...], t: int,
                     call_id, cont) -> None:
-        server = self._nearest_server(node_id, NodeKind.ORS)
+        server = self._server_for(node_id, NodeKind.ORS, self.nodes[node_id].realms[0], "-",
+                                  t, call_id, cont)
         if server is None:
-            mid = self.new_msg_id()
-            self._emit(t, node_id, self.nodes[node_id].realms[0], EventKind.DROP, mid,
-                       "-", "ors-unreachable")
-            if call_id is not None and self.calls[call_id].error is None:
-                self.calls[call_id].error = "ors-unreachable"
-            self.at(t, lambda: cont(None))
             return
         _srv, delay, srv_realm = server
         qid = self.new_msg_id()
@@ -772,10 +742,7 @@ class Fabric:
             self._rendezvous(msg, node_id, realm_id, t, call_id)
             return
         if msg.kind in _DELIVERABLE:
-            self._emit(t, node_id, realm_id, EventKind.DROP, msg.msg_id, msg.target_name,
-                       "unreachable-name")
-            if call_id is not None and self.calls[call_id].error is None:
-                self.calls[call_id].error = "unreachable-name"
+            self._drop(t, node_id, realm_id, msg, "unreachable-name", call_id)
             return
         self._emit(t, node_id, realm_id, EventKind.DROP, msg.msg_id, msg.target_name,
                    "unhandled")
@@ -788,10 +755,13 @@ class Fabric:
             for nap in self.bindings_of(name)
         )
 
+    def _recv(self, msg, node_id, realm_id, t, extra="") -> None:
+        detail = f"kind={msg.kind.value} {extra}" if extra else f"kind={msg.kind.value}"
+        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name, detail)
+
     def _deliver(self, msg, node_id, realm_id, t, call_id) -> None:
         nap_id = f"{node_id}.{realm_id}"
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name,
-                   f"kind={msg.kind.value}")
+        self._recv(msg, node_id, realm_id, t)
         self._emit(t, node_id, realm_id, EventKind.DELIVER, msg.msg_id, msg.target_name,
                    f"nap={nap_id} body={_body_text(msg.body)}")
         if call_id is not None:
@@ -803,35 +773,23 @@ class Fabric:
     # ------------------------------------------------------------ HTTP serving
 
     def _serve_http(self, msg, node_id, realm_id, t, call_id) -> None:
-        node = self.nodes[node_id]
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name,
-                   f"kind={msg.kind.value}")
+        self._recv(msg, node_id, realm_id, t)
         uri = format_name(msg.target_name) if msg.target_name else ""
-        body = node.http_store.get(uri)
+        body = self.nodes[node_id].http_store.get(uri)
         if body is None:
             self._drop(t, node_id, realm_id, msg, "not-found", call_id)
             return
-        resp = self._register_msg(WireMessage(
-            msg_id=self.new_msg_id(),
-            kind=MessageKind.HTTP_RESP,
-            target_name=msg.source_name,
-            source_name=msg.target_name,
-            body=body,
-        ))
+        resp = self._new_msg(kind=MessageKind.HTTP_RESP, target_name=msg.source_name,
+                             source_name=msg.target_name, body=body)
         self.response_of[resp.msg_id] = msg.msg_id
         self.deliver_to_name(resp, node_id, realm_id, t, call_id)
 
     # ------------------------------------------------------------- CCN forward
 
     def _synth_data(self, interest, body) -> WireMessage:
-        data = self._register_msg(WireMessage(
-            msg_id=self.new_msg_id(),
-            kind=MessageKind.CCN_DATA,
-            target_fcn=interest.target_fcn,
-            target_name=interest.source_name,
-            source_name=interest.target_name,
-            body=body,
-        ))
+        data = self._new_msg(kind=MessageKind.CCN_DATA, target_fcn=interest.target_fcn,
+                             target_name=interest.source_name,
+                             source_name=interest.target_name, body=body)
         self.response_of[data.msg_id] = interest.msg_id
         return data
 
@@ -866,8 +824,7 @@ class Fabric:
         if realm_id not in self.nodes[node_id].ccn:
             self._drop(t, node_id, realm_id, interest, "not-a-ccn-node", call_id)
             return
-        self._emit(t, node_id, realm_id, EventKind.RECV, interest.msg_id,
-                   interest.target_name, f"kind=CCN_INTEREST fcn={interest.target_fcn}")
+        self._recv(interest, node_id, realm_id, t, f"fcn={interest.target_fcn}")
         self.ccn_start(interest, node_id, realm_id, t, EventKind.FWD, call_id)
 
     # ------------------------------------------------------- named return path
@@ -898,14 +855,9 @@ class Fabric:
     def _router_egress(self, msg, node_id, realm_id, t, call_id) -> None:
         """A boundary router received a name-addressed message: resolve the
         name now and forward toward the current bindings, bridging protocols."""
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name,
-                   f"kind={msg.kind.value}")
+        if not self._router_admits(msg, node_id, realm_id, t, call_id):
+            return
         node = self.nodes[node_id]
-        if msg.kind is MessageKind.HTTP_PUSH and msg.source_name is not None:
-            if check_access(node.policy, msg.source_name, PolicyOperation.PUSH) \
-                    is PolicyAction.DENY:
-                self._drop(t, node_id, realm_id, msg, "access-denied", call_id)
-                return
 
         def onto(sds):
             if sds is None:
@@ -927,30 +879,38 @@ class Fabric:
         self.consult_nrs(node_id, msg.target_name, realm_id, t, call_id, onto)
 
     def _forward_out(self, msg, sd, node_id, realm_in, realm_out, t, call_id) -> None:
-        in_proto = PROTOCOL_OF_TECH[self.realms[realm_in].technology]
-        out_proto = PROTOCOL_OF_TECH[self.realms[realm_out].technology]
         dst_node, _ = self.locate(sd.next_hop_address)
-        if realm_in == realm_out or in_proto is out_proto:
+        if self.realms[realm_in].technology is self.realms[realm_out].technology:
             self._transmit(msg, node_id, realm_out, dst_node, t, EventKind.FWD, call_id)
             return
-        rule = BridgeRule(in_proto, out_proto, realm_in, realm_out)
-        out = self._register_msg(bridge(msg, rule, sd))
+        out = self._bridged(msg, realm_in, realm_out, sd)
         self._transmit(out, node_id, realm_out, dst_node, t, EventKind.BRIDGE, call_id)
 
+    def _bridged(self, msg, realm_in, realm_out, sd) -> WireMessage:
+        rule = BridgeRule(PROTOCOL_OF_TECH[self.realms[realm_in].technology],
+                          PROTOCOL_OF_TECH[self.realms[realm_out].technology],
+                          realm_in, realm_out)
+        return self._register_msg(bridge(msg, rule, sd))
+
     # ------------------------------------------------------------ router paths
+
+    def _router_admits(self, msg, node_id, realm_id, t, call_id) -> bool:
+        """Log a router's RECV and check the sender against its access policy;
+        kinds with no policy operation pass unchecked."""
+        self._recv(msg, node_id, realm_id, t)
+        op = _KIND_TO_OP.get(msg.kind)
+        if op is not None and msg.source_name is not None and check_access(
+                self.nodes[node_id].policy, msg.source_name, op) is PolicyAction.DENY:
+            self._drop(t, node_id, realm_id, msg, "access-denied", call_id)
+            return False
+        return True
 
     def _router_ingress(self, msg, node_id, realm_id, t, call_id) -> None:
         """A pull request reached a boundary router: check access, resolve the
         target for the next realm and bridge or relay it onward."""
-        node = self.nodes[node_id]
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name,
-                   f"kind={msg.kind.value}")
-        op = _KIND_TO_OP.get(msg.kind, PolicyOperation.ANY)
-        if msg.source_name is not None and \
-                check_access(node.policy, msg.source_name, op) is PolicyAction.DENY:
-            self._drop(t, node_id, realm_id, msg, "access-denied", call_id)
+        if not self._router_admits(msg, node_id, realm_id, t, call_id):
             return
-        others = sorted(r for r in node.realms if r != realm_id)
+        others = sorted(r for r in self.nodes[node_id].realms if r != realm_id)
         if not others:
             self._serve_http(msg, node_id, realm_id, t, call_id)
             return
@@ -969,18 +929,9 @@ class Fabric:
                     self._drop(t2, node_id, realm_in, msg, "not-resolvable", call_id)
                 return
             sd = sds[0]
-            out_tech = self.realms[realm_out].technology
-            in_proto = PROTOCOL_OF_TECH[self.realms[realm_in].technology]
-            out_proto = PROTOCOL_OF_TECH[out_tech]
-            if out_tech is RealmTech.CCNISH:
-                rule = BridgeRule(in_proto, out_proto, realm_in, realm_out)
-                interest = self._register_msg(bridge(msg, rule, sd))
+            if self.realms[realm_out].technology is RealmTech.CCNISH:
+                interest = self._bridged(msg, realm_in, realm_out, sd)
                 self.ccn_start(interest, node_id, realm_out, t2, EventKind.BRIDGE, call_id)
-            elif msg.kind is MessageKind.CCN_INTEREST:
-                rule = BridgeRule(in_proto, out_proto, realm_in, realm_out)
-                out = self._register_msg(bridge(msg, rule, sd))
-                dst_node, _ = self.locate(sd.next_hop_address)
-                self._transmit(out, node_id, realm_out, dst_node, t2, EventKind.BRIDGE, call_id)
             else:
                 dst_node, _ = self.locate(sd.next_hop_address)
                 self._transmit(msg, node_id, realm_out, dst_node, t2, EventKind.FWD, call_id)
@@ -990,14 +941,9 @@ class Fabric:
     # ------------------------------------------------------------------ pubsub
 
     def _router_relay_pubsub(self, msg, node_id, realm_id, t, call_id) -> None:
-        node = self.nodes[node_id]
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name,
-                   f"kind={msg.kind.value}")
-        op = _KIND_TO_OP[msg.kind]
-        if msg.source_name is not None and \
-                check_access(node.policy, msg.source_name, op) is PolicyAction.DENY:
-            self._drop(t, node_id, realm_id, msg, "access-denied", call_id)
+        if not self._router_admits(msg, node_id, realm_id, t, call_id):
             return
+        node = self.nodes[node_id]
         home = self.topic_home.get(msg.target_fcn)
         if home is None:
             self._drop(t, node_id, realm_id, msg, "unknown-topic", call_id)
@@ -1010,25 +956,15 @@ class Fabric:
         self._drop(t, node_id, realm_id, msg, "unreachable-topic", call_id)
 
     def _rendezvous(self, msg, node_id, realm_id, t, call_id) -> None:
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name,
-                   f"kind={msg.kind.value} topic={msg.target_fcn}")
+        self._recv(msg, node_id, realm_id, t, f"topic={msg.target_fcn}")
         subscribers = self.topics.setdefault(msg.target_fcn, set())
         if msg.kind is MessageKind.SUB:
             subscribers.add(msg.source_name)
             if call_id is not None:
                 self.calls[call_id].result = b"subscribed"
             return
-        tech = self.realms[realm_id].technology
         for sub in sorted(subscribers, key=format_name):
-            kind = MessageKind.CCN_DATA if tech is RealmTech.CCNISH else MessageKind.HTTP_PUSH
-            out = self._register_msg(WireMessage(
-                msg_id=self.new_msg_id(),
-                kind=kind,
-                target_fcn=msg.target_fcn if tech is RealmTech.CCNISH else "",
-                target_name=sub,
-                source_name=msg.source_name,
-                body=msg.body,
-            ))
+            out = self._push_msg(realm_id, msg.target_fcn, sub, msg.source_name, msg.body)
             self.response_of[out.msg_id] = msg.msg_id
             self.deliver_to_name(out, node_id, realm_id, t, call_id)
 
@@ -1049,30 +985,16 @@ class Fabric:
         def onto(sds):
             t2 = self.now
             if sds is None:
-                mid = self.new_msg_id()
-                self._emit(t2, node_id, realm_id, EventKind.DROP, mid, target,
-                           "not-resolvable")
+                self._drop_unsent(t2, node_id, realm_id, target, "not-resolvable", call.call_id)
                 return
             sd = sds[0]
-            tech = self.realms[realm_id].technology
-            if tech is RealmTech.CCNISH:
-                interest = self._register_msg(WireMessage(
-                    msg_id=self.new_msg_id(),
-                    kind=MessageKind.CCN_INTEREST,
-                    target_fcn=sd.fcn,
-                    target_name=target,
-                    source_name=caller,
-                ))
-                self._call_note(call, interest)
+            if self.realms[realm_id].technology is RealmTech.CCNISH:
+                interest = self._new_msg(kind=MessageKind.CCN_INTEREST, target_fcn=sd.fcn,
+                                         target_name=target, source_name=caller)
                 self.ccn_start(interest, node_id, realm_id, t2, EventKind.SEND, call.call_id)
             else:
-                get = self._register_msg(WireMessage(
-                    msg_id=self.new_msg_id(),
-                    kind=MessageKind.HTTP_GET,
-                    target_name=target,
-                    source_name=caller,
-                ))
-                self._call_note(call, get)
+                get = self._new_msg(kind=MessageKind.HTTP_GET, target_name=target,
+                                    source_name=caller)
                 dst_node, _ = self.locate(sd.next_hop_address)
                 self._transmit(get, node_id, realm_id, dst_node, t2,
                                EventKind.SEND, call.call_id)
@@ -1080,10 +1002,6 @@ class Fabric:
         self.consult_nrs(node_id, target, realm_id, t, call.call_id, onto,
                          cache=node.cache)
         return call
-
-    def _call_note(self, call, msg) -> None:
-        # request message that originated this call; used by symmetry checks
-        self.response_of.setdefault(msg.msg_id, msg.msg_id)
 
     def start_push(self, caller: Name, target: Name, body: bytes, t: int) -> CallRecord:
         call = self._new_call("push", caller, format_name(target))
@@ -1094,25 +1012,22 @@ class Fabric:
         def onto(sds):
             t2 = self.now
             if sds is None:
-                mid = self.new_msg_id()
-                self._emit(t2, node_id, realm_id, EventKind.DROP, mid, target,
-                           "not-resolvable")
+                self._drop_unsent(t2, node_id, realm_id, target, "not-resolvable", call.call_id)
                 return
-            tech = self.realms[realm_id].technology
-            kind = MessageKind.CCN_DATA if tech is RealmTech.CCNISH else MessageKind.HTTP_PUSH
-            push = self._register_msg(WireMessage(
-                msg_id=self.new_msg_id(),
-                kind=kind,
-                target_fcn=format_name(target) if tech is RealmTech.CCNISH else "",
-                target_name=target,
-                source_name=caller,
-                body=body,
-            ))
+            push = self._push_msg(realm_id, format_name(target), target, caller, body)
             self.deliver_to_name(push, node_id, realm_id, t2, call.call_id)
 
         self.consult_nrs(node_id, target, realm_id, t, call.call_id, onto,
                          cache=node.cache)
         return call
+
+    def _push_msg(self, realm_id, fcn, target, source, body) -> WireMessage:
+        """A name-addressed push: CCN data in a CCNISH realm, else an HTTP push."""
+        if self.realms[realm_id].technology is RealmTech.CCNISH:
+            return self._new_msg(kind=MessageKind.CCN_DATA, target_fcn=fcn,
+                                 target_name=target, source_name=source, body=body)
+        return self._new_msg(kind=MessageKind.HTTP_PUSH, target_name=target,
+                             source_name=source, body=body)
 
     def start_subscribe(self, caller: Name, topic_fcn: str, t: int) -> CallRecord:
         call = self._new_call("subscribe", caller, topic_fcn)
@@ -1129,18 +1044,11 @@ class Fabric:
         node_id, realm_id = nap.node_id, nap.realm_id
         home = self.topic_home.get(topic_fcn)
         if home is None:
-            mid = self.new_msg_id()
-            self._emit(t, node_id, realm_id, EventKind.DROP, mid, "-",
+            self._emit(t, node_id, realm_id, EventKind.DROP, self.new_msg_id(), "-",
                        f"unknown-topic topic={topic_fcn}")
-            call.error = "unknown-topic"
+            self._fail(call.call_id, "unknown-topic")
             return
-        msg = self._register_msg(WireMessage(
-            msg_id=self.new_msg_id(),
-            kind=kind,
-            target_fcn=topic_fcn,
-            source_name=caller,
-            body=body,
-        ))
+        msg = self._new_msg(kind=kind, target_fcn=topic_fcn, source_name=caller, body=body)
         if home in self.realms[realm_id].member_nodes:
             self._transmit(msg, node_id, realm_id, home, t, EventKind.SEND, call.call_id)
             return

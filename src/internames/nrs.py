@@ -61,13 +61,6 @@ class ServiceDescriptor:
         if self.priority < 0 or self.ttl_ticks < 0:
             raise ValueError("priority and ttl_ticks must be >= 0")
 
-    @property
-    def attributes(self) -> dict:
-        attrs = {"priority": self.priority, "ttl_ticks": self.ttl_ticks}
-        if self.scope is not None:
-            attrs["scope"] = self.scope
-        return attrs
-
     def canonical_text(self) -> str:
         text = (
             f"protocol={self.protocol.value} fcn={self.fcn or '-'}"

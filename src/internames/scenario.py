@@ -222,9 +222,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         fields = [f.strip() for f in line.split(",")]
         try:
             sections[current].append(_parse_line(current, fields, where))
-        except (ParseError, ValueError) as exc:
-            if isinstance(exc, ParseError):
-                raise
+        except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
     scenario = Scenario(
         name=name,

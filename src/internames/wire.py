@@ -187,40 +187,30 @@ def fib_lookup(table: Fib | Iterable[FibEntry], fcn: str) -> str:
     raise NoFibMatch(fcn)
 
 
-@dataclass
-class ContentStoreEntry:
-    fcn: str
-    body: bytes
-    inserted_tick: int
-
-
 class ContentStore:
-    """Capacity-bounded cache with least-recently-inserted eviction."""
+    """Capacity-bounded cache with least-recently-inserted eviction.
+
+    The dict's insertion order is the eviction order; refreshing an entry
+    keeps its place."""
 
     def __init__(self, capacity: int = CONTENT_STORE_CAPACITY):
         self.capacity = capacity
-        self._entries: dict[str, ContentStoreEntry] = {}
-        self._order: list[str] = []
+        self._bodies: dict[str, bytes] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._bodies)
 
     def get(self, fcn: str) -> bytes | None:
-        entry = self._entries.get(fcn)
-        return entry.body if entry is not None else None
+        return self._bodies.get(fcn)
 
     def insert(self, fcn: str, body: bytes, tick: int) -> None:
-        if fcn in self._entries:
-            self._entries[fcn] = ContentStoreEntry(fcn, body, tick)
-            return
-        while len(self._entries) >= self.capacity:
-            victim = self._order.pop(0)
-            del self._entries[victim]
-        self._entries[fcn] = ContentStoreEntry(fcn, body, tick)
-        self._order.append(fcn)
+        if fcn not in self._bodies:
+            while len(self._bodies) >= self.capacity:
+                del self._bodies[next(iter(self._bodies))]
+        self._bodies[fcn] = body
 
     def keys(self) -> list[str]:
-        return list(self._order)
+        return list(self._bodies)
 
 
 class CcnRouterState:

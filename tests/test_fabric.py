@@ -17,6 +17,8 @@ from internames.names import parse_name
 from internames.scenario import load_builtin, parse_scenario, run_scenario
 from internames.wire import MessageKind, WireMessage, decode
 
+from conftest import CROSS_REALM
+
 
 def tiny_ip_fabric(hosts=("a", "b"), delay=1):
     f = Fabric()
@@ -431,3 +433,70 @@ def test_no_path_reason_ignores_dead_links_of_other_realms():
     f.deliver_to_name(resp(f, tgt), "a", "net", 0, None)
     drops = [e.detail for e in f.trace if e.event is EventKind.DROP]
     assert drops == ["no-route"]
+
+
+# ------------------------------------------------------------ drop paths
+# Each case runs conftest's CROSS_REALM (or a copy without some resolver
+# nodes) and pins the DROP line and the call's error.
+
+
+def without_nodes(text, *node_ids):
+    prefixes = tuple(f"{n}," for n in node_ids)
+    return "\n".join(l for l in text.splitlines() if not l.startswith(prefixes))
+
+
+def run_drops(text, timeline, policies=()):
+    if policies:
+        text += "\n[policies]\n" + "\n".join(policies) + "\n"
+    text += "\n[timeline]\n" + "\n".join(timeline) + "\n"
+    result = run_scenario(parse_scenario(text, name="drops"))
+    drops = [(e.tick, e.node, e.realm, e.name, e.detail)
+             for e in result.fabric.sorted_trace() if e.event is EventKind.DROP]
+    return drops, [(c.kind, c.error) for c in result.calls]
+
+
+DOC_URI = "n2n://ccn.com:doc"
+
+
+@pytest.mark.parametrize("policy, action, drop, call", [
+    ("RNx,n2n://users:u1,deny,pull",
+     f"0,pull,n2n://users:u1,{DOC_URI}",
+     (6, "RNx", "internet", DOC_URI), "pull"),
+    ("RNx,n2n://users:u1,deny,push",
+     "0,push,n2n://users:u1,n2n://users:u2,hi",
+     (6, "RNx", "internet", "n2n://users:u2"), "push"),
+    ("RNx,n2n://users:u2,deny,subscribe",
+     "0,subscribe,n2n://users:u2,sports/news",
+     (2, "RNx", "ccnet", "-"), "subscribe"),
+], ids=["ingress-pull", "egress-push", "relay-subscribe"])
+def test_router_access_denied_drops(policy, action, drop, call):
+    drops, calls = run_drops(CROSS_REALM, [action], [policy])
+    assert drops == [drop + ("access-denied",)]
+    assert calls == [(call, "access-denied")]
+
+
+def test_nrs_unreachable_drops_pull():
+    text = without_nodes(CROSS_REALM, "nrsX", "nrsY")
+    drops, calls = run_drops(text, [f"0,pull,n2n://users:u1,{DOC_URI}"])
+    assert drops == [
+        (0, "cli1", "internet", DOC_URI, "nrs-unreachable"),
+        (0, "cli1", "internet", DOC_URI, "not-resolvable"),
+    ]
+    assert calls == [("pull", "nrs-unreachable")]
+
+
+def test_ors_unreachable_drops_search_and_fetch():
+    text = without_nodes(CROSS_REALM, "orsX")
+    drops, calls = run_drops(text, ["0,search,n2n://users:u1,doc",
+                                    "1,fetch,n2n://users:u1,doc"])
+    assert drops == [
+        (0, "cli1", "internet", "-", "ors-unreachable"),
+        (1, "cli1", "internet", "-", "ors-unreachable"),
+    ]
+    assert calls == [("search", "ors-unreachable"), ("fetch", "ors-unreachable")]
+
+
+def test_unknown_topic_drops_subscribe():
+    drops, calls = run_drops(CROSS_REALM, ["0,subscribe,n2n://users:u1,no/topic"])
+    assert drops == [(0, "cli1", "internet", "-", "unknown-topic topic=no/topic")]
+    assert calls == [("subscribe", "unknown-topic")]
