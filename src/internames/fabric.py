@@ -244,7 +244,8 @@ class Fabric:
         self._msg_ids = itertools.count(1)
         self._call_ids = itertools.count(1)
         self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
-        self._routes: dict[tuple[str, str, str], tuple[str, ...] | None] = {}
+        self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
+        self._roots: dict[tuple[str, str], str] = {}
         self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
 
     # ---------------------------------------------------------------- topology
@@ -288,12 +289,14 @@ class Fabric:
         for end in {a, b}:
             adjacent = self._adjacency.setdefault((realm_id, end), [])
             adjacent.append((link.other(end), link))
-            adjacent.sort(key=lambda pair: pair[0])  # stable: parallel links keep their order
+            # stable: parallel links are cheapest first, equal delays in the order added
+            adjacent.sort(key=lambda pair: (pair[0], pair[1].delay))
         self._topology_changed()
         return link
 
     def _topology_changed(self) -> None:
         self._routes.clear()
+        self._roots.clear()
         self._servers.clear()
 
     def host_content(self, node_id: str, name: Name, payload: bytes, fcn: str = "") -> None:
@@ -317,9 +320,10 @@ class Fabric:
                     adverts.setdefault(rid, []).append((fcn, home))
         for rid, entries in sorted(adverts.items()):
             realm = self.realms[rid]
+            members = sorted(realm.member_nodes)
             for prefix, owner in entries:
                 realm.fib_registrations.append((prefix, owner))
-                for member in sorted(realm.member_nodes):
+                for member in members:
                     if member == owner:
                         continue
                     path = self._path(rid, member, owner)
@@ -356,46 +360,62 @@ class Fabric:
     def trace_text(self) -> str:
         return "\n".join(ev.line() for ev in self.sorted_trace())
 
-    def _adjacent(self, realm_id: str, node: str) -> list[tuple[str, Link]]:
-        return [pair for pair in self._adjacency.get((realm_id, node), ()) if pair[1].alive]
-
     def _link_between(self, realm_id: str, a: str, b: str) -> Link | None:
-        for nbr, link in self._adjacent(realm_id, a):
-            if nbr == b:
+        """The cheapest alive link from a to b: the one the route search prices."""
+        for nbr, link in self._adjacency.get((realm_id, a), ()):
+            if nbr == b and link.alive:
                 return link
         return None
 
     def _path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
         """Shortest path by total delay, ties broken by node-id order.
 
-        Answers are memoised per (realm, src, dst); add_link, partition and
-        heal clear the memo.  add_node need not: a new node has no links."""
+        Every search runs from its root to completion, and its tree (each
+        settled node's path) is kept per (realm, root).  A stub, a node whose
+        alive links all lead to one neighbour, is not a root: every path out
+        of it starts with that neighbour, and no shortest path from the
+        neighbour comes back through it, so its route to dst is itself
+        followed by the neighbour's route to dst, ties included.  The trees
+        and the stub test are memoised until add_link, partition or heal;
+        add_node need not clear them, as a new node has no links."""
         if src == dst:
             return [src]
-        key = (realm_id, src, dst)
-        if key not in self._routes:
-            self._routes[key] = self._dijkstra(realm_id, src, dst)
-        route = self._routes[key]
-        return None if route is None else list(route)
+        key = (realm_id, src)
+        root = self._roots.get(key)
+        if root is None:
+            nbrs = {nbr for nbr, link in self._adjacency.get(key, ()) if link.alive}
+            root = self._roots[key] = nbrs.pop() if len(nbrs) == 1 else src
+        tree = self._routes.get((realm_id, root))
+        if tree is None:
+            tree = self._routes[(realm_id, root)] = self._dijkstra(realm_id, root)
+        route = tree.get(dst)
+        if route is None:
+            return None
+        return list(route) if root == src else [src, *route]
 
-    def _dijkstra(self, realm_id: str, src: str, dst: str) -> tuple[str, ...] | None:
+    def _dijkstra(self, realm_id: str, root: str) -> dict[str, tuple[str, ...]]:
+        """Every node reachable from root in the realm -> its path from root."""
         # (delay, path) is unique per push, so pops follow a total order and
-        # equal delays fall to the lexicographically smaller node-id path.
-        best: dict[str, tuple[int, tuple[str, ...]]] = {src: (0, (src,))}
-        frontier = [(0, (src,))]
+        # equal delays fall to the lexicographically smaller node-id path;
+        # a node's first pop is its path, as in a search stopped there.
+        adjacency = self._adjacency
+        settled: dict[str, tuple[str, ...]] = {}
+        best: dict[str, tuple[int, tuple[str, ...]]] = {root: (0, (root,))}
+        frontier = [(0, (root,))]
         while frontier:
             dist, path = heapq.heappop(frontier)
             node = path[-1]
-            if node == dst:
-                return path
-            if best[node] < (dist, path):
+            if node in settled:
                 continue
-            for nbr, link in self._adjacent(realm_id, node):
+            settled[node] = path
+            for nbr, link in adjacency.get((realm_id, node), ()):
+                if not link.alive or nbr in settled:
+                    continue
                 cand = (dist + link.delay, path + (nbr,))
                 if nbr not in best or cand < best[nbr]:
                     best[nbr] = cand
                     heapq.heappush(frontier, cand)
-        return None
+        return settled
 
     def _path_delay(self, path: list[str], realm_id: str) -> int:
         total = 0

@@ -211,10 +211,14 @@ class CacheStore:
         return (name,) + ctx.cache_key_part()
 
     def lookup(self, name: Name, ctx: ResolutionContext) -> list[ServiceDescriptor] | None:
-        entry = self._entries.get(self._key(name, ctx))
-        if entry is not None and entry.live_at(ctx.now_tick):
-            self.hits += 1
-            return list(entry.sds)
+        """The live entry for name in ctx; an expired one is evicted and misses."""
+        key = self._key(name, ctx)
+        entry = self._entries.get(key)
+        if entry is not None:
+            if entry.live_at(ctx.now_tick):
+                self.hits += 1
+                return list(entry.sds)
+            del self._entries[key]
         self.misses += 1
         return None
 

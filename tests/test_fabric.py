@@ -250,7 +250,7 @@ def oracle_adjacent(f, realm_id, node):
             continue
         if node in (link.a, link.b):
             out.append((link.other(node), link))
-    return sorted(out, key=lambda pair: pair[0])
+    return sorted(out, key=lambda pair: (pair[0], pair[1].delay))
 
 
 def oracle_link_between(f, realm_id, a, b):
@@ -368,6 +368,127 @@ def test_link_dying_in_flight_reroutes():
         (5, "c", EventKind.RECV),
         (5, "c", EventKind.DELIVER),
     ]
+
+
+def test_parallel_links_take_the_cheapest():
+    # a-b is linked twice, delay 3 then delay 1; a-c-b costs 2 and b-s 1.
+    f = Fabric()
+    f.add_realm("r", RealmTech.IPISH)
+    for node, kind in (("a", NodeKind.HOST), ("b", NodeKind.HOST),
+                       ("c", NodeKind.ROUTER), ("s", NodeKind.NRS)):
+        f.add_node(node, kind, ["r"])
+    for a, b, delay in (("a", "b", 3), ("a", "b", 1), ("a", "c", 1), ("c", "b", 1), ("b", "s", 1)):
+        f.add_link(a, b, "r", delay)
+    assert f._path("r", "a", "b") == ["a", "b"]
+    assert f._link_between("r", "a", "b").delay == 1
+    assert f._nearest_server("a", NodeKind.NRS) == ("s", 2, "r")
+    bob = parse_name("n2n://users:bob")
+    f.known_names.add(bob)
+    f.bind(bob, "b.r", 0)
+    f.send("a.r", "b", resp(f, bob), 0)
+    f.run_until_idle()
+    assert [e.tick for e in f.trace if e.event is EventKind.RECV] == [1]
+
+
+# ------------------------------------------------------------ stub routing
+# A stub (every alive link to one neighbour) answers from its neighbour's
+# route tree; each case is checked against the oracle over every pair.
+
+
+def assert_routes_match_oracle(f, realm_id="net"):
+    nodes = sorted(f.realms[realm_id].member_nodes)
+    for a in nodes:
+        for b in nodes:
+            assert f._path(realm_id, a, b) == oracle_path(f, realm_id, a, b)
+            assert f._link_between(realm_id, a, b) is oracle_link_between(f, realm_id, a, b)
+        for kind in (NodeKind.NRS, NodeKind.ORS):
+            assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
+
+
+def stub_fabric(links, cell=()):
+    f = Fabric()
+    f.add_realm("net", RealmTech.IPISH)
+    f.add_realm("cell", RealmTech.IPISH)
+    for node in sorted({n for a, b, _ in links for n in (a, b)}):
+        kind = NodeKind.NRS if node.startswith("s") else NodeKind.HOST
+        f.add_node(node, kind, ["net", "cell"] if node in cell else ["net"])
+    for a, b, delay in links:
+        f.add_link(a, b, "net", delay)
+    return f
+
+
+def test_stub_two_node_component():
+    # a and b are each the other's only neighbour; z is another component.
+    f = stub_fabric([("a", "b", 1), ("z", "s", 1)])
+    assert f._path("net", "a", "b") == ["a", "b"]
+    assert f._path("net", "b", "a") == ["b", "a"]
+    assert f._path("net", "a", "s") is None
+    assert_routes_match_oracle(f)
+
+
+def test_stub_with_parallel_links_to_its_router():
+    f = stub_fabric([("h", "r", 2), ("h", "r", 1), ("r", "x", 1), ("x", "s", 1), ("r", "s", 3)])
+    assert f._path("net", "h", "s") == ["h", "r", "x", "s"]
+    assert f._link_between("net", "h", "r").delay == 1
+    assert f._nearest_server("h", NodeKind.NRS) == ("s", 3, "net")
+    assert_routes_match_oracle(f)
+
+
+def test_stub_cut_off_by_partition_and_healed():
+    f = stub_fabric([("h", "r", 1), ("r", "s", 1), ("r", "x", 1)], cell=("h",))
+    assert f._path("net", "h", "s") == ["h", "r", "s"]
+    f.partition("cell", 0)
+    assert f._path("net", "h", "s") is None
+    assert f._path("net", "s", "h") is None
+    assert_routes_match_oracle(f)
+    f.heal("cell", 0)
+    assert f._path("net", "h", "s") == ["h", "r", "s"]
+    assert_routes_match_oracle(f)
+
+
+def test_stub_behind_a_stub():
+    # h1's only neighbour is h2, whose only other neighbour is r.
+    f = stub_fabric([("h1", "h2", 1), ("h2", "r", 1), ("r", "s", 1), ("r", "x", 1)])
+    assert f._path("net", "h1", "s") == ["h1", "h2", "r", "s"]
+    assert f._path("net", "s", "h1") == ["s", "r", "h2", "h1"]
+    assert_routes_match_oracle(f)
+
+
+def test_stub_route_to_its_own_neighbour():
+    f = stub_fabric([("h", "r", 2), ("r", "x", 1), ("x", "s", 1)])
+    assert f._path("net", "h", "r") == ["h", "r"]
+    assert f._path("net", "r", "h") == ["r", "h"]
+    assert_routes_match_oracle(f)
+
+
+def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
+    # 40 hosts on a chain of 4 routers; an NRS on r0, a name-router on r3.
+    f = Fabric()
+    f.add_realm("net", RealmTech.IPISH)
+    f.add_realm("far", RealmTech.IPISH)
+    routers = [f"r{i}" for i in range(4)]
+    hosts = [f"h{i:02d}" for i in range(40)]
+    for node in routers:
+        f.add_node(node, NodeKind.ROUTER, ["net"])
+    f.add_node("nrs", NodeKind.NRS, ["net"])
+    f.add_node("RN", NodeKind.NAME_ROUTER, ["net", "far"])
+    for a, b in zip(routers, routers[1:]):
+        f.add_link(a, b, "net", 1)
+    f.add_link("nrs", "r0", "net", 1)
+    f.add_link("RN", "r3", "net", 1)
+    for i, h in enumerate(hosts):
+        f.add_node(h, NodeKind.HOST, ["net"])
+        f.add_link(h, routers[i % 4], "net", 1)
+    searches = []
+    search = Fabric._dijkstra
+    monkeypatch.setattr(Fabric, "_dijkstra",
+                        lambda self, realm_id, root: searches.append(root) or search(self, realm_id, root))
+    for i, h in enumerate(hosts):
+        router = routers[i % 4]
+        assert f._nearest_server(h, NodeKind.NRS) == ("nrs", 2 + int(router[1]), "net")
+        assert f._gateway("net", h, {"far"}) == "RN"
+        assert f._path("net", h, "RN") == oracle_path(f, "net", h, "RN")
+    assert len(searches) <= 5
 
 
 # Two name-routers in the server's realm; only the second borders the

@@ -268,6 +268,16 @@ def test_cache_hit_within_ttl_miss_at_boundary():
     assert cache.misses == 2
 
 
+def test_expired_cache_entry_is_evicted_on_lookup():
+    cache = CacheStore()
+    name = parse_name("n2n://r:a")
+    cache.store(name, ctx(0), [sd("h1", ttl=10)])
+    assert cache.lookup(name, ctx(9)) is not None
+    assert cache.lookup(name, ctx(10)) is None
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert cache._entries == {}
+
+
 def test_cached_entry_survives_withdraw_until_expiry():
     nrs = NameResolutionService()
     nrs.register(record("n2n://r:a", "h1", ttl=10), ADMIN)
