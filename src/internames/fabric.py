@@ -15,6 +15,9 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (
     NoRoute,
@@ -101,8 +104,7 @@ class EventKind(Enum):
     REBIND = "REBIND"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     node: str
     realm: str
@@ -112,14 +114,19 @@ class TraceEvent:
     detail: str
 
     def line(self) -> str:
-        return (
-            f"t={self.tick} node={self.node} realm={self.realm}"
-            f" event={self.event.value} msg={self.msg_id}"
-            f" name={self.name} detail={self.detail}"
-        )
+        tick, node, realm, event, msg_id, name, detail = self
+        # _value_ skips Enum's Python-level value property; the text is the same.
+        return (f"t={tick} node={node} realm={realm} event={event._value_}"
+                f" msg={msg_id} name={name} detail={detail}")
 
     def sort_key(self) -> tuple:
         return (self.tick, self.node, self.msg_id)
+
+
+# The fields of TraceEvent.sort_key, fetched in C.
+_TRACE_ORDER = itemgetter(0, 1, 4)
+# Builds a TraceEvent from a ready tuple, skipping NamedTuple's Python __new__.
+_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -176,9 +183,11 @@ class SimClock:
         heapq.heappush(self._pending, (tick, next(self._seq), fn))
 
     def pop_due(self, until_tick: int | None):
-        while self._pending and (until_tick is None or self._pending[0][0] <= until_tick):
-            tick, _, fn = heapq.heappop(self._pending)
-            self.now_tick = max(self.now_tick, tick)
+        # schedule refuses the past, so each popped tick is at least now_tick.
+        pending = self._pending
+        while pending and (until_tick is None or pending[0][0] <= until_tick):
+            tick, _, fn = heapq.heappop(pending)
+            self.now_tick = tick
             yield tick, fn
 
 
@@ -246,6 +255,7 @@ class Fabric:
         self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
         self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
         self._roots: dict[tuple[str, str], str] = {}
+        self._links: dict[tuple[str, str, str], Link | None] = {}
         self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
 
     # ---------------------------------------------------------------- topology
@@ -297,6 +307,7 @@ class Fabric:
     def _topology_changed(self) -> None:
         self._routes.clear()
         self._roots.clear()
+        self._links.clear()
         self._servers.clear()
 
     def host_content(self, node_id: str, name: Name, payload: bytes, fcn: str = "") -> None:
@@ -351,21 +362,32 @@ class Fabric:
         self.clock.schedule(tick, fn)
 
     def _emit(self, tick, node, realm, event, msg_id, name, detail) -> None:
-        uri = format_name(name) if isinstance(name, Name) else (name or "-")
-        self.trace.append(TraceEvent(tick, node, realm, event, msg_id, uri, detail))
+        uri = name.uri if isinstance(name, Name) else (name or "-")
+        self.trace.append(_tuple_new(TraceEvent, (tick, node, realm, event, msg_id, uri, detail)))
 
     def sorted_trace(self) -> list[TraceEvent]:
-        return sorted(self.trace, key=TraceEvent.sort_key)
+        return sorted(self.trace, key=_TRACE_ORDER)
 
     def trace_text(self) -> str:
-        return "\n".join(ev.line() for ev in self.sorted_trace())
+        return "\n".join(map(TraceEvent.line, self.sorted_trace()))
 
     def _link_between(self, realm_id: str, a: str, b: str) -> Link | None:
-        """The cheapest alive link from a to b: the one the route search prices."""
+        """The cheapest alive link from a to b: the one the route search prices.
+
+        Memoised per (realm, a, b) beside the route memos; liveness only
+        changes in _set_edge, which clears them."""
+        key = (realm_id, a, b)
+        try:
+            return self._links[key]
+        except KeyError:
+            pass
+        found = None
         for nbr, link in self._adjacency.get((realm_id, a), ()):
             if nbr == b and link.alive:
-                return link
-        return None
+                found = link
+                break
+        self._links[key] = found
+        return found
 
     def _path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
         """Shortest path by total delay, ties broken by node-id order.
@@ -604,12 +626,12 @@ class Fabric:
         if path is None:
             self._drop(t, src, realm_id, msg, self._no_path_detail(realm_id), call_id)
             return
-        detail = f"to={dst_node} kind={msg.kind.value}"
+        detail = f"to={dst_node} kind={msg.kind._value_}"
         if detail_extra:
             detail += " " + detail_extra
         self._emit(t, src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
         if len(path) == 1:
-            self.at(t, lambda: self._arrive(msg, src, realm_id, call_id, on_arrive))
+            self.at(t, partial(self._arrive, msg, src, realm_id, call_id, on_arrive))
             return
         self._schedule_hop(msg, realm_id, path, 1, t, call_id, on_arrive)
 
@@ -630,8 +652,8 @@ class Fabric:
             self._tunnel_hop(msg, realm_id, path, i, t, call_id, on_arrive, link)
             return
         arrive_t = t + link.delay
-        self.at(arrive_t, lambda: self._landed(msg, realm_id, path, i, arrive_t,
-                                               call_id, on_arrive))
+        self.at(arrive_t, partial(self._landed, msg, realm_id, path, i, arrive_t,
+                                  call_id, on_arrive))
 
     def _landed(self, msg, realm_id, path, i, t, call_id, on_arrive) -> None:
         """msg reached path[i]: arrive if it is the last hop, else forward."""
@@ -640,7 +662,7 @@ class Fabric:
             self._arrive(msg, node, realm_id, call_id, on_arrive)
             return
         self._emit(t, node, realm_id, EventKind.FWD, msg.msg_id, msg.target_name,
-                   f"to={path[-1]} kind={msg.kind.value}")
+                   f"to={path[-1]} kind={msg.kind._value_}")
         self._schedule_hop(msg, realm_id, path, i + 1, t, call_id, on_arrive)
 
     def _tunnel_hop(self, msg, realm_id, path, i, t, call_id, on_arrive, link) -> None:
@@ -776,7 +798,8 @@ class Fabric:
         )
 
     def _recv(self, msg, node_id, realm_id, t, extra="") -> None:
-        detail = f"kind={msg.kind.value} {extra}" if extra else f"kind={msg.kind.value}"
+        kind = msg.kind._value_
+        detail = f"kind={kind} {extra}" if extra else f"kind={kind}"
         self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name, detail)
 
     def _deliver(self, msg, node_id, realm_id, t, call_id) -> None:
@@ -915,10 +938,15 @@ class Fabric:
     # ------------------------------------------------------------ router paths
 
     def _router_admits(self, msg, node_id, realm_id, t, call_id) -> bool:
-        """Log a router's RECV and check the sender against its access policy;
-        kinds with no policy operation pass unchecked."""
+        """Log a router's RECV and check the sender against its access policy.
+
+        CCN data that answers no request is a push from a CCNISH realm and is
+        checked as one; responses and other kinds with no policy operation
+        pass unchecked."""
         self._recv(msg, node_id, realm_id, t)
         op = _KIND_TO_OP.get(msg.kind)
+        if msg.kind is MessageKind.CCN_DATA and msg.msg_id not in self.response_of:
+            op = PolicyOperation.PUSH
         if op is not None and msg.source_name is not None and check_access(
                 self.nodes[node_id].policy, msg.source_name, op) is PolicyAction.DENY:
             self._drop(t, node_id, realm_id, msg, "access-denied", call_id)

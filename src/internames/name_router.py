@@ -8,7 +8,7 @@ UnsupportedPair.  Bridging never touches source_name, body or msg_id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import MissingFcn, UnsupportedPair
@@ -29,24 +29,29 @@ class BridgeRule:
             raise ValueError("a bridge rule must span two distinct realms")
 
 
+def _recast(m: WireMessage, kind: MessageKind, target_fcn: str) -> WireMessage:
+    """m as another kind toward another fcn; every other field is kept."""
+    return WireMessage(m.msg_id, kind, target_fcn, m.target_name, m.source_name, m.body,
+                       m.hop_count)
+
+
 def bridge(m: WireMessage, rule: BridgeRule, sd: ServiceDescriptor) -> WireMessage:
     """Translate m from the inbound protocol to the outbound one."""
     pair = (m.kind, rule.inbound_protocol, rule.outbound_protocol)
     if pair == (MessageKind.HTTP_GET, Protocol.HTTPISH, Protocol.CCNISH_OVER_UDPISH):
         if not sd.fcn:
             raise MissingFcn(str(m.target_name))
-        return replace(m, kind=MessageKind.CCN_INTEREST, target_fcn=sd.fcn)
+        return _recast(m, MessageKind.CCN_INTEREST, sd.fcn)
     if pair == (MessageKind.CCN_INTEREST, Protocol.CCNISH_OVER_UDPISH, Protocol.HTTPISH):
         if m.target_name is None:
             raise UnsupportedPair("CCN_INTEREST without a target name cannot become HTTP_GET")
-        return replace(m, kind=MessageKind.HTTP_GET, target_fcn="")
+        return _recast(m, MessageKind.HTTP_GET, "")
     if pair == (MessageKind.CCN_DATA, Protocol.CCNISH_OVER_UDPISH, Protocol.HTTPISH):
-        return replace(m, kind=MessageKind.HTTP_RESP, target_fcn="")
+        return _recast(m, MessageKind.HTTP_RESP, "")
     if pair == (MessageKind.HTTP_RESP, Protocol.HTTPISH, Protocol.CCNISH_OVER_UDPISH):
-        fcn = sd.fcn or m.target_fcn
-        return replace(m, kind=MessageKind.CCN_DATA, target_fcn=fcn)
+        return _recast(m, MessageKind.CCN_DATA, sd.fcn or m.target_fcn)
     if pair == (MessageKind.HTTP_PUSH, Protocol.HTTPISH, Protocol.CCNISH_OVER_UDPISH):
-        return replace(m, kind=MessageKind.CCN_DATA, target_fcn=sd.fcn)
+        return _recast(m, MessageKind.CCN_DATA, sd.fcn)
     raise UnsupportedPair(
         f"{m.kind.value} from {rule.inbound_protocol.value} to {rule.outbound_protocol.value}"
     )

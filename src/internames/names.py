@@ -25,6 +25,22 @@ _SEGMENT_RE = re.compile(r"[A-Za-z0-9._\-]+\Z")
 _V = TypeVar("_V")
 
 
+class _CanonicalUri:
+    """Name.uri: the canonical text, worked out on a Name's first read and
+    stored in the instance, where every later read finds it before this
+    descriptor (which has no __set__).  It takes no part in equality, order,
+    hash or repr.  Unlike functools.cached_property it takes no lock and
+    leaves the instance without a materialised __dict__, which keeps Name
+    construction and attribute reads as cheap as before."""
+
+    def __get__(self, name, owner=None):
+        if name is None:
+            return self
+        uri = SCHEME + name.realm_id + ":" + "/".join(name.segments)
+        object.__setattr__(name, "uri", uri)
+        return uri
+
+
 @dataclass(frozen=True, order=True)
 class Name:
     """A realm-qualified hierarchical identifier."""
@@ -47,9 +63,7 @@ class Name:
             if len(seg.encode()) > MAX_SEGMENT_BYTES:
                 raise MalformedUri(f"segment longer than {MAX_SEGMENT_BYTES} bytes")
 
-    @property
-    def uri(self) -> str:
-        return SCHEME + self.realm_id + ":" + "/".join(self.segments)
+    uri = _CanonicalUri()
 
     def __str__(self) -> str:
         return self.uri

@@ -194,15 +194,24 @@ class CacheEntry:
     inserted_tick: int
     ttl_ticks: int
 
+    @property
+    def expires_tick(self) -> int:
+        return self.inserted_tick + self.ttl_ticks
+
     def live_at(self, now_tick: int) -> bool:
-        return now_tick < self.inserted_tick + self.ttl_ticks
+        return now_tick < self.expires_tick
 
 
 class CacheStore:
-    """Per-consumer cache of resolved descriptor lists, keyed by name + context."""
+    """Per-consumer cache of resolved descriptor lists, keyed by name + context.
+
+    No expired entry outlives the next store: an expired entry is evicted
+    when it is looked up, and a store sweeps out every expired entry once
+    the earliest expiry has passed."""
 
     def __init__(self):
         self._entries: dict[tuple, CacheEntry] = {}
+        self._next_expiry: float = float("inf")  # no entry expires before this tick
         self.hits = 0
         self.misses = 0
 
@@ -223,19 +232,18 @@ class CacheStore:
         return None
 
     def store(self, name: Name, ctx: ResolutionContext, sds: list[ServiceDescriptor]) -> None:
+        """Cache sds for name in ctx; sds that expire at once (ttl 0) only
+        replace what the key held."""
+        now = ctx.now_tick
+        if now >= self._next_expiry:
+            self._entries = {k: e for k, e in self._entries.items() if e.live_at(now)}
+            self._next_expiry = min((e.expires_tick for e in self._entries.values()),
+                                    default=float("inf"))
+        key = self._key(name, ctx)
         ttl = min((sd.ttl_ticks for sd in sds), default=DEFAULT_TTL_TICKS)
-        self._entries[self._key(name, ctx)] = CacheEntry(list(sds), ctx.now_tick, ttl)
-
-
-def resolve_cached(
-    nrs: NameResolutionService,
-    name: Name,
-    ctx: ResolutionContext,
-    cache: CacheStore,
-) -> list[ServiceDescriptor]:
-    cached = cache.lookup(name, ctx)
-    if cached is not None:
-        return cached
-    sds = nrs.resolve(name, ctx)
-    cache.store(name, ctx, sds)
-    return list(sds)
+        entry = CacheEntry(list(sds), now, ttl)
+        if entry.live_at(now):
+            self._entries[key] = entry
+            self._next_expiry = min(self._next_expiry, entry.expires_tick)
+        else:
+            self._entries.pop(key, None)

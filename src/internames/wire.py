@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from enum import Enum
 
 from .errors import MalformedMessage, NoFibMatch
-from .names import Name, format_name, longest_prefix_hits, parse_name
+from .names import Name, longest_prefix_hits, parse_name
 
 HOP_LIMIT = 32
 CONTENT_STORE_CAPACITY = 16
@@ -57,37 +57,39 @@ class WireMessage:
     hop_count: int = 0
 
     def __post_init__(self):
-        if self.kind in REQUEST_KINDS and self.source_name is None:
+        if self.source_name is None and self.kind in REQUEST_KINDS:
             raise ValueError(f"{self.kind.value} requires a source_name")
         if self.hop_count > HOP_LIMIT:
             raise ValueError(f"hop_count exceeds {HOP_LIMIT}")
 
     def bumped(self) -> "WireMessage":
-        return replace(self, hop_count=self.hop_count + 1)
+        return WireMessage(self.msg_id, self.kind, self.target_fcn, self.target_name,
+                           self.source_name, self.body, self.hop_count + 1)
 
 
 _FIELD_COUNT = 7
-
-
-def _name_bytes(n: Name | None) -> bytes:
-    return format_name(n).encode() if n is not None else b""
+# The fixed-width runs between the variable payloads: the field count with
+# fields 1 (msg_id) and 2's header, a tag and length, and field 7 (hop_count).
+_HEAD = struct.Struct(">HBIQBI")
+_FIELD = struct.Struct(">BI")
+_TAIL = struct.Struct(">BIQ")
 
 
 def encode(m: WireMessage) -> bytes:
-    fields = [
-        struct.pack(">Q", m.msg_id),
-        m.kind.value.encode(),
-        m.target_fcn.encode(),
-        _name_bytes(m.target_name),
-        _name_bytes(m.source_name),
-        m.body,
-        struct.pack(">Q", m.hop_count),
-    ]
-    out = [struct.pack(">H", _FIELD_COUNT)]
-    for tag, payload in enumerate(fields, start=1):
-        out.append(struct.pack(">BI", tag, len(payload)))
-        out.append(payload)
-    return b"".join(out)
+    # Kind text is read as _value_, past Enum's Python-level value property.
+    kind = m.kind._value_.encode()
+    fcn = m.target_fcn.encode()
+    target = m.target_name.uri.encode() if m.target_name is not None else b""
+    source = m.source_name.uri.encode() if m.source_name is not None else b""
+    body = m.body
+    return b"".join((
+        _HEAD.pack(_FIELD_COUNT, 1, 8, m.msg_id, 2, len(kind)), kind,
+        _FIELD.pack(3, len(fcn)), fcn,
+        _FIELD.pack(4, len(target)), target,
+        _FIELD.pack(5, len(source)), source,
+        _FIELD.pack(6, len(body)), body,
+        _TAIL.pack(7, 8, m.hop_count),
+    ))
 
 
 def decode(b: bytes) -> WireMessage:

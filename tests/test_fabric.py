@@ -586,14 +586,26 @@ DOC_URI = "n2n://ccn.com:doc"
     ("RNx,n2n://users:u1,deny,push",
      "0,push,n2n://users:u1,n2n://users:u2,hi",
      (6, "RNx", "internet", "n2n://users:u2"), "push"),
+    ("RNx,n2n://users:u2,deny,push",  # a push from a CCNISH realm travels as CCN data
+     "0,push,n2n://users:u2,n2n://users:u1,hi",
+     (6, "RNx", "ccnet", "n2n://users:u1"), "push"),
     ("RNx,n2n://users:u2,deny,subscribe",
      "0,subscribe,n2n://users:u2,sports/news",
      (2, "RNx", "ccnet", "-"), "subscribe"),
-], ids=["ingress-pull", "egress-push", "relay-subscribe"])
+], ids=["ingress-pull", "egress-push", "egress-ccn-push", "relay-subscribe"])
 def test_router_access_denied_drops(policy, action, drop, call):
     drops, calls = run_drops(CROSS_REALM, [action], [policy])
     assert drops == [drop + ("access-denied",)]
     assert calls == [(call, "access-denied")]
+
+
+def test_ccn_data_answering_a_request_is_not_checked_as_a_push():
+    # The document's data crosses RNx back to u1 with the document as its
+    # source; as a response it passes a push policy on that name.
+    drops, calls = run_drops(CROSS_REALM, [f"0,pull,n2n://users:u1,{DOC_URI}"],
+                             [f"RNx,{DOC_URI},deny,push"])
+    assert drops == []
+    assert calls == [("pull", None)]
 
 
 def test_nrs_unreachable_drops_pull():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -84,6 +86,27 @@ def test_names_are_case_sensitive():
 @given(names)
 def test_round_trip(n):
     assert parse_name(format_name(n)) == n
+
+
+@given(names, names)
+def test_name_identity_ignores_the_cached_uri(a, b):
+    # Equality, order, hash and repr are those of the (realm_id, segments)
+    # fields, whether or not the uri has been worked out and kept.
+    assert [f.name for f in fields(Name)] == ["realm_id", "segments"]
+    parsed = parse_name(format_name(a))
+    fresh = Name(a.realm_id, list(a.segments))
+    key_a, key_b = (a.realm_id, a.segments), (b.realm_id, b.segments)
+    assert "uri" not in vars(parsed) and "uri" not in vars(fresh)
+    for n in (a, parsed, fresh):
+        assert repr(n) == f"Name(realm_id={a.realm_id!r}, segments={a.segments!r})"
+        assert hash(n) == hash(key_a)
+        assert n == a and n != key_a
+        assert (n == b) == (key_a == key_b)
+        assert (n < b) == (key_a < key_b)
+        assert (n <= b) == (key_a <= key_b)
+        assert (n > b) == (key_a > key_b)
+        assert str(n) == n.uri == format_name(a)
+    assert vars(parsed)["uri"] == format_name(a)  # worked out once, then kept
 
 
 def test_prefix_basic():

@@ -16,7 +16,6 @@ from internames.nrs import (
     ResolutionContext,
     Service,
     ServiceDescriptor,
-    resolve_cached,
     sd_list_text,
 )
 
@@ -255,16 +254,16 @@ def test_records_order_after_withdraw_and_reregister():
 
 
 def test_cache_hit_within_ttl_miss_at_boundary():
-    nrs = NameResolutionService()
-    nrs.register(record("n2n://r:a", "h1", ttl=10), ADMIN)
     cache = CacheStore()
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(0), cache)
+    name = parse_name("n2n://r:a")
+    assert cache.lookup(name, ctx(0)) is None
+    cache.store(name, ctx(0), [sd("h1", ttl=10)])
     assert cache.misses == 1
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(5), cache)
+    assert cache.lookup(name, ctx(5)) == [sd("h1", ttl=10)]
     assert cache.hits == 1
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(9), cache)
+    assert cache.lookup(name, ctx(9)) == [sd("h1", ttl=10)]
     assert cache.hits == 2
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(10), cache)  # boundary: expired
+    assert cache.lookup(name, ctx(10)) is None  # boundary: expired
     assert cache.misses == 2
 
 
@@ -282,25 +281,26 @@ def test_cached_entry_survives_withdraw_until_expiry():
     nrs = NameResolutionService()
     nrs.register(record("n2n://r:a", "h1", ttl=10), ADMIN)
     cache = CacheStore()
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(0), cache)
-    nrs.withdraw(parse_name("n2n://r:a"), "h1")
-    still = resolve_cached(nrs, parse_name("n2n://r:a"), ctx(9), cache)
+    name = parse_name("n2n://r:a")
+    cache.store(name, ctx(0), nrs.resolve(name, ctx(0)))
+    nrs.withdraw(name, "h1")
+    still = cache.lookup(name, ctx(9))
     assert [s.next_hop_address for s in still] == ["h1"]
+    assert cache.lookup(name, ctx(10)) is None
     with pytest.raises(NotResolvable):
-        resolve_cached(nrs, parse_name("n2n://r:a"), ctx(10), cache)
+        nrs.resolve(name, ctx(10))
 
 
 def test_cache_key_separates_contexts_not_time():
-    nrs = NameResolutionService()
-    nrs.register(record("n2n://r:a", "h1"), ADMIN)
     cache = CacheStore()
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(0, tags={"normal"}), cache)
+    name = parse_name("n2n://r:a")
+    cache.store(name, ctx(0, tags={"normal"}), [sd("h1")])
     # different tick, same context parts: a hit
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(3, tags={"normal"}), cache)
+    assert cache.lookup(name, ctx(3, tags={"normal"})) is not None
     assert cache.hits == 1
     # different context tags: a miss
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(3, tags={"disaster"}), cache)
-    assert cache.misses == 2
+    assert cache.lookup(name, ctx(3, tags={"disaster"})) is None
+    assert cache.misses == 1
 
 
 def test_cache_ttl_is_min_over_descriptors():
@@ -308,9 +308,50 @@ def test_cache_ttl_is_min_over_descriptors():
     nrs.register(record("n2n://r:a", "h1", ttl=5), ADMIN)
     nrs.register(record("n2n://r:a", "h2", ttl=50), ADMIN)
     cache = CacheStore()
-    resolve_cached(nrs, parse_name("n2n://r:a"), ctx(0), cache)
-    assert cache.lookup(parse_name("n2n://r:a"), ctx(4)) is not None
-    assert cache.lookup(parse_name("n2n://r:a"), ctx(5)) is None
+    name = parse_name("n2n://r:a")
+    cache.store(name, ctx(0), nrs.resolve(name, ctx(0)))
+    assert cache.lookup(name, ctx(4)) is not None
+    assert cache.lookup(name, ctx(5)) is None
+
+
+def test_store_sweeps_out_expired_entries():
+    cache = CacheStore()
+    first, second = parse_name("n2n://r:a"), parse_name("n2n://r:b")
+    cache.store(first, ctx(0), [sd("h1", ttl=10)])
+    cache.store(second, ctx(10), [sd("h1", ttl=10)])  # first expired at tick 10
+    assert list(cache._entries) == [CacheStore._key(second, ctx(10))]
+    cache.store(first, ctx(12), [sd("h1", ttl=0)])  # expired as it is stored
+    assert list(cache._entries) == [CacheStore._key(second, ctx(10))]
+    cache.store(second, ctx(12), [sd("h1", ttl=0)])  # still replaces a live entry
+    assert cache._entries == {}
+    assert (cache.hits, cache.misses) == (0, 0)
+
+
+# (store?, which name, ticks to advance, ttl)
+CACHE_STEPS = st.lists(st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 4),
+                                 st.integers(0, 12)), max_size=40)
+
+
+@given(CACHE_STEPS)
+def test_cache_sweep_keeps_hits_and_misses(steps):
+    # The model keeps every stored expiry forever; the cache may forget an
+    # entry only once no lookup could hit it.
+    cache, stored = CacheStore(), {}  # name -> (expiry tick, ttl)
+    hits = misses = now = 0
+    for is_store, which, advance, ttl in steps:
+        now += advance
+        name = parse_name(f"n2n://r:n{which}")
+        if is_store:
+            cache.store(name, ctx(now), [sd("h1", ttl=ttl)])
+            stored[name] = (now + ttl, ttl)
+            assert all(e.live_at(now) for e in cache._entries.values())
+        elif now < stored.get(name, (now, 0))[0]:
+            hits += 1
+            assert cache.lookup(name, ctx(now)) == [sd("h1", ttl=stored[name][1])]
+        else:
+            misses += 1
+            assert cache.lookup(name, ctx(now)) is None
+        assert (cache.hits, cache.misses) == (hits, misses)
 
 
 def test_resolution_output_deterministic():

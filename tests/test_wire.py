@@ -26,6 +26,17 @@ RESPONSE_KINDS = [MessageKind.HTTP_RESP, MessageKind.CCN_DATA, MessageKind.HTTP_
 segments = st.text(alphabet="abcXYZ09._-", min_size=1, max_size=8)
 names = st.builds(Name, realm_id=st.text(alphabet="abc09.-", min_size=1, max_size=6),
                   segments=st.lists(segments, min_size=1, max_size=4).map(tuple))
+# Every kind, any source: requests are built with a source name.
+any_messages = st.builds(
+    WireMessage,
+    msg_id=st.integers(min_value=0, max_value=2**64 - 1),
+    kind=st.sampled_from(list(MessageKind)),
+    target_fcn=st.text(max_size=16),
+    target_name=st.none() | names,
+    source_name=names,
+    body=st.binary(max_size=300),
+    hop_count=st.integers(min_value=0, max_value=HOP_LIMIT),
+)
 messages = st.builds(
     WireMessage,
     msg_id=st.integers(min_value=0, max_value=2**63),
@@ -69,6 +80,51 @@ def test_round_trip_interest():
 @given(messages)
 def test_round_trip_property(m):
     assert decode(encode(m)) == m
+
+
+def oracle_encode(m):
+    """The codec's layout spelled out field by field: a 2-byte field count,
+    then per field a 1-byte tag, a 4-byte length and the payload."""
+    def name_bytes(n):
+        return f"n2n://{n.realm_id}:{'/'.join(n.segments)}".encode() if n is not None else b""
+
+    fields = [
+        struct.pack(">Q", m.msg_id),
+        m.kind.value.encode(),
+        m.target_fcn.encode(),
+        name_bytes(m.target_name),
+        name_bytes(m.source_name),
+        m.body,
+        struct.pack(">Q", m.hop_count),
+    ]
+    out = [struct.pack(">H", len(fields))]
+    for tag, payload in enumerate(fields, start=1):
+        out.append(struct.pack(">BI", tag, len(payload)))
+        out.append(payload)
+    return b"".join(out)
+
+
+@given(messages | any_messages)
+def test_encode_matches_field_by_field_oracle(m):
+    assert encode(m) == oracle_encode(m)
+    assert decode(encode(m)) == m
+
+
+@pytest.mark.parametrize("m", [
+    WireMessage(0, MessageKind.HTTP_RESP),  # every optional field empty or None
+    WireMessage(2**64 - 1, MessageKind.CCN_DATA, "ccnx://a/b", Name("r", ("a",)),
+                Name("s", ("b", "c")), bytes(range(256)), HOP_LIMIT),
+    WireMessage(7, MessageKind.HTTP_PUSH, body=b"\x00\xff\n"),
+    interest(hops=HOP_LIMIT),
+], ids=["empty", "extremes", "binary-body", "hop-limit"])
+def test_encode_edge_cases_match_oracle(m):
+    assert encode(m) == oracle_encode(m)
+    assert decode(encode(m)) == m
+
+
+def test_encode_refuses_out_of_range_integers():
+    with pytest.raises(struct.error):
+        encode(WireMessage(2**64, MessageKind.HTTP_RESP))
 
 
 def test_decode_empty_and_short():
