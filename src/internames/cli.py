@@ -12,7 +12,7 @@ import sys
 from .errors import InternamesError
 from .scenario import (
     BUILTIN_NAMES,
-    _SCENARIO_FILES,
+    LOADABLE_NAMES,
     apply_migration,
     diff_trace,
     golden_trace,
@@ -29,7 +29,7 @@ EXIT_INVALID = 2
 
 
 def _is_builtin(arg: str) -> bool:
-    return arg in BUILTIN_NAMES or arg in _SCENARIO_FILES
+    return arg in LOADABLE_NAMES
 
 
 def _resolve_scenario(arg: str):

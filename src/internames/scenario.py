@@ -1,18 +1,22 @@
 """Scenario files: a line-oriented sectioned text format, plus the runner.
 
-Sections: [realms] [name_realms] [nodes] [links] [entities] [bindings]
-[nrs] [policies] [topics] [timeline].  One record per line, fields
-comma-separated; '-' marks an empty field, '+' separates multi-valued
-fields.  Files round-trip: load(save(load(f))) == load(f).
+Sections, in file order: [realms] [name_realms] [nodes] [links] [entities]
+[bindings] [nrs] [policies] [topics] [timeline].  One record per line,
+fields comma-separated; '-' marks an empty field, '+' separates multi-valued
+fields.  `SECTIONS` gives each section's fields and `TIMELINE_OPS` each
+timeline op's arguments; parsing, saving, validation and the runner all
+read those two tables, so files round-trip: load(save(load(f))) == load(f).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, fields as spec_fields, replace
 from importlib import resources
+from typing import Any, Callable, NamedTuple
 
 from .errors import InvalidStep, ParseError, ValidationError
-from .fabric import Fabric, NodeKind, RealmTech
+from .fabric import PROTOCOL_OF_TECH, Fabric, NodeKind, RealmTech
 from .name_router import AccessPolicy, PolicyAction, PolicyOperation, PolicyRule
 from .names import (
     EntityKind,
@@ -32,34 +36,6 @@ from .nrs import (
     Service,
     ServiceDescriptor,
 )
-
-SECTIONS = (
-    "realms",
-    "name_realms",
-    "nodes",
-    "links",
-    "entities",
-    "bindings",
-    "nrs",
-    "policies",
-    "topics",
-    "timeline",
-)
-
-TIMELINE_OPS = {
-    "pull": 2,
-    "push": 3,
-    "publish": 3,
-    "subscribe": 2,
-    "search": 2,
-    "fetch": 2,
-    "bind": 2,
-    "unbind": 2,
-    "partition": 1,
-    "heal": 1,
-    "nrs_register": None,  # variable: record fields
-    "nrs_withdraw": 2,
-}
 
 
 @dataclass(frozen=True)
@@ -142,7 +118,14 @@ class TopicSpec:
 class ActionSpec:
     tick: int
     op: str
-    args: tuple[str, ...]
+    args: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        op = TIMELINE_OPS.get(self.op)
+        if op is None:
+            raise ValueError(f"unknown timeline op {self.op!r}")
+        if op.kinds is not None and len(self.args) != len(op.kinds):
+            raise ValueError(f"op {self.op} takes {len(op.kinds)} args, got {len(self.args)}")
 
 
 @dataclass(frozen=True)
@@ -160,144 +143,154 @@ class Scenario:
     timeline: tuple[ActionSpec, ...] = ()
 
 
-# ------------------------------------------------------------------- parsing
+# ------------------------------------------------------------------ format
 
 
-def _multi(fieldtext: str) -> tuple[str, ...]:
-    if fieldtext in ("-", ""):
-        return ()
-    return tuple(fieldtext.split("+"))
+class Codec(NamedTuple):
+    """Reads one field of a line and writes it back; a `parse` of None keeps
+    the field's text.  A `rest` codec reads every remaining field of the
+    line, so it can only come last."""
+
+    parse: Callable[[Any], Any] | None
+    format: Callable[[Any], str]
+    rest: bool = False
 
 
-def _opt(fieldtext: str) -> str:
-    return "" if fieldtext == "-" else fieldtext
-
-
-def _record_from_fields(fields: list[str], where: str) -> RecordSpec:
-    if len(fields) < 11 or len(fields) > 12:
-        raise ParseError(f"{where}: nrs record needs 11 or 12 fields, got {len(fields)}")
-    window = None
-    if fields[9] != "-":
-        try:
-            start, _, end = fields[9].partition(":")
-            window = (int(start), int(end))
-        except ValueError as exc:
-            raise ParseError(f"{where}: bad window {fields[9]!r}") from exc
+def _parse_window(text: str) -> tuple[int, int] | None:
+    if text == "-":
+        return None
+    start, _, end = text.partition(":")
     try:
-        priority = int(fields[5])
-        ttl = int(fields[6])
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad integer field") from exc
-    return RecordSpec(
-        prefix=fields[0],
-        protocol=fields[1],
-        fcn=_opt(fields[2]),
-        tech=fields[3],
-        next_hop=fields[4],
-        priority=priority,
-        ttl=ttl,
-        context_tags=_multi(fields[7]),
-        location_tags=_multi(fields[8]),
-        window=window,
-        service=None if fields[10] == "-" else fields[10],
-        scope=None if len(fields) < 12 or fields[11] == "-" else fields[11],
-    )
+        return int(start), int(end)
+    except ValueError:
+        raise ValueError(f"bad window {text!r}") from None
+
+
+# NONE and BLANK read '-' as None and as "", PLUS and WORDS read '+'- and
+# space-separated lists, REST reads the rest of the line as text and ARGS
+# as a tuple of fields.
+TEXT = Codec(None, str)
+INT = Codec(int, str)
+NONE = Codec(lambda f: None if f == "-" else f, lambda v: "-" if v is None else v)
+BLANK = Codec(lambda f: "" if f == "-" else f, lambda v: v or "-")
+PLUS = Codec(lambda f: () if f in ("-", "") else tuple(f.split("+")),
+             lambda v: "+".join(v) or "-")
+WORDS = Codec(lambda f: () if f == "-" else tuple(f.split()), lambda v: " ".join(v) or "-")
+BYTES = Codec(lambda f: b"" if f == "-" else f.encode(), lambda v: v.decode() or "-")
+WINDOW = Codec(_parse_window, lambda v: "-" if v is None else f"{v[0]}:{v[1]}")
+REST = Codec(",".join, str, rest=True)
+ARGS = Codec(tuple, ",".join, rest=True)
+
+
+class Section:
+    """One row of the format: the Scenario attribute a [section] fills, its
+    spec class, one codec per spec field and how many fields a line must
+    have.  Fields past `least` are optional: a missing one takes the spec's
+    default, and one left at its default is not written."""
+
+    def __init__(self, attr: str, spec: type, codecs: tuple[Codec, ...], least: int,
+                 name: str | None = None):
+        self.attr, self.spec, self.codecs, self.least = attr, spec, codecs, least
+        self.name = name or attr
+        self.rest = codecs[-1].rest
+        self.width = len(codecs)
+        self.parsers = tuple(c.parse for c in codecs)
+        self.fields = spec_fields(spec)
+
+    def parse(self, line_fields, where: str):
+        """The spec a line's stripped fields describe; ParseError if they cannot."""
+        n = len(line_fields)
+        try:
+            if n < self.least or n > self.width and not self.rest:
+                names = [f.name for f in self.fields]
+                usage = ",".join(names[:self.least]) + "".join(
+                    f"[,{name}]" for name in names[self.least:])
+                raise ValueError(f"[{self.name}] line needs {usage}, got {n} fields")
+            if self.rest and n >= self.width:
+                line_fields = [*line_fields[:self.width - 1], line_fields[self.width - 1:]]
+            return self.spec(*[f if p is None else p(f)
+                               for p, f in zip(self.parsers, line_fields)])
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+
+    def format(self, record) -> str:
+        values = [getattr(record, f.name) for f in self.fields]
+        n = self.width
+        while n > self.least and values[n - 1] == self.fields[n - 1].default:
+            n -= 1
+        return ",".join([c.format(v) for c, v in zip(self.codecs, values[:n])])
+
+
+SECTIONS = (
+    Section("realms", RealmSpec, (TEXT, TEXT, NONE), 3),
+    Section("name_realms", NameRealmSpec, (TEXT, TEXT, REST), 2),
+    Section("nodes", NodeSpec, (TEXT, TEXT, PLUS), 3),
+    Section("links", LinkSpec, (TEXT, TEXT, TEXT, INT), 4),
+    Section("entities", EntitySpec, (TEXT, TEXT, PLUS, BLANK, BYTES, WORDS, BLANK), 7),
+    Section("bindings", BindingSpec, (TEXT, TEXT), 2),
+    Section("nrs_records", RecordSpec,
+            (TEXT, TEXT, BLANK, TEXT, TEXT, INT, INT, PLUS, PLUS, WINDOW, NONE, NONE), 11,
+            name="nrs"),
+    Section("policies", PolicySpec, (TEXT, TEXT, TEXT, TEXT), 4),
+    Section("topics", TopicSpec, (TEXT, TEXT), 2),
+    Section("timeline", ActionSpec, (INT, TEXT, ARGS), 2),
+)
+_SECTION_OF = {s.name: s for s in SECTIONS}
+_NRS = _SECTION_OF["nrs"]
+_BINDINGS = _SECTION_OF["bindings"]
+
+
+class Op(NamedTuple):
+    """One timeline op: the kind of each argument, or None when the
+    arguments are one [nrs] record, and the step that fires it, which
+    returns the call it starts or None."""
+
+    kinds: tuple[str, ...] | None
+    fire: Callable[[Fabric, tuple[str, ...], int], Any]
+
+
+NAME, NAP, REALM, FREE = "name", "nap", "realm", "text"
+
+TIMELINE_OPS = {
+    "pull": Op((NAME, NAME), lambda f, a, t: f.start_pull(parse_name(a[0]), parse_name(a[1]), t)),
+    "push": Op((NAME, NAME, FREE), lambda f, a, t: f.start_push(
+        parse_name(a[0]), parse_name(a[1]), a[2].encode(), t)),
+    "publish": Op((NAME, FREE, FREE), lambda f, a, t: f.start_publish(
+        parse_name(a[0]), a[1], a[2].encode(), t)),
+    "subscribe": Op((NAME, FREE), lambda f, a, t: f.start_subscribe(parse_name(a[0]), a[1], t)),
+    "search": Op((NAME, FREE), lambda f, a, t: f.start_search(
+        parse_name(a[0]), tuple(a[1].split()), t)),
+    "fetch": Op((NAME, FREE), lambda f, a, t: f.start_search(
+        parse_name(a[0]), tuple(a[1].split()), t, then_pull=True)),
+    "bind": Op((NAME, NAP), lambda f, a, t: f.bind(parse_name(a[0]), a[1], t)),
+    "unbind": Op((NAME, NAP), lambda f, a, t: f.unbind(parse_name(a[0]), a[1], t)),
+    "partition": Op((REALM,), lambda f, a, t: f.partition(a[0], t)),
+    "heal": Op((REALM,), lambda f, a, t: f.heal(a[0], t)),
+    "nrs_register": Op(None, lambda f, a, t: f.nrs.register(
+        _record_to_nrs(_NRS.parse(a, "nrs_register")), CallerRole.ADMINISTRATOR)),
+    "nrs_withdraw": Op((NAME, FREE), lambda f, a, t: f.nrs.withdraw(parse_name(a[0]), a[1])),
+}
 
 
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
-    sections: dict[str, list] = {s: [] for s in SECTIONS}
-    current: str | None = None
+    records: dict[str, list] = {s.attr: [] for s in SECTIONS}
+    section = rows = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            if current not in sections:
-                raise ParseError(f"line {lineno}: unknown section [{current}]")
+            section = _SECTION_OF.get(line[1:-1])
+            if section is None:
+                raise ParseError(f"line {lineno}: unknown section {line}")
+            rows, parse = records[section.attr], section.parse
             continue
-        if current is None:
+        if section is None:
             raise ParseError(f"line {lineno}: record outside any section")
-        where = f"line {lineno}"
-        fields = [f.strip() for f in line.split(",")]
-        try:
-            sections[current].append(_parse_line(current, fields, where))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
-    scenario = Scenario(
-        name=name,
-        realms=tuple(sections["realms"]),
-        name_realms=tuple(sections["name_realms"]),
-        nodes=tuple(sections["nodes"]),
-        links=tuple(sections["links"]),
-        entities=tuple(sections["entities"]),
-        bindings=tuple(sections["bindings"]),
-        nrs_records=tuple(sections["nrs"]),
-        policies=tuple(sections["policies"]),
-        topics=tuple(sections["topics"]),
-        timeline=tuple(sections["timeline"]),
-    )
+        rows.append(parse([f.strip() for f in line.split(",")], f"line {lineno}"))
+    scenario = Scenario(name, **{attr: tuple(found) for attr, found in records.items()})
     validate_scenario(scenario)
     return scenario
-
-
-def _parse_line(section: str, fields: list[str], where: str):
-    if section == "realms":
-        if len(fields) != 3:
-            raise ParseError(f"{where}: realm needs id,tech,parent")
-        return RealmSpec(fields[0], fields[1], None if fields[2] == "-" else fields[2])
-    if section == "name_realms":
-        if len(fields) < 2:
-            raise ParseError(f"{where}: name realm needs id,scheme[,description]")
-        return NameRealmSpec(fields[0], fields[1], ",".join(fields[2:]))
-    if section == "nodes":
-        if len(fields) != 3:
-            raise ParseError(f"{where}: node needs id,kind,realms")
-        return NodeSpec(fields[0], fields[1], _multi(fields[2]))
-    if section == "links":
-        if len(fields) != 4:
-            raise ParseError(f"{where}: link needs a,b,realm,delay")
-        return LinkSpec(fields[0], fields[1], fields[2], int(fields[3]))
-    if section == "entities":
-        if len(fields) != 7:
-            raise ParseError(f"{where}: entity needs uri,kind,hosts,fcn,payload,keywords,description")
-        keywords = tuple(fields[5].split()) if fields[5] != "-" else ()
-        return EntitySpec(
-            uri=fields[0],
-            kind=fields[1],
-            hosts=_multi(fields[2]),
-            fcn=_opt(fields[3]),
-            payload=_opt(fields[4]).encode(),
-            keywords=keywords,
-            description=_opt(fields[6]),
-        )
-    if section == "bindings":
-        if len(fields) != 2:
-            raise ParseError(f"{where}: binding needs uri,nap")
-        return BindingSpec(fields[0], fields[1])
-    if section == "nrs":
-        return _record_from_fields(fields, where)
-    if section == "policies":
-        if len(fields) != 4:
-            raise ParseError(f"{where}: policy needs router,prefix,action,operation")
-        return PolicySpec(*fields)
-    if section == "topics":
-        if len(fields) != 2:
-            raise ParseError(f"{where}: topic needs fcn,rendezvous")
-        return TopicSpec(*fields)
-    if section == "timeline":
-        if len(fields) < 2:
-            raise ParseError(f"{where}: timeline entry needs tick,op[,args]")
-        tick = int(fields[0])
-        op = fields[1]
-        if op not in TIMELINE_OPS:
-            raise ParseError(f"{where}: unknown timeline op {op!r}")
-        argc = TIMELINE_OPS[op]
-        args = tuple(fields[2:])
-        if argc is not None and len(args) != argc:
-            raise ParseError(f"{where}: op {op} takes {argc} args, got {len(args)}")
-        return ActionSpec(tick, op, args)
-    raise ParseError(f"{where}: unhandled section {section}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -306,76 +299,25 @@ def load_scenario(path: str) -> Scenario:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    import os
-
     name = os.path.splitext(os.path.basename(path))[0]
     return parse_scenario(text, name=name)
 
 
-# ------------------------------------------------------------------ saving
-
-
-def _fmt_multi(values) -> str:
-    return "+".join(values) if values else "-"
-
-
-def _fmt_opt(value) -> str:
-    return value if value else "-"
-
-
-def _record_fields(r: RecordSpec) -> str:
-    window = f"{r.window[0]}:{r.window[1]}" if r.window else "-"
-    fields = [
-        r.prefix,
-        r.protocol,
-        _fmt_opt(r.fcn),
-        r.tech,
-        r.next_hop,
-        str(r.priority),
-        str(r.ttl),
-        _fmt_multi(r.context_tags),
-        _fmt_multi(r.location_tags),
-        window,
-        r.service or "-",
-    ]
-    if r.scope is not None:
-        fields.append(r.scope)
-    return ",".join(fields)
-
-
 def save_scenario(s: Scenario) -> str:
     out = []
-
-    def section(name, lines):
-        if not lines:
-            return
-        out.append(f"[{name}]")
-        out.extend(lines)
-        out.append("")
-
-    section("realms", [f"{r.id},{r.technology},{r.parent or '-'}" for r in s.realms])
-    section("name_realms", [f"{n.id},{n.scheme},{n.description}".rstrip(",")
-                            for n in s.name_realms])
-    section("nodes", [f"{n.id},{n.kind},{_fmt_multi(n.realms)}" for n in s.nodes])
-    section("links", [f"{l.a},{l.b},{l.realm},{l.delay}" for l in s.links])
-    section("entities", [
-        f"{e.uri},{e.kind},{_fmt_multi(e.hosts)},{_fmt_opt(e.fcn)},"
-        f"{_fmt_opt(e.payload.decode())},{' '.join(e.keywords) or '-'},"
-        f"{_fmt_opt(e.description)}"
-        for e in s.entities
-    ])
-    section("bindings", [f"{b.uri},{b.nap}" for b in s.bindings])
-    section("nrs", [_record_fields(r) for r in s.nrs_records])
-    section("policies", [f"{p.router},{p.prefix},{p.action},{p.operation}"
-                         for p in s.policies])
-    section("topics", [f"{t.fcn},{t.rendezvous}" for t in s.topics])
-    section("timeline", [
-        ",".join([str(a.tick), a.op, *a.args]) for a in s.timeline
-    ])
+    for section in SECTIONS:
+        records = getattr(s, section.attr)
+        if records:
+            out += [f"[{section.name}]", *map(section.format, records), ""]
     return "\n".join(out).rstrip("\n") + "\n"
 
 
 # --------------------------------------------------------------- validation
+
+_NODE_KINDS = frozenset(k.value for k in NodeKind)
+_SERVICES = frozenset(sv.value for sv in Service)
+_POLICY_OPERATIONS = frozenset(op.value for op in PolicyOperation)
+_NO_TAGS = frozenset()
 
 
 def _parse_or_fail(uri: str, where: str) -> Name:
@@ -413,14 +355,14 @@ def validate_scenario(s: Scenario) -> None:
     for n in s.nodes:
         if n.id in node_realms:
             raise ValidationError(f"duplicate node {n.id}")
-        if n.kind not in {k.value for k in NodeKind}:
+        if n.kind not in _NODE_KINDS:
             raise ValidationError(f"node {n.id}: unknown kind {n.kind}")
         for rid in n.realms:
             if rid not in realm_ids:
                 raise ValidationError(f"node {n.id}: undefined realm {rid}")
         node_realms[n.id] = set(n.realms)
 
-    naps = {f"{n.id}.{rid}" for n in s.nodes for rid in n.realms}
+    nap_realm = {f"{n.id}.{rid}": rid for n in s.nodes for rid in n.realms}
 
     for l in s.links:
         if l.realm not in realm_ids:
@@ -445,12 +387,21 @@ def validate_scenario(s: Scenario) -> None:
             if host not in node_realms:
                 raise ValidationError(f"entity {e.uri}: undefined host {host}")
 
+    # The line that first registers each NRS store key (NrsRecord.key: a
+    # second record under it is refused); every binding registers a host
+    # record for its NAP.  A prefix's text stands for its Name, as
+    # parse_name accepts canonical URIs only.
+    techs = {r.id: RealmTech[r.technology] for r in s.realms}
+    registered = {}
     for b in s.bindings:
         check_name(b.uri, f"binding {b.uri}")
-        if b.nap not in naps:
+        if b.nap not in nap_realm:
             raise ValidationError(f"binding {b.uri}: undefined nap {b.nap}")
+        protocol = PROTOCOL_OF_TECH[techs[nap_realm[b.nap]]].name
+        key = (b.uri, protocol, b.nap, None, _NO_TAGS, _NO_TAGS, None)
+        registered.setdefault(key, b)
 
-    locators = naps | set(node_realms)
+    locators = nap_realm.keys() | node_realms.keys()
     for r in s.nrs_records:
         check_name(r.prefix, f"nrs record {r.prefix}")
         if r.protocol not in Protocol.__members__:
@@ -459,8 +410,15 @@ def validate_scenario(s: Scenario) -> None:
             raise ValidationError(f"nrs record {r.prefix}: unknown tech {r.tech}")
         if r.next_hop not in locators:
             raise ValidationError(f"nrs record {r.prefix}: undefined next hop {r.next_hop}")
-        if r.service is not None and r.service not in {sv.value for sv in Service}:
+        if r.service is not None and r.service not in _SERVICES:
             raise ValidationError(f"nrs record {r.prefix}: unknown service {r.service}")
+        key = (r.prefix, r.protocol, r.next_hop, r.window, frozenset(r.location_tags),
+               frozenset(r.context_tags), r.service)
+        first = registered.setdefault(key, r)
+        if first is not r:
+            repeats = (f"the host record of [bindings] line {_BINDINGS.format(first)}"
+                       if isinstance(first, BindingSpec) else f"[nrs] line {_NRS.format(first)}")
+            raise ValidationError(f"nrs record {_NRS.format(r)}: repeats {repeats}")
 
     for p in s.policies:
         if p.router not in node_realms:
@@ -468,39 +426,29 @@ def validate_scenario(s: Scenario) -> None:
         check_name(p.prefix, f"policy {p.prefix}")
         if p.action not in ("allow", "deny"):
             raise ValidationError(f"policy: unknown action {p.action}")
-        if p.operation not in {op.value for op in PolicyOperation}:
+        if p.operation not in _POLICY_OPERATIONS:
             raise ValidationError(f"policy: unknown operation {p.operation}")
 
     for t in s.topics:
         if t.rendezvous not in node_realms:
             raise ValidationError(f"topic {t.fcn}: undefined rendezvous {t.rendezvous}")
 
+    defined = {NAP: nap_realm, REALM: realm_ids}
     last_tick = None
     for a in s.timeline:
         if last_tick is not None and a.tick < last_tick:
             raise ValidationError("timeline must be sorted by tick")
         last_tick = a.tick
-        _validate_action(a, naps, realm_ids, check_name)
-
-
-def _validate_action(a: ActionSpec, naps, realm_ids, check_name) -> None:
-    where = f"timeline t={a.tick} {a.op}"
-    if a.op in ("pull", "push"):
-        check_name(a.args[0], where)
-        check_name(a.args[1], where)
-    elif a.op in ("publish", "subscribe", "search", "fetch"):
-        check_name(a.args[0], where)
-    elif a.op in ("bind", "unbind"):
-        check_name(a.args[0], where)
-        if a.args[1] not in naps:
-            raise ValidationError(f"{where}: undefined nap {a.args[1]}")
-    elif a.op in ("partition", "heal"):
-        if a.args[0] not in realm_ids:
-            raise ValidationError(f"{where}: undefined realm {a.args[0]}")
-    elif a.op == "nrs_register":
-        _record_from_fields(list(a.args), where)
-    elif a.op == "nrs_withdraw":
-        check_name(a.args[0], where)
+        where = f"timeline t={a.tick} {a.op}"
+        kinds = TIMELINE_OPS[a.op].kinds
+        if kinds is None:
+            _NRS.parse(a.args, where)
+            continue
+        for kind, arg in zip(kinds, a.args):
+            if kind == NAME:
+                check_name(arg, where)
+            elif kind in defined and arg not in defined[kind]:
+                raise ValidationError(f"{where}: undefined {kind} {arg}")
 
 
 # ----------------------------------------------------------------- building
@@ -588,41 +536,14 @@ class RunResult:
 
 
 def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
-    def fire():
-        t = fabric.now
-        if a.op == "pull":
-            calls.append(fabric.start_pull(parse_name(a.args[0]), parse_name(a.args[1]), t))
-        elif a.op == "push":
-            calls.append(fabric.start_push(
-                parse_name(a.args[0]), parse_name(a.args[1]), a.args[2].encode(), t))
-        elif a.op == "publish":
-            calls.append(fabric.start_publish(
-                parse_name(a.args[0]), a.args[1], a.args[2].encode(), t))
-        elif a.op == "subscribe":
-            calls.append(fabric.start_subscribe(parse_name(a.args[0]), a.args[1], t))
-        elif a.op == "search":
-            calls.append(fabric.start_search(
-                parse_name(a.args[0]), tuple(a.args[1].split()), t))
-        elif a.op == "fetch":
-            calls.append(fabric.start_search(
-                parse_name(a.args[0]), tuple(a.args[1].split()), t, then_pull=True))
-        elif a.op == "bind":
-            fabric.bind(parse_name(a.args[0]), a.args[1], t)
-        elif a.op == "unbind":
-            fabric.unbind(parse_name(a.args[0]), a.args[1], t)
-        elif a.op == "partition":
-            fabric.partition(a.args[0], t)
-        elif a.op == "heal":
-            fabric.heal(a.args[0], t)
-        elif a.op == "nrs_register":
-            fabric.nrs.register(
-                _record_to_nrs(_record_from_fields(list(a.args), a.op)),
-                CallerRole.ADMINISTRATOR,
-            )
-        elif a.op == "nrs_withdraw":
-            fabric.nrs.withdraw(parse_name(a.args[0]), a.args[1])
+    fire = TIMELINE_OPS[a.op].fire
 
-    fabric.at(a.tick, fire)
+    def step():
+        call = fire(fabric, a.args, fabric.now)
+        if call is not None:
+            calls.append(call)
+
+    fabric.at(a.tick, step)
 
 
 def run_scenario(s: Scenario, until_tick: int | None = None) -> RunResult:
@@ -682,7 +603,7 @@ def parse_plan(text: str) -> MigrationPlan:
                     f"line {lineno}: deploy_nested_realm,realm,tech,parent,router,repo,attach")
             steps.append(MigrationStep(op, tuple(fields[1:])))
         elif op == "update_nrs":
-            _record_from_fields(fields[1:], f"line {lineno}")
+            _NRS.parse(fields[1:], f"line {lineno}")
             steps.append(MigrationStep(op, tuple(fields[1:])))
         else:
             raise ParseError(f"line {lineno}: unknown migration step {op!r}")
@@ -726,7 +647,7 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
             ),
         )
     if step.op == "update_nrs":
-        record = _record_from_fields(list(step.args), "update_nrs")
+        record = _NRS.parse(step.args, "update_nrs")
         entities = s.entities
         if record.tech == "CCNISH" and record.fcn:
             # Content entering a CCN realm gets replicated onto the realm's
@@ -761,14 +682,8 @@ def apply_migration(s: Scenario, plan: MigrationPlan) -> Scenario:
 # ----------------------------------------------------------------- builtins
 
 BUILTIN_NAMES = ("fig3", "mobility-return", "reverse-multicast", "disaster", "migration")
-
-_SCENARIO_FILES = {
-    "fig3": "fig3.scn",
-    "mobility-return": "mobility-return.scn",
-    "reverse-multicast": "reverse-multicast.scn",
-    "disaster": "disaster.scn",
-    "cdn": "cdn.scn",
-}
+# Names load_builtin accepts: the builtins plus the pre-migration source.
+LOADABLE_NAMES = BUILTIN_NAMES + ("cdn",)
 
 
 def _resource_text(filename: str) -> str:
@@ -780,9 +695,9 @@ def load_builtin(name: str) -> Scenario:
         base = parse_scenario(_resource_text("cdn.scn"), name="cdn")
         plan = parse_plan(_resource_text("cdn-migration.plan"))
         return replace(apply_migration(base, plan), name="migration")
-    if name not in _SCENARIO_FILES:
+    if name not in LOADABLE_NAMES:
         raise ParseError(f"unknown builtin scenario {name!r}")
-    return parse_scenario(_resource_text(_SCENARIO_FILES[name]), name=name)
+    return parse_scenario(_resource_text(f"{name}.scn"), name=name)
 
 
 def golden_trace(name: str) -> str:

@@ -1,6 +1,8 @@
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import internames
 from internames.cli import main
@@ -8,8 +10,21 @@ from internames.errors import InvalidStep, ParseError, ValidationError
 from internames.fabric import EventKind
 from internames.scenario import (
     BUILTIN_NAMES,
+    TIMELINE_OPS,
+    ActionSpec,
+    BindingSpec,
+    EntitySpec,
+    LinkSpec,
     MigrationPlan,
+    NameRealmSpec,
+    NodeSpec,
+    PolicySpec,
+    RealmSpec,
+    RecordSpec,
+    Scenario,
+    TopicSpec,
     apply_migration,
+    build_fabric,
     diff_trace,
     golden_trace,
     load_builtin,
@@ -59,6 +74,81 @@ def test_load_save_load_fixpoint_on_all_builtins():
     for name in ALL_SOURCES + ("migration",):
         s = load_builtin(name)
         assert parse_scenario(save_scenario(s), name=s.name) == s
+
+
+# Values the format can carry: no commas, line breaks or edge whitespace in
+# a field, no '+' inside a multi-valued field, no field that is '-' alone
+# where '-' marks an empty one, and no line that starts with '#' or '['.
+TOKEN = st.text(st.characters(whitelist_categories=("L", "N"), whitelist_characters="._:/-"),
+                min_size=1, max_size=6).filter(lambda t: t != "-")
+PHRASE = st.lists(TOKEN, min_size=1, max_size=3).map(" ".join)
+BLANK_OR_PHRASE = st.just("") | PHRASE
+TOKENS = st.lists(TOKEN, max_size=3).map(tuple)
+INTS = st.integers(-10**6, 10**6)
+
+
+def _records(spec, *fields):
+    return st.lists(st.builds(spec, *fields), max_size=2).map(tuple)
+
+
+def _action(op):
+    kinds = TIMELINE_OPS[op].kinds
+    arity = st.integers(11, 12) if kinds is None else st.just(len(kinds))
+    arg = st.just("") | st.just("-") | PHRASE
+    return arity.flatmap(lambda n: st.tuples(INTS, st.just(op), st.tuples(*[arg] * n)))
+
+
+SCENARIOS = st.builds(
+    Scenario,
+    realms=_records(RealmSpec, TOKEN, TOKEN, st.none() | TOKEN),
+    # A description may hold commas, trail one, or be left out.
+    name_realms=_records(NameRealmSpec, TOKEN, TOKEN,
+                         st.lists(BLANK_OR_PHRASE, max_size=3).map(",".join)),
+    nodes=_records(NodeSpec, TOKEN, TOKEN, TOKENS),
+    links=_records(LinkSpec, TOKEN, TOKEN, TOKEN, INTS),
+    entities=_records(EntitySpec, TOKEN, TOKEN, TOKENS, BLANK_OR_PHRASE,
+                      BLANK_OR_PHRASE.map(str.encode), TOKENS, BLANK_OR_PHRASE),
+    bindings=_records(BindingSpec, TOKEN, TOKEN),
+    nrs_records=_records(RecordSpec, TOKEN, TOKEN, BLANK_OR_PHRASE, TOKEN, TOKEN, INTS, INTS,
+                         TOKENS, TOKENS, st.none() | st.tuples(INTS, INTS),
+                         st.none() | TOKEN, st.none() | st.just("") | TOKEN),
+    policies=_records(PolicySpec, TOKEN, TOKEN, TOKEN, TOKEN),
+    topics=_records(TopicSpec, TOKEN, TOKEN),
+    timeline=st.lists(st.sampled_from(sorted(TIMELINE_OPS)).flatmap(_action), max_size=4)
+    .map(lambda actions: tuple(ActionSpec(*a) for a in actions)),
+)
+
+
+@given(SCENARIOS)
+@example(Scenario(name_realms=(NameRealmSpec("users", "flat", "people,"),)))
+def test_parse_inverts_save_on_every_section_and_op(s):
+    # Validation would reject most drawn records; the format does not.
+    with mock.patch("internames.scenario.validate_scenario"):
+        assert parse_scenario(save_scenario(s), name=s.name) == s
+
+
+HOST_RECORD = "n2n://users:x,HTTPISH,-,IPISH,a.net,0,100,-,-,-,-"
+
+
+@pytest.mark.parametrize("nrs_lines,repeats", [
+    ([HOST_RECORD], "the host record of [bindings] line n2n://users:x,a.net"),
+    # The store keys a record by prefix, protocol, next hop and predicate.
+    (["n2n://users:x,HTTPISH,-,IPISH,a.net,3,50,-,-,-,-,net"],
+     "the host record of [bindings] line n2n://users:x,a.net"),
+    (["n2n://users:y,HTTPISH,-,IPISH,b,0,100,t1+t2,-,-,-",
+      "n2n://users:y,HTTPISH,-,IPISH,b,5,100,t2+t1,-,-,-"],
+     "[nrs] line n2n://users:y,HTTPISH,-,IPISH,b,0,100,t1+t2,-,-,-"),
+])
+def test_duplicate_nrs_records_rejected(nrs_lines, repeats):
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(MINIMAL + "[nrs]\n" + "\n".join(nrs_lines) + "\n")
+    assert str(info.value).endswith(f": repeats {repeats}")
+    assert str(info.value).startswith(f"nrs record {nrs_lines[-1]}")
+
+
+def test_nrs_record_beside_host_record_builds():
+    text = MINIMAL + "[nrs]\n" + HOST_RECORD.replace(",-,-,-,-", ",lab,-,-,-") + "\n"
+    assert len(build_fabric(parse_scenario(text)).nrs.records()) == 2
 
 
 @pytest.mark.parametrize("text,error", [
