@@ -230,7 +230,11 @@ _DELIVERABLE = {MessageKind.HTTP_RESP, MessageKind.CCN_DATA, MessageKind.HTTP_PU
 
 
 class Fabric:
-    """Topology + event engine + trace log; all module calls run inside it."""
+    """Topology + event engine + trace log; all module calls run inside it.
+
+    The clock is the only source of time: every call acts, and every event
+    is stamped, at ``now``.  Later work is scheduled with ``at(tick, fn)``
+    and happens when ``run`` reaches that tick."""
 
     def __init__(self):
         self.realms: dict[str, NetworkRealm] = {}
@@ -361,9 +365,10 @@ class Fabric:
     def at(self, tick: int, fn) -> None:
         self.clock.schedule(tick, fn)
 
-    def _emit(self, tick, node, realm, event, msg_id, name, detail) -> None:
+    def _emit(self, node, realm, event, msg_id, name, detail) -> None:
         uri = name.uri if isinstance(name, Name) else (name or "-")
-        self.trace.append(_tuple_new(TraceEvent, (tick, node, realm, event, msg_id, uri, detail)))
+        self.trace.append(_tuple_new(TraceEvent, (self.clock.now_tick, node, realm, event,
+                                                  msg_id, uri, detail)))
 
     def sorted_trace(self) -> list[TraceEvent]:
         return sorted(self.trace, key=_TRACE_ORDER)
@@ -454,9 +459,9 @@ class Fabric:
             return locator, None
         raise NoRoute(f"unknown locator {locator}")
 
-    def node_ctx(self, node_id: str, location: str, tick: int) -> ResolutionContext:
+    def node_ctx(self, node_id: str, location: str) -> ResolutionContext:
         return ResolutionContext(
-            now_tick=tick,
+            now_tick=self.clock.now_tick,
             location_tag=location,
             context_tags=self.node_tags[node_id],
         )
@@ -500,7 +505,7 @@ class Fabric:
 
     # ---------------------------------------------------------------- bindings
 
-    def bind(self, name: Name, nap_id: str, t: int) -> None:
+    def bind(self, name: Name, nap_id: str) -> None:
         nap = self.naps.get(nap_id)
         if nap is None:
             raise UnknownNap(nap_id)
@@ -511,16 +516,16 @@ class Fabric:
             return
         naps.append(nap_id)
         naps.sort()
-        self._emit(t, nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"bind nap={nap_id}")
+        self._emit(nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"bind nap={nap_id}")
         self._register_host_record(name, nap)
 
-    def unbind(self, name: Name, nap_id: str, t: int) -> None:
+    def unbind(self, name: Name, nap_id: str) -> None:
         naps = self.bindings.get(name, [])
         if nap_id not in naps:
             raise NotBound(f"{format_name(name)} at {nap_id}")
         naps.remove(nap_id)
         nap = self.naps[nap_id]
-        self._emit(t, nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"unbind nap={nap_id}")
+        self._emit(nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"unbind nap={nap_id}")
         self.nrs.withdraw(name, nap.address)
 
     def _register_host_record(self, name: Name, nap: NetworkAttachmentPoint) -> None:
@@ -546,10 +551,10 @@ class Fabric:
 
     # ---------------------------------------------------------------- partition
 
-    def partition(self, realm_id: str, t: int) -> None:
+    def partition(self, realm_id: str) -> None:
         self._set_edge(realm_id, False, "disaster")
 
-    def heal(self, realm_id: str, t: int) -> None:
+    def heal(self, realm_id: str) -> None:
         self._set_edge(realm_id, True, "normal")
 
     def _set_edge(self, realm_id: str, alive: bool, tag: str) -> None:
@@ -579,7 +584,7 @@ class Fabric:
 
     # ---------------------------------------------------------------- transport
 
-    def send(self, from_nap: str, to_address: str, payload: WireMessage, t: int) -> int:
+    def send(self, from_nap: str, to_address: str, payload: WireMessage) -> int:
         """Public single-message send; endpoints must share the realm or the
         destination must be a boundary name-router of it."""
         nap = self.naps.get(from_nap)
@@ -597,16 +602,16 @@ class Fabric:
         if self._path(nap.realm_id, nap.node_id, dst_node) is None:
             raise NoRoute(f"no path from {nap.node_id} to {dst_node} in {nap.realm_id}")
         self._register_msg(payload)
-        self._transmit(payload, nap.node_id, nap.realm_id, dst_node, t, EventKind.SEND, None)
+        self._transmit(payload, nap.node_id, nap.realm_id, dst_node, EventKind.SEND, None)
         return payload.msg_id
 
-    def _drop(self, t, node, realm_id, msg, detail, call_id) -> None:
-        self._emit(t, node, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, detail)
+    def _drop(self, node, realm_id, msg, detail, call_id) -> None:
+        self._emit(node, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, detail)
         self._fail(call_id, detail)
 
-    def _drop_unsent(self, t, node, realm_id, name, detail, call_id) -> None:
+    def _drop_unsent(self, node, realm_id, name, detail, call_id) -> None:
         """Drop a request that never went on the wire, under a fresh message id."""
-        self._emit(t, node, realm_id, EventKind.DROP, self.new_msg_id(), name, detail)
+        self._emit(node, realm_id, EventKind.DROP, self.new_msg_id(), name, detail)
         self._fail(call_id, detail)
 
     def _fail(self, call_id, reason) -> None:
@@ -620,174 +625,167 @@ class Fabric:
         severed = any(not l.alive and l.realm == realm_id for l in self.links)
         return "partitioned" if severed else "no-route"
 
-    def _transmit(self, msg, src, realm_id, dst_node, t, first_event, call_id,
+    def _transmit(self, msg, src, realm_id, dst_node, first_event, call_id,
                   on_arrive=None, detail_extra="") -> None:
         path = self._path(realm_id, src, dst_node)
         if path is None:
-            self._drop(t, src, realm_id, msg, self._no_path_detail(realm_id), call_id)
+            self._drop(src, realm_id, msg, self._no_path_detail(realm_id), call_id)
             return
         detail = f"to={dst_node} kind={msg.kind._value_}"
         if detail_extra:
             detail += " " + detail_extra
-        self._emit(t, src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
+        self._emit(src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
         if len(path) == 1:
-            self.at(t, partial(self._arrive, msg, src, realm_id, call_id, on_arrive))
+            self.at(self.clock.now_tick, partial(self._arrive, msg, src, realm_id, call_id,
+                                                 on_arrive))
             return
-        self._schedule_hop(msg, realm_id, path, 1, t, call_id, on_arrive)
+        self._schedule_hop(msg, realm_id, path, 1, call_id, on_arrive)
 
-    def _schedule_hop(self, msg, realm_id, path, i, t, call_id, on_arrive) -> None:
+    def _schedule_hop(self, msg, realm_id, path, i, call_id, on_arrive) -> None:
         prev, node = path[i - 1], path[i]
         link = self._link_between(realm_id, prev, node)
         if link is None:
             # Link died after the path was computed; recompute from prev.
             fresh = self._path(realm_id, prev, path[-1])
             if fresh is None:
-                self.at(t, lambda: self._drop(t, prev, realm_id, msg,
-                                              self._no_path_detail(realm_id), call_id))
+                self.at(self.clock.now_tick, lambda: self._drop(
+                    prev, realm_id, msg, self._no_path_detail(realm_id), call_id))
                 return
-            self._schedule_hop(msg, realm_id, fresh, 1, t, call_id, on_arrive)
+            self._schedule_hop(msg, realm_id, fresh, 1, call_id, on_arrive)
             return
-        realm = self.realms[realm_id]
-        if realm.parent_realm is not None:
-            self._tunnel_hop(msg, realm_id, path, i, t, call_id, on_arrive, link)
+        if self.realms[realm_id].parent_realm is not None:
+            self._tunnel_hop(msg, realm_id, path, i, call_id, on_arrive)
             return
-        arrive_t = t + link.delay
-        self.at(arrive_t, partial(self._landed, msg, realm_id, path, i, arrive_t,
-                                  call_id, on_arrive))
+        self.at(self.clock.now_tick + link.delay,
+                partial(self._landed, msg, realm_id, path, i, call_id, on_arrive))
 
-    def _landed(self, msg, realm_id, path, i, t, call_id, on_arrive) -> None:
+    def _landed(self, msg, realm_id, path, i, call_id, on_arrive) -> None:
         """msg reached path[i]: arrive if it is the last hop, else forward."""
         node = path[i]
         if i == len(path) - 1:
             self._arrive(msg, node, realm_id, call_id, on_arrive)
             return
-        self._emit(t, node, realm_id, EventKind.FWD, msg.msg_id, msg.target_name,
+        self._emit(node, realm_id, EventKind.FWD, msg.msg_id, msg.target_name,
                    f"to={path[-1]} kind={msg.kind._value_}")
-        self._schedule_hop(msg, realm_id, path, i + 1, t, call_id, on_arrive)
+        self._schedule_hop(msg, realm_id, path, i + 1, call_id, on_arrive)
 
-    def _tunnel_hop(self, msg, realm_id, path, i, t, call_id, on_arrive, link) -> None:
+    def _tunnel_hop(self, msg, realm_id, path, i, call_id, on_arrive) -> None:
         """Carry a nested-realm link hop as a payload message in the parent."""
         prev, node = path[i - 1], path[i]
         parent = self.realms[realm_id].parent_realm
         outer = self._new_msg(kind=MessageKind.HTTP_PUSH, body=encode(msg))
         self.encapsulations.append((outer.msg_id, msg.msg_id, realm_id))
 
-        def resume(arrive_t):
-            self._emit(arrive_t, node, parent, EventKind.RECV, outer.msg_id, "-",
+        def resume():
+            self._emit(node, parent, EventKind.RECV, outer.msg_id, "-",
                        f"tunnel realm={realm_id} inner={msg.msg_id}")
-            self._landed(msg, realm_id, path, i, arrive_t, call_id, on_arrive)
+            self._landed(msg, realm_id, path, i, call_id, on_arrive)
 
-        self._transmit(outer, prev, parent, node, t, EventKind.SEND, call_id,
+        self._transmit(outer, prev, parent, node, EventKind.SEND, call_id,
                        on_arrive=resume, detail_extra=f"tunnel realm={realm_id} inner={msg.msg_id}")
 
     # ---------------------------------------------------------------- consults
 
-    def _server_for(self, node_id, kind, realm_id, name, t, call_id, cont):
+    def _server_for(self, node_id, kind, realm_id, name, call_id, cont):
         """The nearest server of kind, as _nearest_server gives it; when there
         is none, drop the consult and hand cont None."""
         server = self._nearest_server(node_id, kind)
         if server is None:
-            self._drop_unsent(t, node_id, realm_id, name, f"{kind.value}-unreachable", call_id)
-            self.at(t, lambda: cont(None))
+            self._drop_unsent(node_id, realm_id, name, f"{kind.value}-unreachable", call_id)
+            self.at(self.clock.now_tick, lambda: cont(None))
         return server
 
-    def consult_nrs(self, node_id: str, name: Name, location: str, t: int,
+    def consult_nrs(self, node_id: str, name: Name, location: str,
                     call_id, cont, cache: CacheStore | None = None) -> None:
         """Resolve over the fabric: NRS_Q now, NRS_R after the round trip.
 
         cont receives the descriptor list, or None when unresolvable."""
         if cache is not None:
-            hit = cache.lookup(name, self.node_ctx(node_id, location, t))
+            hit = cache.lookup(name, self.node_ctx(node_id, location))
             if hit is not None:
-                self._emit(t, node_id, location, EventKind.CACHE_HIT, self.new_msg_id(), name,
+                self._emit(node_id, location, EventKind.CACHE_HIT, self.new_msg_id(), name,
                            sd_list_text(hit))
-                self.at(t, lambda: cont(hit))
+                self.at(self.clock.now_tick, lambda: cont(hit))
                 return
-        server = self._server_for(node_id, NodeKind.NRS, location, name, t, call_id, cont)
+        server = self._server_for(node_id, NodeKind.NRS, location, name, call_id, cont)
         if server is None:
             return
         _srv, delay, srv_realm = server
         qid = self.new_msg_id()
-        self._emit(t, node_id, srv_realm, EventKind.NRS_Q, qid, name,
+        self._emit(node_id, srv_realm, EventKind.NRS_Q, qid, name,
                    f"loc={location} tags={'+'.join(sorted(self.node_tags[node_id])) or '-'}")
-        t_resp = t + 2 * delay
 
         def respond():
-            ctx = self.node_ctx(node_id, location, t_resp)
+            ctx = self.node_ctx(node_id, location)
             try:
                 sds = self.nrs.resolve(name, ctx)
             except NotResolvable:
-                self._emit(t_resp, node_id, srv_realm, EventKind.NRS_R, qid, name, "no-record")
+                self._emit(node_id, srv_realm, EventKind.NRS_R, qid, name, "no-record")
                 self._fail(call_id, "not-resolvable")
                 cont(None)
                 return
             if cache is not None:
                 cache.store(name, ctx, sds)
-            self._emit(t_resp, node_id, srv_realm, EventKind.NRS_R, qid, name, sd_list_text(sds))
+            self._emit(node_id, srv_realm, EventKind.NRS_R, qid, name, sd_list_text(sds))
             cont(sds)
 
-        self.at(t_resp, respond)
+        self.at(self.clock.now_tick + 2 * delay, respond)
 
-    def consult_ors(self, node_id: str, keywords: tuple[str, ...], t: int,
-                    call_id, cont) -> None:
+    def consult_ors(self, node_id: str, keywords: tuple[str, ...], call_id, cont) -> None:
         server = self._server_for(node_id, NodeKind.ORS, self.nodes[node_id].realms[0], "-",
-                                  t, call_id, cont)
+                                  call_id, cont)
         if server is None:
             return
         _srv, delay, srv_realm = server
         qid = self.new_msg_id()
-        self._emit(t, node_id, srv_realm, EventKind.ORS_Q, qid, "-",
+        self._emit(node_id, srv_realm, EventKind.ORS_Q, qid, "-",
                    f"keywords={','.join(keywords) or '-'}")
-        t_resp = t + 2 * delay
 
         def respond():
             result = self.ors.search(OrsQuery(tuple(keywords)))
             uris = ";".join(format_name(n) for n in result.names) or "-"
-            self._emit(t_resp, node_id, srv_realm, EventKind.ORS_R, qid, "-",
-                       f"results={uris}")
+            self._emit(node_id, srv_realm, EventKind.ORS_R, qid, "-", f"results={uris}")
             if call_id is not None:
                 self.calls[call_id].search_result = result
             cont(result)
 
-        self.at(t_resp, respond)
+        self.at(self.clock.now_tick + 2 * delay, respond)
 
     # ---------------------------------------------------------------- arrivals
 
     def _arrive(self, msg, node_id, realm_id, call_id, on_arrive) -> None:
-        t = self.now
         if on_arrive is not None:
-            on_arrive(t)
+            on_arrive()
             return
         node = self.nodes[node_id]
         if msg.kind is MessageKind.CCN_DATA and realm_id in node.ccn and msg.target_fcn:
-            node.ccn[realm_id].content_store.insert(msg.target_fcn, msg.body, t)
+            node.ccn[realm_id].content_store.insert(msg.target_fcn, msg.body)
         if msg.kind in _DELIVERABLE and self._bound_here(msg.target_name, node_id, realm_id):
-            self._deliver(msg, node_id, realm_id, t, call_id)
+            self._deliver(msg, node_id, realm_id, call_id)
             return
         if msg.kind is MessageKind.CCN_INTEREST:
-            self._ccn_arrive(msg, node_id, realm_id, t, call_id)
+            self._ccn_arrive(msg, node_id, realm_id, call_id)
             return
         if node.kind is NodeKind.NAME_ROUTER:
             if msg.kind in (MessageKind.HTTP_GET,):
-                self._router_ingress(msg, node_id, realm_id, t, call_id)
+                self._router_ingress(msg, node_id, realm_id, call_id)
                 return
             if msg.kind in _DELIVERABLE:
-                self._router_egress(msg, node_id, realm_id, t, call_id)
+                self._router_egress(msg, node_id, realm_id, call_id)
                 return
             if msg.kind in (MessageKind.SUB, MessageKind.PUB):
-                self._router_relay_pubsub(msg, node_id, realm_id, t, call_id)
+                self._router_relay_pubsub(msg, node_id, realm_id, call_id)
                 return
         if msg.kind is MessageKind.HTTP_GET:
-            self._serve_http(msg, node_id, realm_id, t, call_id)
+            self._serve_http(msg, node_id, realm_id, call_id)
             return
         if msg.kind in (MessageKind.SUB, MessageKind.PUB) and node.kind is NodeKind.RENDEZVOUS:
-            self._rendezvous(msg, node_id, realm_id, t, call_id)
+            self._rendezvous(msg, node_id, realm_id, call_id)
             return
         if msg.kind in _DELIVERABLE:
-            self._drop(t, node_id, realm_id, msg, "unreachable-name", call_id)
+            self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
             return
-        self._emit(t, node_id, realm_id, EventKind.DROP, msg.msg_id, msg.target_name,
-                   "unhandled")
+        self._emit(node_id, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, "unhandled")
 
     def _bound_here(self, name, node_id, realm_id) -> bool:
         if name is None:
@@ -797,15 +795,15 @@ class Fabric:
             for nap in self.bindings_of(name)
         )
 
-    def _recv(self, msg, node_id, realm_id, t, extra="") -> None:
+    def _recv(self, msg, node_id, realm_id, extra="") -> None:
         kind = msg.kind._value_
         detail = f"kind={kind} {extra}" if extra else f"kind={kind}"
-        self._emit(t, node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name, detail)
+        self._emit(node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name, detail)
 
-    def _deliver(self, msg, node_id, realm_id, t, call_id) -> None:
+    def _deliver(self, msg, node_id, realm_id, call_id) -> None:
         nap_id = f"{node_id}.{realm_id}"
-        self._recv(msg, node_id, realm_id, t)
-        self._emit(t, node_id, realm_id, EventKind.DELIVER, msg.msg_id, msg.target_name,
+        self._recv(msg, node_id, realm_id)
+        self._emit(node_id, realm_id, EventKind.DELIVER, msg.msg_id, msg.target_name,
                    f"nap={nap_id} body={_body_text(msg.body)}")
         if call_id is not None:
             call = self.calls[call_id]
@@ -815,17 +813,17 @@ class Fabric:
 
     # ------------------------------------------------------------ HTTP serving
 
-    def _serve_http(self, msg, node_id, realm_id, t, call_id) -> None:
-        self._recv(msg, node_id, realm_id, t)
+    def _serve_http(self, msg, node_id, realm_id, call_id) -> None:
+        self._recv(msg, node_id, realm_id)
         uri = format_name(msg.target_name) if msg.target_name else ""
         body = self.nodes[node_id].http_store.get(uri)
         if body is None:
-            self._drop(t, node_id, realm_id, msg, "not-found", call_id)
+            self._drop(node_id, realm_id, msg, "not-found", call_id)
             return
         resp = self._new_msg(kind=MessageKind.HTTP_RESP, target_name=msg.source_name,
                              source_name=msg.target_name, body=body)
         self.response_of[resp.msg_id] = msg.msg_id
-        self.deliver_to_name(resp, node_id, realm_id, t, call_id)
+        self.deliver_to_name(resp, node_id, realm_id, call_id)
 
     # ------------------------------------------------------------- CCN forward
 
@@ -836,43 +834,42 @@ class Fabric:
         self.response_of[data.msg_id] = interest.msg_id
         return data
 
-    def ccn_start(self, interest, node_id, realm_id, t, send_event, call_id) -> None:
+    def ccn_start(self, interest, node_id, realm_id, send_event, call_id) -> None:
         """Answer an interest at a CCN node from its repo or content store, or
         forward it by FIB, logging the hop as ``send_event``."""
         state = self.nodes[node_id].ccn[realm_id]
         fcn = interest.target_fcn
         if fcn in state.repo:
             data = self._synth_data(interest, state.repo[fcn])
-            self.deliver_to_name(data, node_id, realm_id, t, call_id)
+            self.deliver_to_name(data, node_id, realm_id, call_id)
             return
         cached = state.content_store.get(fcn)
         if cached is not None:
-            self._emit(t, node_id, realm_id, EventKind.CS_HIT, interest.msg_id,
+            self._emit(node_id, realm_id, EventKind.CS_HIT, interest.msg_id,
                        interest.target_name, f"fcn={fcn}")
             data = self._synth_data(interest, cached)
-            self.deliver_to_name(data, node_id, realm_id, t, call_id)
+            self.deliver_to_name(data, node_id, realm_id, call_id)
             return
         if interest.hop_count >= HOP_LIMIT:
-            self._drop(t, node_id, realm_id, interest, "hop-limit", call_id)
+            self._drop(node_id, realm_id, interest, "hop-limit", call_id)
             return
         try:
             next_hop = fib_lookup(state.fib, fcn)
         except NoFibMatch:
-            self._drop(t, node_id, realm_id, interest, "no-fib-match", call_id)
+            self._drop(node_id, realm_id, interest, "no-fib-match", call_id)
             return
-        self._transmit(interest.bumped(), node_id, realm_id, next_hop, t,
-                       send_event, call_id)
+        self._transmit(interest.bumped(), node_id, realm_id, next_hop, send_event, call_id)
 
-    def _ccn_arrive(self, interest, node_id, realm_id, t, call_id) -> None:
+    def _ccn_arrive(self, interest, node_id, realm_id, call_id) -> None:
         if realm_id not in self.nodes[node_id].ccn:
-            self._drop(t, node_id, realm_id, interest, "not-a-ccn-node", call_id)
+            self._drop(node_id, realm_id, interest, "not-a-ccn-node", call_id)
             return
-        self._recv(interest, node_id, realm_id, t, f"fcn={interest.target_fcn}")
-        self.ccn_start(interest, node_id, realm_id, t, EventKind.FWD, call_id)
+        self._recv(interest, node_id, realm_id, f"fcn={interest.target_fcn}")
+        self.ccn_start(interest, node_id, realm_id, EventKind.FWD, call_id)
 
     # ------------------------------------------------------- named return path
 
-    def deliver_to_name(self, msg, node_id, realm_id, t, call_id) -> None:
+    def deliver_to_name(self, msg, node_id, realm_id, call_id) -> None:
         """Forward a name-addressed message toward its target's bindings.
 
         Local bindings get direct copies; anything else leaves through the
@@ -880,33 +877,32 @@ class Fabric:
         name = msg.target_name
         naps = self.bindings_of(name) if name is not None else []
         if not naps:
-            self._drop(t, node_id, realm_id, msg, "unreachable-name", call_id)
+            self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
             return
         local = [nap for nap in naps if nap.realm_id == realm_id]
         remote = [nap for nap in naps if nap.realm_id != realm_id]
         for nap in local:
-            self._transmit(msg, node_id, realm_id, nap.node_id, t, EventKind.SEND, call_id)
+            self._transmit(msg, node_id, realm_id, nap.node_id, EventKind.SEND, call_id)
         if remote:
             # The serving node may itself be the boundary router; sending to
             # itself just runs the egress re-resolution locally.
             gateway = self._gateway(realm_id, node_id, {nap.realm_id for nap in remote})
             if gateway is None:
-                self._drop(t, node_id, realm_id, msg, "unreachable-name", call_id)
+                self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
                 return
-            self._transmit(msg, node_id, realm_id, gateway, t, EventKind.SEND, call_id)
+            self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call_id)
 
-    def _router_egress(self, msg, node_id, realm_id, t, call_id) -> None:
+    def _router_egress(self, msg, node_id, realm_id, call_id) -> None:
         """A boundary router received a name-addressed message: resolve the
         name now and forward toward the current bindings, bridging protocols."""
-        if not self._router_admits(msg, node_id, realm_id, t, call_id):
+        if not self._router_admits(msg, node_id, realm_id, call_id):
             return
         node = self.nodes[node_id]
 
         def onto(sds):
             if sds is None:
-                self._drop(self.now, node_id, realm_id, msg, "unreachable-name", call_id)
+                self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
                 return
-            t2 = self.now
             seen = set()
             for sd in sds:
                 out_realm = sd.scope or realm_id
@@ -915,19 +911,19 @@ class Fabric:
                     continue
                 seen.add(key)
                 if out_realm not in node.realms:
-                    self._drop(t2, node_id, realm_id, msg, "unreachable-name", call_id)
+                    self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
                     continue
-                self._forward_out(msg, sd, node_id, realm_id, out_realm, t2, call_id)
+                self._forward_out(msg, sd, node_id, realm_id, out_realm, call_id)
 
-        self.consult_nrs(node_id, msg.target_name, realm_id, t, call_id, onto)
+        self.consult_nrs(node_id, msg.target_name, realm_id, call_id, onto)
 
-    def _forward_out(self, msg, sd, node_id, realm_in, realm_out, t, call_id) -> None:
+    def _forward_out(self, msg, sd, node_id, realm_in, realm_out, call_id) -> None:
         dst_node, _ = self.locate(sd.next_hop_address)
         if self.realms[realm_in].technology is self.realms[realm_out].technology:
-            self._transmit(msg, node_id, realm_out, dst_node, t, EventKind.FWD, call_id)
+            self._transmit(msg, node_id, realm_out, dst_node, EventKind.FWD, call_id)
             return
         out = self._bridged(msg, realm_in, realm_out, sd)
-        self._transmit(out, node_id, realm_out, dst_node, t, EventKind.BRIDGE, call_id)
+        self._transmit(out, node_id, realm_out, dst_node, EventKind.BRIDGE, call_id)
 
     def _bridged(self, msg, realm_in, realm_out, sd) -> WireMessage:
         rule = BridgeRule(PROTOCOL_OF_TECH[self.realms[realm_in].technology],
@@ -937,74 +933,73 @@ class Fabric:
 
     # ------------------------------------------------------------ router paths
 
-    def _router_admits(self, msg, node_id, realm_id, t, call_id) -> bool:
+    def _router_admits(self, msg, node_id, realm_id, call_id) -> bool:
         """Log a router's RECV and check the sender against its access policy.
 
         CCN data that answers no request is a push from a CCNISH realm and is
         checked as one; responses and other kinds with no policy operation
         pass unchecked."""
-        self._recv(msg, node_id, realm_id, t)
+        self._recv(msg, node_id, realm_id)
         op = _KIND_TO_OP.get(msg.kind)
         if msg.kind is MessageKind.CCN_DATA and msg.msg_id not in self.response_of:
             op = PolicyOperation.PUSH
         if op is not None and msg.source_name is not None and check_access(
                 self.nodes[node_id].policy, msg.source_name, op) is PolicyAction.DENY:
-            self._drop(t, node_id, realm_id, msg, "access-denied", call_id)
+            self._drop(node_id, realm_id, msg, "access-denied", call_id)
             return False
         return True
 
-    def _router_ingress(self, msg, node_id, realm_id, t, call_id) -> None:
+    def _router_ingress(self, msg, node_id, realm_id, call_id) -> None:
         """A pull request reached a boundary router: check access, resolve the
         target for the next realm and bridge or relay it onward."""
-        if not self._router_admits(msg, node_id, realm_id, t, call_id):
+        if not self._router_admits(msg, node_id, realm_id, call_id):
             return
         others = sorted(r for r in self.nodes[node_id].realms if r != realm_id)
         if not others:
-            self._serve_http(msg, node_id, realm_id, t, call_id)
+            self._serve_http(msg, node_id, realm_id, call_id)
             return
-        self._try_realms(msg, node_id, realm_id, others, t, call_id)
+        self._try_realms(msg, node_id, realm_id, others, call_id)
 
-    def _try_realms(self, msg, node_id, realm_in, candidates, t, call_id) -> None:
+    def _try_realms(self, msg, node_id, realm_in, candidates, call_id) -> None:
         realm_out = candidates[0]
         rest = candidates[1:]
 
         def onto(sds):
-            t2 = self.now
             if sds is None:
                 if rest:
-                    self._try_realms(msg, node_id, realm_in, rest, t2, call_id)
+                    self._try_realms(msg, node_id, realm_in, rest, call_id)
                 else:
-                    self._drop(t2, node_id, realm_in, msg, "not-resolvable", call_id)
+                    self._drop(node_id, realm_in, msg, "not-resolvable", call_id)
                 return
             sd = sds[0]
             if self.realms[realm_out].technology is RealmTech.CCNISH:
                 interest = self._bridged(msg, realm_in, realm_out, sd)
-                self.ccn_start(interest, node_id, realm_out, t2, EventKind.BRIDGE, call_id)
+                self.ccn_start(interest, node_id, realm_out, EventKind.BRIDGE, call_id)
             else:
                 dst_node, _ = self.locate(sd.next_hop_address)
-                self._transmit(msg, node_id, realm_out, dst_node, t2, EventKind.FWD, call_id)
+                self._transmit(msg, node_id, realm_out, dst_node, EventKind.FWD, call_id)
 
-        self.consult_nrs(node_id, msg.target_name, realm_out, t, call_id, onto)
+        self.consult_nrs(node_id, msg.target_name, realm_out, call_id, onto)
 
     # ------------------------------------------------------------------ pubsub
 
-    def _router_relay_pubsub(self, msg, node_id, realm_id, t, call_id) -> None:
-        if not self._router_admits(msg, node_id, realm_id, t, call_id):
+    def _router_relay_pubsub(self, msg, node_id, realm_id, call_id) -> None:
+        if not self._router_admits(msg, node_id, realm_id, call_id):
             return
         node = self.nodes[node_id]
         home = self.topic_home.get(msg.target_fcn)
         if home is None:
-            self._drop(t, node_id, realm_id, msg, "unknown-topic", call_id)
+            self._drop(node_id, realm_id, msg, "unknown-topic", call_id)
             return
         for rid in sorted(r for r in node.realms if r != realm_id):
             if home in self.realms[rid].member_nodes and \
                     self._path(rid, node_id, home) is not None:
-                self._transmit(msg, node_id, rid, home, t, EventKind.FWD, call_id)
+                self._transmit(msg, node_id, rid, home, EventKind.FWD, call_id)
                 return
-        self._drop(t, node_id, realm_id, msg, "unreachable-topic", call_id)
+        self._drop(node_id, realm_id, msg, "unreachable-topic", call_id)
 
-    def _rendezvous(self, msg, node_id, realm_id, t, call_id) -> None:
-        self._recv(msg, node_id, realm_id, t, f"topic={msg.target_fcn}")
+    def _rendezvous(self, msg, node_id, realm_id, call_id) -> None:
+        self._recv(msg, node_id, realm_id, f"topic={msg.target_fcn}")
         subscribers = self.topics.setdefault(msg.target_fcn, set())
         if msg.kind is MessageKind.SUB:
             subscribers.add(msg.source_name)
@@ -1013,8 +1008,7 @@ class Fabric:
             return
         for sub in sorted(subscribers, key=format_name):
             out = self._push_msg(realm_id, msg.target_fcn, sub, msg.source_name, msg.body)
-            self.response_of[out.msg_id] = msg.msg_id
-            self.deliver_to_name(out, node_id, realm_id, t, call_id)
+            self.deliver_to_name(out, node_id, realm_id, call_id)
 
     # ----------------------------------------------------------------- actions
 
@@ -1023,7 +1017,7 @@ class Fabric:
         self.calls[call.call_id] = call
         return call
 
-    def start_pull(self, caller: Name, target: Name, t: int,
+    def start_pull(self, caller: Name, target: Name,
                    call: CallRecord | None = None) -> CallRecord:
         call = call or self._new_call("pull", caller, format_name(target))
         nap = self.first_binding(caller)
@@ -1031,42 +1025,37 @@ class Fabric:
         node = self.nodes[node_id]
 
         def onto(sds):
-            t2 = self.now
             if sds is None:
-                self._drop_unsent(t2, node_id, realm_id, target, "not-resolvable", call.call_id)
+                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call.call_id)
                 return
             sd = sds[0]
             if self.realms[realm_id].technology is RealmTech.CCNISH:
                 interest = self._new_msg(kind=MessageKind.CCN_INTEREST, target_fcn=sd.fcn,
                                          target_name=target, source_name=caller)
-                self.ccn_start(interest, node_id, realm_id, t2, EventKind.SEND, call.call_id)
+                self.ccn_start(interest, node_id, realm_id, EventKind.SEND, call.call_id)
             else:
                 get = self._new_msg(kind=MessageKind.HTTP_GET, target_name=target,
                                     source_name=caller)
                 dst_node, _ = self.locate(sd.next_hop_address)
-                self._transmit(get, node_id, realm_id, dst_node, t2,
-                               EventKind.SEND, call.call_id)
+                self._transmit(get, node_id, realm_id, dst_node, EventKind.SEND, call.call_id)
 
-        self.consult_nrs(node_id, target, realm_id, t, call.call_id, onto,
-                         cache=node.cache)
+        self.consult_nrs(node_id, target, realm_id, call.call_id, onto, cache=node.cache)
         return call
 
-    def start_push(self, caller: Name, target: Name, body: bytes, t: int) -> CallRecord:
+    def start_push(self, caller: Name, target: Name, body: bytes) -> CallRecord:
         call = self._new_call("push", caller, format_name(target))
         nap = self.first_binding(caller)
         node_id, realm_id = nap.node_id, nap.realm_id
         node = self.nodes[node_id]
 
         def onto(sds):
-            t2 = self.now
             if sds is None:
-                self._drop_unsent(t2, node_id, realm_id, target, "not-resolvable", call.call_id)
+                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call.call_id)
                 return
             push = self._push_msg(realm_id, format_name(target), target, caller, body)
-            self.deliver_to_name(push, node_id, realm_id, t2, call.call_id)
+            self.deliver_to_name(push, node_id, realm_id, call.call_id)
 
-        self.consult_nrs(node_id, target, realm_id, t, call.call_id, onto,
-                         cache=node.cache)
+        self.consult_nrs(node_id, target, realm_id, call.call_id, onto, cache=node.cache)
         return call
 
     def _push_msg(self, realm_id, fcn, target, source, body) -> WireMessage:
@@ -1077,36 +1066,36 @@ class Fabric:
         return self._new_msg(kind=MessageKind.HTTP_PUSH, target_name=target,
                              source_name=source, body=body)
 
-    def start_subscribe(self, caller: Name, topic_fcn: str, t: int) -> CallRecord:
+    def start_subscribe(self, caller: Name, topic_fcn: str) -> CallRecord:
         call = self._new_call("subscribe", caller, topic_fcn)
-        self._pubsub_send(caller, topic_fcn, MessageKind.SUB, b"", t, call)
+        self._pubsub_send(caller, topic_fcn, MessageKind.SUB, b"", call)
         return call
 
-    def start_publish(self, caller: Name, topic_fcn: str, body: bytes, t: int) -> CallRecord:
+    def start_publish(self, caller: Name, topic_fcn: str, body: bytes) -> CallRecord:
         call = self._new_call("publish", caller, topic_fcn)
-        self._pubsub_send(caller, topic_fcn, MessageKind.PUB, body, t, call)
+        self._pubsub_send(caller, topic_fcn, MessageKind.PUB, body, call)
         return call
 
-    def _pubsub_send(self, caller, topic_fcn, kind, body, t, call) -> None:
+    def _pubsub_send(self, caller, topic_fcn, kind, body, call) -> None:
         nap = self.first_binding(caller)
         node_id, realm_id = nap.node_id, nap.realm_id
         home = self.topic_home.get(topic_fcn)
         if home is None:
-            self._emit(t, node_id, realm_id, EventKind.DROP, self.new_msg_id(), "-",
+            self._emit(node_id, realm_id, EventKind.DROP, self.new_msg_id(), "-",
                        f"unknown-topic topic={topic_fcn}")
             self._fail(call.call_id, "unknown-topic")
             return
         msg = self._new_msg(kind=kind, target_fcn=topic_fcn, source_name=caller, body=body)
         if home in self.realms[realm_id].member_nodes:
-            self._transmit(msg, node_id, realm_id, home, t, EventKind.SEND, call.call_id)
+            self._transmit(msg, node_id, realm_id, home, EventKind.SEND, call.call_id)
             return
         gateway = self._gateway(realm_id, node_id, set(self.nodes[home].realms))
         if gateway is None:
-            self._drop(t, node_id, realm_id, msg, "unreachable-topic", call.call_id)
+            self._drop(node_id, realm_id, msg, "unreachable-topic", call.call_id)
             return
-        self._transmit(msg, node_id, realm_id, gateway, t, EventKind.SEND, call.call_id)
+        self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call.call_id)
 
-    def start_search(self, caller: Name, keywords: tuple[str, ...], t: int,
+    def start_search(self, caller: Name, keywords: tuple[str, ...],
                      then_pull: bool = False) -> CallRecord:
         call = self._new_call("fetch" if then_pull else "search", caller, ",".join(keywords))
         nap = self.first_binding(caller)
@@ -1115,7 +1104,7 @@ class Fabric:
             if result is None:
                 return
             if then_pull and result.names:
-                self.start_pull(caller, result.names[0], self.now, call=call)
+                self.start_pull(caller, result.names[0], call=call)
 
-        self.consult_ors(nap.node_id, tuple(keywords), t, call.call_id, onto)
+        self.consult_ors(nap.node_id, tuple(keywords), call.call_id, onto)
         return call

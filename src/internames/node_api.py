@@ -49,7 +49,7 @@ class NodeApi:
         self.caller = caller
 
     def pull(self, target: Name) -> bytes:
-        call = self.fabric.start_pull(self.caller, target, self.fabric.now)
+        call = self.fabric.start_pull(self.caller, target)
         self.fabric.run_until_idle()
         if call.result is not None:
             return call.result
@@ -57,26 +57,26 @@ class NodeApi:
         raise DeliveryFailed(f"pull of {target} produced no delivery")
 
     def push(self, target: Name, body: bytes) -> int:
-        call = self.fabric.start_push(self.caller, target, body, self.fabric.now)
+        call = self.fabric.start_push(self.caller, target, body)
         self.fabric.run_until_idle()
         if not call.deliveries:
             _raise_for(call)
         return call.delivery_count
 
     def subscribe(self, topic_fcn: str) -> None:
-        call = self.fabric.start_subscribe(self.caller, topic_fcn, self.fabric.now)
+        call = self.fabric.start_subscribe(self.caller, topic_fcn)
         self.fabric.run_until_idle()
         _raise_for(call)
 
     def publish(self, topic_fcn: str, body: bytes) -> int:
-        call = self.fabric.start_publish(self.caller, topic_fcn, body, self.fabric.now)
+        call = self.fabric.start_publish(self.caller, topic_fcn, body)
         self.fabric.run_until_idle()
         if call.error is not None and call.error != "unreachable-name":
             _raise_for(call)
         return call.names_reached
 
     def search(self, keywords: list[str]) -> OrsResult:
-        call = self.fabric.start_search(self.caller, tuple(keywords), self.fabric.now)
+        call = self.fabric.start_search(self.caller, tuple(keywords))
         self.fabric.run_until_idle()
         _raise_for(call)
         return call.search_result if call.search_result is not None else OrsResult()

@@ -242,33 +242,33 @@ _BINDINGS = _SECTION_OF["bindings"]
 
 class Op(NamedTuple):
     """One timeline op: the kind of each argument, or None when the
-    arguments are one [nrs] record, and the step that fires it, which
-    returns the call it starts or None."""
+    arguments are one [nrs] record, and the step that fires it at the
+    fabric's tick, which returns the call it starts or None."""
 
     kinds: tuple[str, ...] | None
-    fire: Callable[[Fabric, tuple[str, ...], int], Any]
+    fire: Callable[[Fabric, tuple[str, ...]], Any]
 
 
 NAME, NAP, REALM, FREE = "name", "nap", "realm", "text"
 
 TIMELINE_OPS = {
-    "pull": Op((NAME, NAME), lambda f, a, t: f.start_pull(parse_name(a[0]), parse_name(a[1]), t)),
-    "push": Op((NAME, NAME, FREE), lambda f, a, t: f.start_push(
-        parse_name(a[0]), parse_name(a[1]), a[2].encode(), t)),
-    "publish": Op((NAME, FREE, FREE), lambda f, a, t: f.start_publish(
-        parse_name(a[0]), a[1], a[2].encode(), t)),
-    "subscribe": Op((NAME, FREE), lambda f, a, t: f.start_subscribe(parse_name(a[0]), a[1], t)),
-    "search": Op((NAME, FREE), lambda f, a, t: f.start_search(
-        parse_name(a[0]), tuple(a[1].split()), t)),
-    "fetch": Op((NAME, FREE), lambda f, a, t: f.start_search(
-        parse_name(a[0]), tuple(a[1].split()), t, then_pull=True)),
-    "bind": Op((NAME, NAP), lambda f, a, t: f.bind(parse_name(a[0]), a[1], t)),
-    "unbind": Op((NAME, NAP), lambda f, a, t: f.unbind(parse_name(a[0]), a[1], t)),
-    "partition": Op((REALM,), lambda f, a, t: f.partition(a[0], t)),
-    "heal": Op((REALM,), lambda f, a, t: f.heal(a[0], t)),
-    "nrs_register": Op(None, lambda f, a, t: f.nrs.register(
+    "pull": Op((NAME, NAME), lambda f, a: f.start_pull(parse_name(a[0]), parse_name(a[1]))),
+    "push": Op((NAME, NAME, FREE), lambda f, a: f.start_push(
+        parse_name(a[0]), parse_name(a[1]), a[2].encode())),
+    "publish": Op((NAME, FREE, FREE), lambda f, a: f.start_publish(
+        parse_name(a[0]), a[1], a[2].encode())),
+    "subscribe": Op((NAME, FREE), lambda f, a: f.start_subscribe(parse_name(a[0]), a[1])),
+    "search": Op((NAME, FREE), lambda f, a: f.start_search(
+        parse_name(a[0]), tuple(a[1].split()))),
+    "fetch": Op((NAME, FREE), lambda f, a: f.start_search(
+        parse_name(a[0]), tuple(a[1].split()), then_pull=True)),
+    "bind": Op((NAME, NAP), lambda f, a: f.bind(parse_name(a[0]), a[1])),
+    "unbind": Op((NAME, NAP), lambda f, a: f.unbind(parse_name(a[0]), a[1])),
+    "partition": Op((REALM,), lambda f, a: f.partition(a[0])),
+    "heal": Op((REALM,), lambda f, a: f.heal(a[0])),
+    "nrs_register": Op(None, lambda f, a: f.nrs.register(
         _record_to_nrs(_NRS.parse(a, "nrs_register")), CallerRole.ADMINISTRATOR)),
-    "nrs_withdraw": Op((NAME, FREE), lambda f, a, t: f.nrs.withdraw(parse_name(a[0]), a[1])),
+    "nrs_withdraw": Op((NAME, FREE), lambda f, a: f.nrs.withdraw(parse_name(a[0]), a[1])),
 }
 
 
@@ -402,16 +402,26 @@ def validate_scenario(s: Scenario) -> None:
         registered.setdefault(key, b)
 
     locators = nap_realm.keys() | node_realms.keys()
-    for r in s.nrs_records:
-        check_name(r.prefix, f"nrs record {r.prefix}")
+
+    def check_record(r: RecordSpec, where: str) -> None:
+        """Refuse a record the NRS could not hold: an [nrs] line or the
+        arguments of an nrs_register op."""
+        check_name(r.prefix, where)
         if r.protocol not in Protocol.__members__:
-            raise ValidationError(f"nrs record {r.prefix}: unknown protocol {r.protocol}")
+            raise ValidationError(f"{where}: unknown protocol {r.protocol}")
         if r.tech not in NextHopTech.__members__:
-            raise ValidationError(f"nrs record {r.prefix}: unknown tech {r.tech}")
+            raise ValidationError(f"{where}: unknown tech {r.tech}")
         if r.next_hop not in locators:
-            raise ValidationError(f"nrs record {r.prefix}: undefined next hop {r.next_hop}")
+            raise ValidationError(f"{where}: undefined next hop {r.next_hop}")
         if r.service is not None and r.service not in _SERVICES:
-            raise ValidationError(f"nrs record {r.prefix}: unknown service {r.service}")
+            raise ValidationError(f"{where}: unknown service {r.service}")
+        try:
+            _record_to_nrs(r)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc} in line {_NRS.format(r)}") from exc
+
+    for r in s.nrs_records:
+        check_record(r, f"nrs record {r.prefix}")
         key = (r.prefix, r.protocol, r.next_hop, r.window, frozenset(r.location_tags),
                frozenset(r.context_tags), r.service)
         first = registered.setdefault(key, r)
@@ -442,7 +452,7 @@ def validate_scenario(s: Scenario) -> None:
         where = f"timeline t={a.tick} {a.op}"
         kinds = TIMELINE_OPS[a.op].kinds
         if kinds is None:
-            _NRS.parse(a.args, where)
+            check_record(_NRS.parse(a.args, where), where)
             continue
         for kind, arg in zip(kinds, a.args):
             if kind == NAME:
@@ -520,7 +530,7 @@ def build_fabric(s: Scenario) -> Fabric:
                 except MalformedUri:
                     pass
     for b in s.bindings:
-        fabric.bind(parse_name(b.uri), b.nap, 0)
+        fabric.bind(parse_name(b.uri), b.nap)
     return fabric
 
 
@@ -539,7 +549,7 @@ def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
     fire = TIMELINE_OPS[a.op].fire
 
     def step():
-        call = fire(fabric, a.args, fabric.now)
+        call = fire(fabric, a.args)
         if call is not None:
             calls.append(call)
 

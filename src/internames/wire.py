@@ -205,7 +205,7 @@ class ContentStore:
     def get(self, fcn: str) -> bytes | None:
         return self._bodies.get(fcn)
 
-    def insert(self, fcn: str, body: bytes, tick: int) -> None:
+    def insert(self, fcn: str, body: bytes) -> None:
         if fcn not in self._bodies:
             while len(self._bodies) >= self.capacity:
                 del self._bodies[next(iter(self._bodies))]

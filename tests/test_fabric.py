@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from internames.errors import (
 )
 from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, TraceEvent
 from internames.names import parse_name
-from internames.scenario import load_builtin, parse_scenario, run_scenario
+from internames.scenario import BUILTIN_NAMES, load_builtin, parse_scenario, run_scenario
 from internames.wire import MessageKind, WireMessage, decode
 
 from conftest import CROSS_REALM
@@ -33,7 +34,7 @@ def tiny_ip_fabric(hosts=("a", "b"), delay=1):
 def bound(f, node, local):
     name = parse_name(f"n2n://users:{local}")
     f.known_names.add(name)
-    f.bind(name, f"{node}.net", 0)
+    f.bind(name, f"{node}.net")
     return name
 
 
@@ -46,7 +47,7 @@ def test_send_delay_arithmetic():
     f = tiny_ip_fabric()
     tgt = bound(f, "b", "bob")
     f.clock.now_tick = 3
-    f.send("a.net", "b", resp(f, tgt), 3)
+    f.send("a.net", "b", resp(f, tgt))
     f.run_until_idle()
     recvs = [e for e in f.trace if e.event is EventKind.RECV]
     assert [(e.tick, e.node) for e in recvs] == [(4, "b")]
@@ -61,7 +62,7 @@ def test_send_across_realms_is_a_violation():
     f.add_node("a", NodeKind.HOST, ["net"])
     f.add_node("c", NodeKind.HOST, ["far"])
     with pytest.raises(RealmViolation):
-        f.send("a.net", "c", resp(f, None), 0)
+        f.send("a.net", "c", resp(f, None))
 
 
 def test_send_without_path():
@@ -70,9 +71,9 @@ def test_send_without_path():
     f.add_node("a", NodeKind.HOST, ["net"])
     f.add_node("b", NodeKind.HOST, ["net"])
     with pytest.raises(NoRoute):
-        f.send("a.net", "b", resp(f, None), 0)
+        f.send("a.net", "b", resp(f, None))
     with pytest.raises(UnknownNap):
-        f.send("nowhere.net", "b", resp(f, None), 0)
+        f.send("nowhere.net", "b", resp(f, None))
 
 
 def test_random_sends_trace_order_and_conservation():
@@ -87,7 +88,7 @@ def test_random_sends_trace_order_and_conservation():
         t = rng.randint(0, 20)
         f.clock.now_tick = 0
         m = resp(f, names[dst], b"ping")
-        f.send(f"{src}.net", dst, m, t)
+        f.at(t, partial(f.send, f"{src}.net", dst, m))
         sent.append(m.msg_id)
     f.clock.now_tick = 0
     f.run_until_idle()
@@ -108,15 +109,15 @@ def test_bind_errors():
     f = tiny_ip_fabric()
     name = parse_name("n2n://users:zoe")
     with pytest.raises(ValidationError):
-        f.bind(name, "a.net", 0)  # name neither registered nor declared
+        f.bind(name, "a.net")  # name neither registered nor declared
     f.known_names.add(name)
     with pytest.raises(UnknownNap):
-        f.bind(name, "a.elsewhere", 0)
-    f.bind(name, "a.net", 0)
-    f.bind(name, "a.net", 0)  # re-bind to the same NAP is a no-op
+        f.bind(name, "a.elsewhere")
+    f.bind(name, "a.net")
+    f.bind(name, "a.net")  # re-bind to the same NAP is a no-op
     assert len(f.bindings_of(name)) == 1
     with pytest.raises(NotBound):
-        f.unbind(name, "b.net", 1)
+        f.unbind(name, "b.net")
 
 
 def test_bind_maintains_host_records():
@@ -124,16 +125,16 @@ def test_bind_maintains_host_records():
     name = bound(f, "b", "bob")
     hops = [r.sd.next_hop_address for r in f.nrs.records() if r.prefix == name]
     assert hops == ["b.net"]
-    f.unbind(name, "b.net", 1)
+    f.unbind(name, "b.net")
     assert not [r for r in f.nrs.records() if r.prefix == name]
 
 
 def test_partition_unknown_realm():
     f = tiny_ip_fabric()
     with pytest.raises(UnknownRealm):
-        f.partition("nope", 0)
+        f.partition("nope")
     with pytest.raises(UnknownRealm):
-        f.heal("nope", 0)
+        f.heal("nope")
 
 
 PARTITION_SCN = """
@@ -191,7 +192,7 @@ def test_partition_injects_disaster_tag_and_heal_removes_it():
     f = run_scenario(parse_scenario(PARTITION_SCN, name="p2")).fabric
     assert f.node_tags["pageS"] == frozenset({"disaster"})
     assert f.node_tags["extC"] == frozenset({"normal"})
-    f.heal("town", f.now)
+    f.heal("town")
     assert f.node_tags["pageS"] == frozenset({"normal"})
 
 
@@ -341,7 +342,7 @@ def test_routes_match_link_scan_oracle(initial, steps):
         elif step[0] == "node":
             add(*step[1])
         else:
-            getattr(f, step[0])("cell", f.now)
+            getattr(f, step[0])("cell")
         check()
 
 
@@ -357,8 +358,8 @@ def test_link_dying_in_flight_reroutes():
     tgt = bound(f, "c", "carol")
     assert f._path("net", "a", "c") == ["a", "b", "x", "c"]
     assert f._path("net", "b", "c") == ["b", "x", "c"]  # memoised before x is cut off
-    f.at(1, lambda: f.partition("cell", 1))  # runs before the message leaves b
-    f.send("a.net", "c", resp(f, tgt), 0)
+    f.at(1, lambda: f.partition("cell"))  # runs before the message leaves b
+    f.send("a.net", "c", resp(f, tgt))
     f.run_until_idle()
     hops = [(e.tick, e.node, e.event) for e in f.sorted_trace() if e.event is not EventKind.REBIND]
     assert hops == [
@@ -384,8 +385,8 @@ def test_parallel_links_take_the_cheapest():
     assert f._nearest_server("a", NodeKind.NRS) == ("s", 2, "r")
     bob = parse_name("n2n://users:bob")
     f.known_names.add(bob)
-    f.bind(bob, "b.r", 0)
-    f.send("a.r", "b", resp(f, bob), 0)
+    f.bind(bob, "b.r")
+    f.send("a.r", "b", resp(f, bob))
     f.run_until_idle()
     assert [e.tick for e in f.trace if e.event is EventKind.RECV] == [1]
 
@@ -437,11 +438,11 @@ def test_stub_with_parallel_links_to_its_router():
 def test_stub_cut_off_by_partition_and_healed():
     f = stub_fabric([("h", "r", 1), ("r", "s", 1), ("r", "x", 1)], cell=("h",))
     assert f._path("net", "h", "s") == ["h", "r", "s"]
-    f.partition("cell", 0)
+    f.partition("cell")
     assert f._path("net", "h", "s") is None
     assert f._path("net", "s", "h") is None
     assert_routes_match_oracle(f)
-    f.heal("cell", 0)
+    f.heal("cell")
     assert f._path("net", "h", "s") == ["h", "r", "s"]
     assert_routes_match_oracle(f)
 
@@ -548,10 +549,10 @@ def test_no_path_reason_ignores_dead_links_of_other_realms():
     f.add_node("c", NodeKind.HOST, ["far"])
     f.add_node("d", NodeKind.HOST, ["far", "cell"])
     f.add_link("c", "d", "far")
-    f.partition("cell", 0)
+    f.partition("cell")
     assert [l.alive for l in f.links] == [False]
     tgt = bound(f, "b", "bob")
-    f.deliver_to_name(resp(f, tgt), "a", "net", 0, None)
+    f.deliver_to_name(resp(f, tgt), "a", "net", None)
     drops = [e.detail for e in f.trace if e.event is EventKind.DROP]
     assert drops == ["no-route"]
 
@@ -608,6 +609,21 @@ def test_ccn_data_answering_a_request_is_not_checked_as_a_push():
     assert calls == [("pull", None)]
 
 
+# CROSS_REALM with the rendezvous moved into the CCNISH realm.
+RV_IN_CCNET = CROSS_REALM.replace("rvX,rendezvous,internet", "rvX,rendezvous,ccnet") \
+    .replace("rvX,rtrX,internet,1", "rvX,coreX,ccnet,1")
+CCN_FAN_OUT = ["0,subscribe,n2n://users:u1,sports/news",
+               "20,publish,n2n://users:u2,sports/news,hi"]
+
+
+def test_ccn_publish_fan_out_is_checked_as_a_push():
+    # The fan-out to u1 is CCN data that answers no request: RNx checks it
+    # as a push from the publisher.
+    drops, calls = run_drops(RV_IN_CCNET, CCN_FAN_OUT, ["RNx,n2n://users:u2,deny,push"])
+    assert drops == [(24, "RNx", "ccnet", "n2n://users:u1", "access-denied")]
+    assert calls == [("subscribe", None), ("publish", "access-denied")]
+
+
 def test_nrs_unreachable_drops_pull():
     text = without_nodes(CROSS_REALM, "nrsX", "nrsY")
     drops, calls = run_drops(text, [f"0,pull,n2n://users:u1,{DOC_URI}"])
@@ -633,3 +649,50 @@ def test_unknown_topic_drops_subscribe():
     drops, calls = run_drops(CROSS_REALM, ["0,subscribe,n2n://users:u1,no/topic"])
     assert drops == [(0, "cli1", "internet", "-", "unknown-topic topic=no/topic")]
     assert calls == [("subscribe", "unknown-topic")]
+
+
+# ------------------------------------------------------------ emission order
+# Every event is emitted at the clock's tick, so the trace is in tick order
+# before any sort: a run can flush its trace one tick at a time.
+
+
+def assert_emitted_in_tick_order(fabric):
+    ticks = [e.tick for e in fabric.trace]
+    assert ticks == sorted(ticks)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtins_emit_in_tick_order(name):
+    assert_emitted_in_tick_order(run_scenario(load_builtin(name)).fabric)
+
+
+@pytest.mark.parametrize("text, timeline, policies", [
+    (CROSS_REALM, [f"0,pull,n2n://users:u1,{DOC_URI}"], ["RNx,n2n://users:u1,deny,pull"]),
+    (CROSS_REALM, ["0,push,n2n://users:u1,n2n://users:u2,hi"], ["RNx,n2n://users:u1,deny,push"]),
+    (CROSS_REALM, ["0,push,n2n://users:u2,n2n://users:u1,hi"], ["RNx,n2n://users:u2,deny,push"]),
+    (CROSS_REALM, ["0,subscribe,n2n://users:u2,sports/news"],
+     ["RNx,n2n://users:u2,deny,subscribe"]),
+    (CROSS_REALM, [f"0,pull,n2n://users:u1,{DOC_URI}"], [f"RNx,{DOC_URI},deny,push"]),
+    (RV_IN_CCNET, CCN_FAN_OUT, ["RNx,n2n://users:u2,deny,push"]),
+    (without_nodes(CROSS_REALM, "nrsX", "nrsY"), [f"0,pull,n2n://users:u1,{DOC_URI}"], []),
+    (without_nodes(CROSS_REALM, "orsX"),
+     ["0,search,n2n://users:u1,doc", "1,fetch,n2n://users:u1,doc"], []),
+    (CROSS_REALM, ["0,subscribe,n2n://users:u1,no/topic"], []),
+])
+def test_drop_paths_emit_in_tick_order(text, timeline, policies):
+    text += "\n[policies]\n" + "\n".join(policies) + "\n[timeline]\n" + "\n".join(timeline)
+    assert_emitted_in_tick_order(run_scenario(parse_scenario(text + "\n")).fabric)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sends_scheduled_through_at_emit_in_tick_order(seed):
+    rng = random.Random(seed)
+    hosts = tuple("h%d" % i for i in range(6))
+    f = tiny_ip_fabric(hosts, delay=rng.randint(1, 3))
+    names = {h: bound(f, h, "u_" + h) for h in hosts}
+    for _ in range(100):
+        src, dst = rng.sample(hosts, 2)
+        m = resp(f, names[dst], b"ping")
+        f.at(rng.randint(0, 20), partial(f.send, f"{src}.net", dst, m))
+    f.run_until_idle()
+    assert_emitted_in_tick_order(f)

@@ -89,9 +89,9 @@ def test_push_to_unbound_name(cross_realm_fabric):
 
 def test_push_after_rebind_hits_new_nap_only(cross_realm_fabric):
     f = cross_realm_fabric
-    f.unbind(U2, "cli2.ccnet", f.now)
+    f.unbind(U2, "cli2.ccnet")
     f.known_names.add(U2)
-    f.bind(U2, "host3a.internet", f.now)
+    f.bind(U2, "host3a.internet")
     assert NodeApi(f, U1).push(U2, b"moved") == 1
     delivers = [e for e in f.trace if e.event is EventKind.DELIVER]
     assert [e.node for e in delivers] == ["host3a"]
@@ -99,7 +99,7 @@ def test_push_after_rebind_hits_new_nap_only(cross_realm_fabric):
 
 def test_push_after_unbinding_sole_nap(cross_realm_fabric):
     f = cross_realm_fabric
-    f.unbind(U2, "cli2.ccnet", f.now)
+    f.unbind(U2, "cli2.ccnet")
     with pytest.raises(NotResolvable):
         NodeApi(f, U1).push(U2, b"x")
 

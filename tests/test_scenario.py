@@ -151,6 +151,23 @@ def test_nrs_record_beside_host_record_builds():
     assert len(build_fabric(parse_scenario(text)).nrs.records()) == 2
 
 
+@pytest.mark.parametrize("section,line,message", [
+    ("nrs", "n2n://users:y,CCNISH_OVER_UDPISH,-,IPISH,b,0,100,-,-,-,-",
+     "nrs record n2n://users:y: CCNISH_OVER_UDPISH descriptors need a non-empty fcn in line "
+     "n2n://users:y,CCNISH_OVER_UDPISH,-,IPISH,b,0,100,-,-,-,-"),
+    ("nrs", "n2n://users:y,HTTPISH,-,IPISH,b,-1,100,-,-,-,-",
+     "nrs record n2n://users:y: priority and ttl_ticks must be >= 0 in line "
+     "n2n://users:y,HTTPISH,-,IPISH,b,-1,100,-,-,-,-"),
+    ("timeline", "1,nrs_register,n2n://users:y,TELEPATHY,-,IPISH,nowhere,0,100,-,-,-,-",
+     "timeline t=1 nrs_register: unknown protocol TELEPATHY"),
+], ids=["ccn-without-fcn", "negative-priority", "op-unknown-protocol"])
+def test_records_the_nrs_cannot_hold_are_rejected(section, line, message):
+    # An [nrs] line and an nrs_register op pass the same record checks.
+    with pytest.raises(ValidationError) as info:
+        parse_scenario(MINIMAL + f"[{section}]\n{line}\n")
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("text,error", [
     ("[nodes]\nn1,host,nowhere\n", ValidationError),
     ("[realms]\nnet,IPISH,-\n[links]\na,b,net,1\n", ValidationError),

@@ -248,7 +248,7 @@ def test_fib_index_edge_cases():
 def test_content_store_capacity_and_eviction_order():
     cs = ContentStore()
     for i in range(CONTENT_STORE_CAPACITY + 4):
-        cs.insert(f"fcn{i}", b"x", i)
+        cs.insert(f"fcn{i}", b"x")
     assert len(cs) == CONTENT_STORE_CAPACITY
     assert cs.get("fcn0") is None
     assert cs.get("fcn3") is None
@@ -258,11 +258,11 @@ def test_content_store_capacity_and_eviction_order():
 
 def test_content_store_reinsert_keeps_position():
     cs = ContentStore(capacity=2)
-    cs.insert("a", b"1", 0)
-    cs.insert("b", b"2", 1)
-    cs.insert("a", b"3", 2)  # refresh, no eviction
+    cs.insert("a", b"1")
+    cs.insert("b", b"2")
+    cs.insert("a", b"3")  # refresh, no eviction
     assert cs.get("a") == b"3"
-    cs.insert("c", b"4", 3)
+    cs.insert("c", b"4")
     assert cs.get("a") is None  # "a" was still oldest by insertion
 
 
