@@ -193,7 +193,15 @@ class SimClock:
 
 @dataclass
 class CallRecord:
-    call_id: int
+    """One call's outcome, filled in by the engine as the call runs.
+
+    ``Fabric.start_*`` returns the record and the engine carries it with the
+    call's messages; the fabric keeps no list of calls.  ``result`` is the
+    first body delivered to a pull or fetch, or ``b"subscribed"`` once a
+    subscribe reaches its rendezvous.  ``error`` is the reason of the call's
+    first drop, unless a result came first.  ``deliveries`` gets one (nap,
+    name, body) per message of the call that reaches a binding of its target
+    name.  ``search_result`` is the ORS answer to a search or fetch."""
     kind: str
     caller: Name | None
     target: str
@@ -228,6 +236,10 @@ _KIND_TO_OP = {
 
 _DELIVERABLE = {MessageKind.HTTP_RESP, MessageKind.CCN_DATA, MessageKind.HTTP_PUSH}
 
+# The query and answer events of a consult, by the kind of server asked.
+_CONSULT_EVENTS = {NodeKind.NRS: (EventKind.NRS_Q, EventKind.NRS_R),
+                   NodeKind.ORS: (EventKind.ORS_Q, EventKind.ORS_R)}
+
 
 class Fabric:
     """Topology + event engine + trace log; all module calls run inside it.
@@ -250,12 +262,10 @@ class Fabric:
         self.node_tags: dict[str, frozenset[str]] = {}
         self.clock = SimClock()
         self.trace: list[TraceEvent] = []
-        self.calls: dict[int, CallRecord] = {}
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self.encapsulations: list[tuple[int, int, str]] = []  # (outer, inner, nested realm)
         self._msg_ids = itertools.count(1)
-        self._call_ids = itertools.count(1)
         self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
         self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
         self._roots: dict[tuple[str, str], str] = {}
@@ -605,43 +615,41 @@ class Fabric:
         self._transmit(payload, nap.node_id, nap.realm_id, dst_node, EventKind.SEND, None)
         return payload.msg_id
 
-    def _drop(self, node, realm_id, msg, detail, call_id) -> None:
+    def _drop(self, node, realm_id, msg, detail, call) -> None:
         self._emit(node, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, detail)
-        self._fail(call_id, detail)
+        self._fail(call, detail)
 
-    def _drop_unsent(self, node, realm_id, name, detail, call_id) -> None:
+    def _drop_unsent(self, node, realm_id, name, detail, call) -> None:
         """Drop a request that never went on the wire, under a fresh message id."""
         self._emit(node, realm_id, EventKind.DROP, self.new_msg_id(), name, detail)
-        self._fail(call_id, detail)
+        self._fail(call, detail)
 
-    def _fail(self, call_id, reason) -> None:
+    def _fail(self, call, reason) -> None:
         """Record a call's first failure, unless it already has a result."""
-        if call_id is not None:
-            call = self.calls[call_id]
-            if call.error is None and call.result is None:
-                call.error = reason
+        if call is not None and call.error is None and call.result is None:
+            call.error = reason
 
     def _no_path_detail(self, realm_id: str) -> str:
         severed = any(not l.alive and l.realm == realm_id for l in self.links)
         return "partitioned" if severed else "no-route"
 
-    def _transmit(self, msg, src, realm_id, dst_node, first_event, call_id,
+    def _transmit(self, msg, src, realm_id, dst_node, first_event, call,
                   on_arrive=None, detail_extra="") -> None:
         path = self._path(realm_id, src, dst_node)
         if path is None:
-            self._drop(src, realm_id, msg, self._no_path_detail(realm_id), call_id)
+            self._drop(src, realm_id, msg, self._no_path_detail(realm_id), call)
             return
         detail = f"to={dst_node} kind={msg.kind._value_}"
         if detail_extra:
             detail += " " + detail_extra
         self._emit(src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
         if len(path) == 1:
-            self.at(self.clock.now_tick, partial(self._arrive, msg, src, realm_id, call_id,
+            self.at(self.clock.now_tick, partial(self._arrive, msg, src, realm_id, call,
                                                  on_arrive))
             return
-        self._schedule_hop(msg, realm_id, path, 1, call_id, on_arrive)
+        self._schedule_hop(msg, realm_id, path, 1, call, on_arrive)
 
-    def _schedule_hop(self, msg, realm_id, path, i, call_id, on_arrive) -> None:
+    def _schedule_hop(self, msg, realm_id, path, i, call, on_arrive) -> None:
         prev, node = path[i - 1], path[i]
         link = self._link_between(realm_id, prev, node)
         if link is None:
@@ -649,27 +657,27 @@ class Fabric:
             fresh = self._path(realm_id, prev, path[-1])
             if fresh is None:
                 self.at(self.clock.now_tick, lambda: self._drop(
-                    prev, realm_id, msg, self._no_path_detail(realm_id), call_id))
+                    prev, realm_id, msg, self._no_path_detail(realm_id), call))
                 return
-            self._schedule_hop(msg, realm_id, fresh, 1, call_id, on_arrive)
+            self._schedule_hop(msg, realm_id, fresh, 1, call, on_arrive)
             return
         if self.realms[realm_id].parent_realm is not None:
-            self._tunnel_hop(msg, realm_id, path, i, call_id, on_arrive)
+            self._tunnel_hop(msg, realm_id, path, i, call, on_arrive)
             return
         self.at(self.clock.now_tick + link.delay,
-                partial(self._landed, msg, realm_id, path, i, call_id, on_arrive))
+                partial(self._landed, msg, realm_id, path, i, call, on_arrive))
 
-    def _landed(self, msg, realm_id, path, i, call_id, on_arrive) -> None:
+    def _landed(self, msg, realm_id, path, i, call, on_arrive) -> None:
         """msg reached path[i]: arrive if it is the last hop, else forward."""
         node = path[i]
         if i == len(path) - 1:
-            self._arrive(msg, node, realm_id, call_id, on_arrive)
+            self._arrive(msg, node, realm_id, call, on_arrive)
             return
         self._emit(node, realm_id, EventKind.FWD, msg.msg_id, msg.target_name,
                    f"to={path[-1]} kind={msg.kind._value_}")
-        self._schedule_hop(msg, realm_id, path, i + 1, call_id, on_arrive)
+        self._schedule_hop(msg, realm_id, path, i + 1, call, on_arrive)
 
-    def _tunnel_hop(self, msg, realm_id, path, i, call_id, on_arrive) -> None:
+    def _tunnel_hop(self, msg, realm_id, path, i, call, on_arrive) -> None:
         """Carry a nested-realm link hop as a payload message in the parent."""
         prev, node = path[i - 1], path[i]
         parent = self.realms[realm_id].parent_realm
@@ -679,24 +687,39 @@ class Fabric:
         def resume():
             self._emit(node, parent, EventKind.RECV, outer.msg_id, "-",
                        f"tunnel realm={realm_id} inner={msg.msg_id}")
-            self._landed(msg, realm_id, path, i, call_id, on_arrive)
+            self._landed(msg, realm_id, path, i, call, on_arrive)
 
-        self._transmit(outer, prev, parent, node, EventKind.SEND, call_id,
+        self._transmit(outer, prev, parent, node, EventKind.SEND, call,
                        on_arrive=resume, detail_extra=f"tunnel realm={realm_id} inner={msg.msg_id}")
 
     # ---------------------------------------------------------------- consults
 
-    def _server_for(self, node_id, kind, realm_id, name, call_id, cont):
-        """The nearest server of kind, as _nearest_server gives it; when there
-        is none, drop the consult and hand cont None."""
+    def _consult(self, node_id, kind, realm_id, name, query, answer, call, cont) -> None:
+        """Ask the nearest server of kind: its query event now, its answer
+        event and cont after the round trip.
+
+        query is the query event's detail; answer() gives the answer event's
+        detail and the value cont receives.  With no server reachable the
+        consult is dropped and cont receives None."""
         server = self._nearest_server(node_id, kind)
         if server is None:
-            self._drop_unsent(node_id, realm_id, name, f"{kind.value}-unreachable", call_id)
+            self._drop_unsent(node_id, realm_id, name, f"{kind.value}-unreachable", call)
             self.at(self.clock.now_tick, lambda: cont(None))
-        return server
+            return
+        _srv, delay, srv_realm = server
+        query_event, answer_event = _CONSULT_EVENTS[kind]
+        qid = self.new_msg_id()
+        self._emit(node_id, srv_realm, query_event, qid, name, query)
+
+        def respond():
+            detail, value = answer()
+            self._emit(node_id, srv_realm, answer_event, qid, name, detail)
+            cont(value)
+
+        self.at(self.clock.now_tick + 2 * delay, respond)
 
     def consult_nrs(self, node_id: str, name: Name, location: str,
-                    call_id, cont, cache: CacheStore | None = None) -> None:
+                    call, cont, cache: CacheStore | None = None) -> None:
         """Resolve over the fabric: NRS_Q now, NRS_R after the round trip.
 
         cont receives the descriptor list, or None when unresolvable."""
@@ -707,53 +730,34 @@ class Fabric:
                            sd_list_text(hit))
                 self.at(self.clock.now_tick, lambda: cont(hit))
                 return
-        server = self._server_for(node_id, NodeKind.NRS, location, name, call_id, cont)
-        if server is None:
-            return
-        _srv, delay, srv_realm = server
-        qid = self.new_msg_id()
-        self._emit(node_id, srv_realm, EventKind.NRS_Q, qid, name,
-                   f"loc={location} tags={'+'.join(sorted(self.node_tags[node_id])) or '-'}")
 
-        def respond():
+        def answer():
             ctx = self.node_ctx(node_id, location)
             try:
                 sds = self.nrs.resolve(name, ctx)
             except NotResolvable:
-                self._emit(node_id, srv_realm, EventKind.NRS_R, qid, name, "no-record")
-                self._fail(call_id, "not-resolvable")
-                cont(None)
-                return
+                self._fail(call, "not-resolvable")
+                return "no-record", None
             if cache is not None:
                 cache.store(name, ctx, sds)
-            self._emit(node_id, srv_realm, EventKind.NRS_R, qid, name, sd_list_text(sds))
-            cont(sds)
+            return sd_list_text(sds), sds
 
-        self.at(self.clock.now_tick + 2 * delay, respond)
+        tags = "+".join(sorted(self.node_tags[node_id])) or "-"
+        self._consult(node_id, NodeKind.NRS, location, name, f"loc={location} tags={tags}",
+                      answer, call, cont)
 
-    def consult_ors(self, node_id: str, keywords: tuple[str, ...], call_id, cont) -> None:
-        server = self._server_for(node_id, NodeKind.ORS, self.nodes[node_id].realms[0], "-",
-                                  call_id, cont)
-        if server is None:
-            return
-        _srv, delay, srv_realm = server
-        qid = self.new_msg_id()
-        self._emit(node_id, srv_realm, EventKind.ORS_Q, qid, "-",
-                   f"keywords={','.join(keywords) or '-'}")
-
-        def respond():
+    def consult_ors(self, node_id: str, keywords: tuple[str, ...], call, cont) -> None:
+        def answer():
             result = self.ors.search(OrsQuery(tuple(keywords)))
-            uris = ";".join(format_name(n) for n in result.names) or "-"
-            self._emit(node_id, srv_realm, EventKind.ORS_R, qid, "-", f"results={uris}")
-            if call_id is not None:
-                self.calls[call_id].search_result = result
-            cont(result)
+            call.search_result = result
+            return "results=" + (";".join(format_name(n) for n in result.names) or "-"), result
 
-        self.at(self.clock.now_tick + 2 * delay, respond)
+        self._consult(node_id, NodeKind.ORS, self.nodes[node_id].realms[0], "-",
+                      f"keywords={','.join(keywords) or '-'}", answer, call, cont)
 
     # ---------------------------------------------------------------- arrivals
 
-    def _arrive(self, msg, node_id, realm_id, call_id, on_arrive) -> None:
+    def _arrive(self, msg, node_id, realm_id, call, on_arrive) -> None:
         if on_arrive is not None:
             on_arrive()
             return
@@ -761,29 +765,29 @@ class Fabric:
         if msg.kind is MessageKind.CCN_DATA and realm_id in node.ccn and msg.target_fcn:
             node.ccn[realm_id].content_store.insert(msg.target_fcn, msg.body)
         if msg.kind in _DELIVERABLE and self._bound_here(msg.target_name, node_id, realm_id):
-            self._deliver(msg, node_id, realm_id, call_id)
+            self._deliver(msg, node_id, realm_id, call)
             return
         if msg.kind is MessageKind.CCN_INTEREST:
-            self._ccn_arrive(msg, node_id, realm_id, call_id)
+            self._ccn_arrive(msg, node_id, realm_id, call)
             return
         if node.kind is NodeKind.NAME_ROUTER:
             if msg.kind in (MessageKind.HTTP_GET,):
-                self._router_ingress(msg, node_id, realm_id, call_id)
+                self._router_ingress(msg, node_id, realm_id, call)
                 return
             if msg.kind in _DELIVERABLE:
-                self._router_egress(msg, node_id, realm_id, call_id)
+                self._router_egress(msg, node_id, realm_id, call)
                 return
             if msg.kind in (MessageKind.SUB, MessageKind.PUB):
-                self._router_relay_pubsub(msg, node_id, realm_id, call_id)
+                self._router_relay_pubsub(msg, node_id, realm_id, call)
                 return
         if msg.kind is MessageKind.HTTP_GET:
-            self._serve_http(msg, node_id, realm_id, call_id)
+            self._serve_http(msg, node_id, realm_id, call)
             return
         if msg.kind in (MessageKind.SUB, MessageKind.PUB) and node.kind is NodeKind.RENDEZVOUS:
-            self._rendezvous(msg, node_id, realm_id, call_id)
+            self._rendezvous(msg, node_id, realm_id, call)
             return
         if msg.kind in _DELIVERABLE:
-            self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
+            self._drop(node_id, realm_id, msg, "unreachable-name", call)
             return
         self._emit(node_id, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, "unhandled")
 
@@ -800,30 +804,29 @@ class Fabric:
         detail = f"kind={kind} {extra}" if extra else f"kind={kind}"
         self._emit(node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name, detail)
 
-    def _deliver(self, msg, node_id, realm_id, call_id) -> None:
+    def _deliver(self, msg, node_id, realm_id, call) -> None:
         nap_id = f"{node_id}.{realm_id}"
         self._recv(msg, node_id, realm_id)
         self._emit(node_id, realm_id, EventKind.DELIVER, msg.msg_id, msg.target_name,
                    f"nap={nap_id} body={_body_text(msg.body)}")
-        if call_id is not None:
-            call = self.calls[call_id]
+        if call is not None:
             call.deliveries.append((nap_id, msg.target_name, msg.body))
             if call.kind in ("pull", "fetch") and call.result is None:
                 call.result = msg.body
 
     # ------------------------------------------------------------ HTTP serving
 
-    def _serve_http(self, msg, node_id, realm_id, call_id) -> None:
+    def _serve_http(self, msg, node_id, realm_id, call) -> None:
         self._recv(msg, node_id, realm_id)
         uri = format_name(msg.target_name) if msg.target_name else ""
         body = self.nodes[node_id].http_store.get(uri)
         if body is None:
-            self._drop(node_id, realm_id, msg, "not-found", call_id)
+            self._drop(node_id, realm_id, msg, "not-found", call)
             return
         resp = self._new_msg(kind=MessageKind.HTTP_RESP, target_name=msg.source_name,
                              source_name=msg.target_name, body=body)
         self.response_of[resp.msg_id] = msg.msg_id
-        self.deliver_to_name(resp, node_id, realm_id, call_id)
+        self.deliver_to_name(resp, node_id, realm_id, call)
 
     # ------------------------------------------------------------- CCN forward
 
@@ -834,42 +837,42 @@ class Fabric:
         self.response_of[data.msg_id] = interest.msg_id
         return data
 
-    def ccn_start(self, interest, node_id, realm_id, send_event, call_id) -> None:
+    def ccn_start(self, interest, node_id, realm_id, send_event, call) -> None:
         """Answer an interest at a CCN node from its repo or content store, or
         forward it by FIB, logging the hop as ``send_event``."""
         state = self.nodes[node_id].ccn[realm_id]
         fcn = interest.target_fcn
         if fcn in state.repo:
             data = self._synth_data(interest, state.repo[fcn])
-            self.deliver_to_name(data, node_id, realm_id, call_id)
+            self.deliver_to_name(data, node_id, realm_id, call)
             return
         cached = state.content_store.get(fcn)
         if cached is not None:
             self._emit(node_id, realm_id, EventKind.CS_HIT, interest.msg_id,
                        interest.target_name, f"fcn={fcn}")
             data = self._synth_data(interest, cached)
-            self.deliver_to_name(data, node_id, realm_id, call_id)
+            self.deliver_to_name(data, node_id, realm_id, call)
             return
         if interest.hop_count >= HOP_LIMIT:
-            self._drop(node_id, realm_id, interest, "hop-limit", call_id)
+            self._drop(node_id, realm_id, interest, "hop-limit", call)
             return
         try:
             next_hop = fib_lookup(state.fib, fcn)
         except NoFibMatch:
-            self._drop(node_id, realm_id, interest, "no-fib-match", call_id)
+            self._drop(node_id, realm_id, interest, "no-fib-match", call)
             return
-        self._transmit(interest.bumped(), node_id, realm_id, next_hop, send_event, call_id)
+        self._transmit(interest.bumped(), node_id, realm_id, next_hop, send_event, call)
 
-    def _ccn_arrive(self, interest, node_id, realm_id, call_id) -> None:
+    def _ccn_arrive(self, interest, node_id, realm_id, call) -> None:
         if realm_id not in self.nodes[node_id].ccn:
-            self._drop(node_id, realm_id, interest, "not-a-ccn-node", call_id)
+            self._drop(node_id, realm_id, interest, "not-a-ccn-node", call)
             return
         self._recv(interest, node_id, realm_id, f"fcn={interest.target_fcn}")
-        self.ccn_start(interest, node_id, realm_id, EventKind.FWD, call_id)
+        self.ccn_start(interest, node_id, realm_id, EventKind.FWD, call)
 
     # ------------------------------------------------------- named return path
 
-    def deliver_to_name(self, msg, node_id, realm_id, call_id) -> None:
+    def deliver_to_name(self, msg, node_id, realm_id, call) -> None:
         """Forward a name-addressed message toward its target's bindings.
 
         Local bindings get direct copies; anything else leaves through the
@@ -877,31 +880,31 @@ class Fabric:
         name = msg.target_name
         naps = self.bindings_of(name) if name is not None else []
         if not naps:
-            self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
+            self._drop(node_id, realm_id, msg, "unreachable-name", call)
             return
         local = [nap for nap in naps if nap.realm_id == realm_id]
         remote = [nap for nap in naps if nap.realm_id != realm_id]
         for nap in local:
-            self._transmit(msg, node_id, realm_id, nap.node_id, EventKind.SEND, call_id)
+            self._transmit(msg, node_id, realm_id, nap.node_id, EventKind.SEND, call)
         if remote:
             # The serving node may itself be the boundary router; sending to
             # itself just runs the egress re-resolution locally.
             gateway = self._gateway(realm_id, node_id, {nap.realm_id for nap in remote})
             if gateway is None:
-                self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
+                self._drop(node_id, realm_id, msg, "unreachable-name", call)
                 return
-            self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call_id)
+            self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call)
 
-    def _router_egress(self, msg, node_id, realm_id, call_id) -> None:
+    def _router_egress(self, msg, node_id, realm_id, call) -> None:
         """A boundary router received a name-addressed message: resolve the
         name now and forward toward the current bindings, bridging protocols."""
-        if not self._router_admits(msg, node_id, realm_id, call_id):
+        if not self._router_admits(msg, node_id, realm_id, call):
             return
         node = self.nodes[node_id]
 
         def onto(sds):
             if sds is None:
-                self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
+                self._drop(node_id, realm_id, msg, "unreachable-name", call)
                 return
             seen = set()
             for sd in sds:
@@ -911,19 +914,19 @@ class Fabric:
                     continue
                 seen.add(key)
                 if out_realm not in node.realms:
-                    self._drop(node_id, realm_id, msg, "unreachable-name", call_id)
+                    self._drop(node_id, realm_id, msg, "unreachable-name", call)
                     continue
-                self._forward_out(msg, sd, node_id, realm_id, out_realm, call_id)
+                self._forward_out(msg, sd, node_id, realm_id, out_realm, call)
 
-        self.consult_nrs(node_id, msg.target_name, realm_id, call_id, onto)
+        self.consult_nrs(node_id, msg.target_name, realm_id, call, onto)
 
-    def _forward_out(self, msg, sd, node_id, realm_in, realm_out, call_id) -> None:
+    def _forward_out(self, msg, sd, node_id, realm_in, realm_out, call) -> None:
         dst_node, _ = self.locate(sd.next_hop_address)
         if self.realms[realm_in].technology is self.realms[realm_out].technology:
-            self._transmit(msg, node_id, realm_out, dst_node, EventKind.FWD, call_id)
+            self._transmit(msg, node_id, realm_out, dst_node, EventKind.FWD, call)
             return
         out = self._bridged(msg, realm_in, realm_out, sd)
-        self._transmit(out, node_id, realm_out, dst_node, EventKind.BRIDGE, call_id)
+        self._transmit(out, node_id, realm_out, dst_node, EventKind.BRIDGE, call)
 
     def _bridged(self, msg, realm_in, realm_out, sd) -> WireMessage:
         rule = BridgeRule(PROTOCOL_OF_TECH[self.realms[realm_in].technology],
@@ -933,7 +936,7 @@ class Fabric:
 
     # ------------------------------------------------------------ router paths
 
-    def _router_admits(self, msg, node_id, realm_id, call_id) -> bool:
+    def _router_admits(self, msg, node_id, realm_id, call) -> bool:
         """Log a router's RECV and check the sender against its access policy.
 
         CCN data that answers no request is a push from a CCNISH realm and is
@@ -945,117 +948,112 @@ class Fabric:
             op = PolicyOperation.PUSH
         if op is not None and msg.source_name is not None and check_access(
                 self.nodes[node_id].policy, msg.source_name, op) is PolicyAction.DENY:
-            self._drop(node_id, realm_id, msg, "access-denied", call_id)
+            self._drop(node_id, realm_id, msg, "access-denied", call)
             return False
         return True
 
-    def _router_ingress(self, msg, node_id, realm_id, call_id) -> None:
+    def _router_ingress(self, msg, node_id, realm_id, call) -> None:
         """A pull request reached a boundary router: check access, resolve the
         target for the next realm and bridge or relay it onward."""
-        if not self._router_admits(msg, node_id, realm_id, call_id):
+        if not self._router_admits(msg, node_id, realm_id, call):
             return
         others = sorted(r for r in self.nodes[node_id].realms if r != realm_id)
         if not others:
-            self._serve_http(msg, node_id, realm_id, call_id)
+            self._serve_http(msg, node_id, realm_id, call)
             return
-        self._try_realms(msg, node_id, realm_id, others, call_id)
+        self._try_realms(msg, node_id, realm_id, others, call)
 
-    def _try_realms(self, msg, node_id, realm_in, candidates, call_id) -> None:
+    def _try_realms(self, msg, node_id, realm_in, candidates, call) -> None:
         realm_out = candidates[0]
         rest = candidates[1:]
 
         def onto(sds):
             if sds is None:
                 if rest:
-                    self._try_realms(msg, node_id, realm_in, rest, call_id)
+                    self._try_realms(msg, node_id, realm_in, rest, call)
                 else:
-                    self._drop(node_id, realm_in, msg, "not-resolvable", call_id)
+                    self._drop(node_id, realm_in, msg, "not-resolvable", call)
                 return
             sd = sds[0]
             if self.realms[realm_out].technology is RealmTech.CCNISH:
                 interest = self._bridged(msg, realm_in, realm_out, sd)
-                self.ccn_start(interest, node_id, realm_out, EventKind.BRIDGE, call_id)
+                self.ccn_start(interest, node_id, realm_out, EventKind.BRIDGE, call)
             else:
                 dst_node, _ = self.locate(sd.next_hop_address)
-                self._transmit(msg, node_id, realm_out, dst_node, EventKind.FWD, call_id)
+                self._transmit(msg, node_id, realm_out, dst_node, EventKind.FWD, call)
 
-        self.consult_nrs(node_id, msg.target_name, realm_out, call_id, onto)
+        self.consult_nrs(node_id, msg.target_name, realm_out, call, onto)
 
     # ------------------------------------------------------------------ pubsub
 
-    def _router_relay_pubsub(self, msg, node_id, realm_id, call_id) -> None:
-        if not self._router_admits(msg, node_id, realm_id, call_id):
+    def _router_relay_pubsub(self, msg, node_id, realm_id, call) -> None:
+        if not self._router_admits(msg, node_id, realm_id, call):
             return
         node = self.nodes[node_id]
         home = self.topic_home.get(msg.target_fcn)
         if home is None:
-            self._drop(node_id, realm_id, msg, "unknown-topic", call_id)
+            self._drop(node_id, realm_id, msg, "unknown-topic", call)
             return
         for rid in sorted(r for r in node.realms if r != realm_id):
             if home in self.realms[rid].member_nodes and \
                     self._path(rid, node_id, home) is not None:
-                self._transmit(msg, node_id, rid, home, EventKind.FWD, call_id)
+                self._transmit(msg, node_id, rid, home, EventKind.FWD, call)
                 return
-        self._drop(node_id, realm_id, msg, "unreachable-topic", call_id)
+        self._drop(node_id, realm_id, msg, "unreachable-topic", call)
 
-    def _rendezvous(self, msg, node_id, realm_id, call_id) -> None:
+    def _rendezvous(self, msg, node_id, realm_id, call) -> None:
         self._recv(msg, node_id, realm_id, f"topic={msg.target_fcn}")
         subscribers = self.topics.setdefault(msg.target_fcn, set())
         if msg.kind is MessageKind.SUB:
             subscribers.add(msg.source_name)
-            if call_id is not None:
-                self.calls[call_id].result = b"subscribed"
+            if call is not None:
+                call.result = b"subscribed"
             return
         for sub in sorted(subscribers, key=format_name):
             out = self._push_msg(realm_id, msg.target_fcn, sub, msg.source_name, msg.body)
-            self.deliver_to_name(out, node_id, realm_id, call_id)
+            self.deliver_to_name(out, node_id, realm_id, call)
 
     # ----------------------------------------------------------------- actions
 
-    def _new_call(self, kind: str, caller: Name | None, target: str) -> CallRecord:
-        call = CallRecord(next(self._call_ids), kind, caller, target)
-        self.calls[call.call_id] = call
-        return call
-
     def start_pull(self, caller: Name, target: Name,
                    call: CallRecord | None = None) -> CallRecord:
-        call = call or self._new_call("pull", caller, format_name(target))
+        call = call or CallRecord("pull", caller, format_name(target))
         nap = self.first_binding(caller)
         node_id, realm_id = nap.node_id, nap.realm_id
         node = self.nodes[node_id]
 
         def onto(sds):
             if sds is None:
-                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call.call_id)
+                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call)
                 return
             sd = sds[0]
             if self.realms[realm_id].technology is RealmTech.CCNISH:
                 interest = self._new_msg(kind=MessageKind.CCN_INTEREST, target_fcn=sd.fcn,
                                          target_name=target, source_name=caller)
-                self.ccn_start(interest, node_id, realm_id, EventKind.SEND, call.call_id)
+                self.ccn_start(interest, node_id, realm_id, EventKind.SEND, call)
             else:
                 get = self._new_msg(kind=MessageKind.HTTP_GET, target_name=target,
                                     source_name=caller)
                 dst_node, _ = self.locate(sd.next_hop_address)
-                self._transmit(get, node_id, realm_id, dst_node, EventKind.SEND, call.call_id)
+                self._transmit(get, node_id, realm_id, dst_node, EventKind.SEND, call)
 
-        self.consult_nrs(node_id, target, realm_id, call.call_id, onto, cache=node.cache)
+        self.consult_nrs(node_id, target, realm_id, call, onto, cache=node.cache)
         return call
 
     def start_push(self, caller: Name, target: Name, body: bytes) -> CallRecord:
-        call = self._new_call("push", caller, format_name(target))
+        call = CallRecord("push", caller, format_name(target))
         nap = self.first_binding(caller)
         node_id, realm_id = nap.node_id, nap.realm_id
         node = self.nodes[node_id]
 
         def onto(sds):
             if sds is None:
-                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call.call_id)
+                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call)
                 return
             push = self._push_msg(realm_id, format_name(target), target, caller, body)
-            self.deliver_to_name(push, node_id, realm_id, call.call_id)
+            self.deliver_to_name(push, node_id, realm_id, call)
 
-        self.consult_nrs(node_id, target, realm_id, call.call_id, onto, cache=node.cache)
+        self.consult_nrs(node_id, target, realm_id, call, onto, cache=node.cache)
         return call
 
     def _push_msg(self, realm_id, fcn, target, source, body) -> WireMessage:
@@ -1067,12 +1065,12 @@ class Fabric:
                              source_name=source, body=body)
 
     def start_subscribe(self, caller: Name, topic_fcn: str) -> CallRecord:
-        call = self._new_call("subscribe", caller, topic_fcn)
+        call = CallRecord("subscribe", caller, topic_fcn)
         self._pubsub_send(caller, topic_fcn, MessageKind.SUB, b"", call)
         return call
 
     def start_publish(self, caller: Name, topic_fcn: str, body: bytes) -> CallRecord:
-        call = self._new_call("publish", caller, topic_fcn)
+        call = CallRecord("publish", caller, topic_fcn)
         self._pubsub_send(caller, topic_fcn, MessageKind.PUB, body, call)
         return call
 
@@ -1083,21 +1081,21 @@ class Fabric:
         if home is None:
             self._emit(node_id, realm_id, EventKind.DROP, self.new_msg_id(), "-",
                        f"unknown-topic topic={topic_fcn}")
-            self._fail(call.call_id, "unknown-topic")
+            self._fail(call, "unknown-topic")
             return
         msg = self._new_msg(kind=kind, target_fcn=topic_fcn, source_name=caller, body=body)
         if home in self.realms[realm_id].member_nodes:
-            self._transmit(msg, node_id, realm_id, home, EventKind.SEND, call.call_id)
+            self._transmit(msg, node_id, realm_id, home, EventKind.SEND, call)
             return
         gateway = self._gateway(realm_id, node_id, set(self.nodes[home].realms))
         if gateway is None:
-            self._drop(node_id, realm_id, msg, "unreachable-topic", call.call_id)
+            self._drop(node_id, realm_id, msg, "unreachable-topic", call)
             return
-        self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call.call_id)
+        self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call)
 
     def start_search(self, caller: Name, keywords: tuple[str, ...],
                      then_pull: bool = False) -> CallRecord:
-        call = self._new_call("fetch" if then_pull else "search", caller, ",".join(keywords))
+        call = CallRecord("fetch" if then_pull else "search", caller, ",".join(keywords))
         nap = self.first_binding(caller)
 
         def onto(result):
@@ -1106,5 +1104,5 @@ class Fabric:
             if then_pull and result.names:
                 self.start_pull(caller, result.names[0], call=call)
 
-        self.consult_ors(nap.node_id, tuple(keywords), call.call_id, onto)
+        self.consult_ors(nap.node_id, tuple(keywords), call, onto)
         return call

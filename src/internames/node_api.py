@@ -21,7 +21,6 @@ from .ors import OrsResult
 
 _ERROR_MAP = {
     "not-resolvable": NotResolvable,
-    "no-record": NotResolvable,
     "nrs-unreachable": Unreachable,
     "ors-unreachable": Unreachable,
     "access-denied": AccessDenied,

@@ -416,7 +416,7 @@ def validate_scenario(s: Scenario) -> None:
         if r.service is not None and r.service not in _SERVICES:
             raise ValidationError(f"{where}: unknown service {r.service}")
         try:
-            _record_to_nrs(r)
+            _descriptor(r)
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc} in line {_NRS.format(r)}") from exc
 
@@ -464,8 +464,8 @@ def validate_scenario(s: Scenario) -> None:
 # ----------------------------------------------------------------- building
 
 
-def _record_to_nrs(r: RecordSpec) -> NrsRecord:
-    sd = ServiceDescriptor(
+def _descriptor(r: RecordSpec) -> ServiceDescriptor:
+    return ServiceDescriptor(
         protocol=Protocol[r.protocol],
         fcn=r.fcn,
         next_hop_tech=NextHopTech[r.tech],
@@ -474,13 +474,15 @@ def _record_to_nrs(r: RecordSpec) -> NrsRecord:
         ttl_ticks=r.ttl,
         scope=r.scope,
     )
-    predicate = ContextPredicate(
+
+
+def _record_to_nrs(r: RecordSpec) -> NrsRecord:
+    return NrsRecord(parse_name(r.prefix), _descriptor(r), ContextPredicate(
         time_window=r.window,
         location_tags=frozenset(r.location_tags),
         context_tags=frozenset(r.context_tags),
         service=Service(r.service) if r.service else None,
-    )
-    return NrsRecord(parse_name(r.prefix), sd, predicate)
+    ))
 
 
 def build_fabric(s: Scenario) -> Fabric:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from functools import partial
 
 import pytest
@@ -649,6 +651,33 @@ def test_unknown_topic_drops_subscribe():
     drops, calls = run_drops(CROSS_REALM, ["0,subscribe,n2n://users:u1,no/topic"])
     assert drops == [(0, "cli1", "internet", "-", "unknown-topic topic=no/topic")]
     assert calls == [("subscribe", "unknown-topic")]
+
+
+@pytest.mark.parametrize("kind, detail", [
+    (MessageKind.CCN_INTEREST, "not-a-ccn-node"),
+    (MessageKind.SUB, "unhandled"),
+], ids=["interest-at-ip-host", "sub-at-host"])
+def test_message_without_a_call_dropped_at_a_host(kind, detail):
+    # Fabric.send carries no call record: these drops run with none.
+    f = tiny_ip_fabric()
+    sender = bound(f, "a", "alice")
+    f.send("a.net", "b", WireMessage(msg_id=f.new_msg_id(), kind=kind,
+                                     target_fcn="ccn.com/doc", source_name=sender))
+    f.run_until_idle()
+    drops = [(e.tick, e.node, e.realm, e.detail)
+             for e in f.trace if e.event is EventKind.DROP]
+    assert drops == [(1, "b", "net", detail)]
+
+
+def test_fabric_keeps_no_finished_call(cross_realm_fabric):
+    f = cross_realm_fabric
+    call = f.start_pull(parse_name("n2n://users:u1"), parse_name(DOC_URI))
+    f.run_until_idle()
+    assert call.result == b"doc-bytes"
+    record = weakref.ref(call)
+    del call
+    gc.collect()
+    assert record() is None
 
 
 # ------------------------------------------------------------ emission order
