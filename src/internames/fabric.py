@@ -20,6 +20,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
+    NoFibMatch,
     NoRoute,
     NotBound,
     NotResolvable,
@@ -58,21 +59,13 @@ from .wire import (
     encode,
     fib_lookup,
 )
-from .errors import NoFibMatch
 
-
-class RealmTech(Enum):
-    IPISH = "IPISH"
-    CCNISH = "CCNISH"
-
+# A realm's technology is the next-hop technology of the NAPs in it.
+RealmTech = NextHopTech
 
 PROTOCOL_OF_TECH = {
     RealmTech.IPISH: Protocol.HTTPISH,
     RealmTech.CCNISH: Protocol.CCNISH_OVER_UDPISH,
-}
-NEXT_HOP_TECH_OF = {
-    RealmTech.IPISH: NextHopTech.IPISH,
-    RealmTech.CCNISH: NextHopTech.CCNISH,
 }
 
 
@@ -143,7 +136,6 @@ class NetworkAttachmentPoint:
     nap_id: str
     node_id: str
     realm_id: str
-    address: str
 
 
 @dataclass
@@ -296,7 +288,7 @@ class Fabric:
             realm = self.realms[rid]
             realm.member_nodes.add(node_id)
             nap_id = f"{node_id}.{rid}"
-            self.naps[nap_id] = NetworkAttachmentPoint(nap_id, node_id, rid, nap_id)
+            self.naps[nap_id] = NetworkAttachmentPoint(nap_id, node_id, rid)
             if realm.technology is RealmTech.CCNISH:
                 node.ccn[rid] = CcnRouterState()
         return node
@@ -345,10 +337,9 @@ class Fabric:
                     adverts.setdefault(rid, []).append((fcn, home))
         for rid, entries in sorted(adverts.items()):
             realm = self.realms[rid]
-            members = sorted(realm.member_nodes)
             for prefix, owner in entries:
                 realm.fib_registrations.append((prefix, owner))
-                for member in members:
+                for member in realm.member_nodes:
                     if member == owner:
                         continue
                     path = self._path(rid, member, owner)
@@ -479,14 +470,14 @@ class Fabric:
     def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
         """Closest reachable server of the given kind: (server, delay, realm).
 
-        Memoised per (node, kind) beside the route memo."""
+        Ties go to the lower realm id, then the lower node id, whatever the
+        scan order.  Memoised per (node, kind) beside the route memo."""
         key = (node_id, kind)
         if key in self._servers:
             return self._servers[key]
         best = None
-        for rid in sorted(self.nodes[node_id].realms):
-            realm = self.realms[rid]
-            for member in sorted(realm.member_nodes):
+        for rid in self.nodes[node_id].realms:
+            for member in self.realms[rid].member_nodes:
                 if self.nodes[member].kind is not kind:
                     continue
                 path = self._path(rid, node_id, member)
@@ -504,14 +495,10 @@ class Fabric:
 
         The first reachable one, by node id, that borders a realm in toward;
         failing that, the first reachable one."""
-        reachable = [
-            n
-            for n in sorted(self.realms[realm_id].member_nodes)
-            if self.nodes[n].kind is NodeKind.NAME_ROUTER
-            and self._path(realm_id, node_id, n) is not None
-        ]
-        bordering = [n for n in reachable if toward.intersection(self.nodes[n].realms)]
-        return next(iter(bordering + reachable), None)
+        return min((n for n in self.realms[realm_id].member_nodes
+                    if self.nodes[n].kind is NodeKind.NAME_ROUTER
+                    and self._path(realm_id, node_id, n) is not None),
+                   key=lambda n: (toward.isdisjoint(self.nodes[n].realms), n), default=None)
 
     # ---------------------------------------------------------------- bindings
 
@@ -536,15 +523,15 @@ class Fabric:
         naps.remove(nap_id)
         nap = self.naps[nap_id]
         self._emit(nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"unbind nap={nap_id}")
-        self.nrs.withdraw(name, nap.address)
+        self.nrs.withdraw(name, nap_id)
 
     def _register_host_record(self, name: Name, nap: NetworkAttachmentPoint) -> None:
         tech = self.realms[nap.realm_id].technology
         sd = ServiceDescriptor(
             protocol=PROTOCOL_OF_TECH[tech],
             fcn=format_name(name) if tech is RealmTech.CCNISH else "",
-            next_hop_tech=NEXT_HOP_TECH_OF[tech],
-            next_hop_address=nap.address,
+            next_hop_tech=tech,
+            next_hop_address=nap.nap_id,
             priority=0,
             scope=nap.realm_id,
         )
@@ -789,15 +776,10 @@ class Fabric:
         if msg.kind in _DELIVERABLE:
             self._drop(node_id, realm_id, msg, "unreachable-name", call)
             return
-        self._emit(node_id, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, "unhandled")
+        self._drop(node_id, realm_id, msg, "unhandled", call)
 
     def _bound_here(self, name, node_id, realm_id) -> bool:
-        if name is None:
-            return False
-        return any(
-            nap.node_id == node_id and nap.realm_id == realm_id
-            for nap in self.bindings_of(name)
-        )
+        return f"{node_id}.{realm_id}" in self.bindings.get(name, ())
 
     def _recv(self, msg, node_id, realm_id, extra="") -> None:
         kind = msg.kind._value_
@@ -823,19 +805,18 @@ class Fabric:
         if body is None:
             self._drop(node_id, realm_id, msg, "not-found", call)
             return
-        resp = self._new_msg(kind=MessageKind.HTTP_RESP, target_name=msg.source_name,
-                             source_name=msg.target_name, body=body)
-        self.response_of[resp.msg_id] = msg.msg_id
+        self._respond(msg, MessageKind.HTTP_RESP, body, node_id, realm_id, call)
+
+    def _respond(self, request, kind, body, node_id, realm_id, call) -> None:
+        """Answer a request from a store: send body back to the request's
+        source name as a response of kind."""
+        resp = self._new_msg(kind=kind, target_fcn=request.target_fcn,
+                             target_name=request.source_name,
+                             source_name=request.target_name, body=body)
+        self.response_of[resp.msg_id] = request.msg_id
         self.deliver_to_name(resp, node_id, realm_id, call)
 
     # ------------------------------------------------------------- CCN forward
-
-    def _synth_data(self, interest, body) -> WireMessage:
-        data = self._new_msg(kind=MessageKind.CCN_DATA, target_fcn=interest.target_fcn,
-                             target_name=interest.source_name,
-                             source_name=interest.target_name, body=body)
-        self.response_of[data.msg_id] = interest.msg_id
-        return data
 
     def ccn_start(self, interest, node_id, realm_id, send_event, call) -> None:
         """Answer an interest at a CCN node from its repo or content store, or
@@ -843,15 +824,13 @@ class Fabric:
         state = self.nodes[node_id].ccn[realm_id]
         fcn = interest.target_fcn
         if fcn in state.repo:
-            data = self._synth_data(interest, state.repo[fcn])
-            self.deliver_to_name(data, node_id, realm_id, call)
+            self._respond(interest, MessageKind.CCN_DATA, state.repo[fcn], node_id, realm_id, call)
             return
         cached = state.content_store.get(fcn)
         if cached is not None:
             self._emit(node_id, realm_id, EventKind.CS_HIT, interest.msg_id,
                        interest.target_name, f"fcn={fcn}")
-            data = self._synth_data(interest, cached)
-            self.deliver_to_name(data, node_id, realm_id, call)
+            self._respond(interest, MessageKind.CCN_DATA, cached, node_id, realm_id, call)
             return
         if interest.hop_count >= HOP_LIMIT:
             self._drop(node_id, realm_id, interest, "hop-limit", call)

@@ -293,14 +293,17 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     return scenario
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def load_scenario(path: str) -> Scenario:
     name = os.path.splitext(os.path.basename(path))[0]
-    return parse_scenario(text, name=name)
+    return parse_scenario(_read_file(path), name=name)
 
 
 def save_scenario(s: Scenario) -> str:
@@ -439,9 +442,12 @@ def validate_scenario(s: Scenario) -> None:
         if p.operation not in _POLICY_OPERATIONS:
             raise ValidationError(f"policy: unknown operation {p.operation}")
 
+    rendezvous = {n.id for n in s.nodes if n.kind == NodeKind.RENDEZVOUS.value}
     for t in s.topics:
         if t.rendezvous not in node_realms:
             raise ValidationError(f"topic {t.fcn}: undefined rendezvous {t.rendezvous}")
+        if t.rendezvous not in rendezvous:
+            raise ValidationError(f"topic {t.fcn}: {t.rendezvous} is not a rendezvous node")
 
     defined = {NAP: nap_realm, REALM: realm_ids}
     last_tick = None
@@ -522,17 +528,13 @@ def build_fabric(s: Scenario) -> Fabric:
         ))
     for router, rule_list in rules.items():
         fabric.nodes[router].policy = AccessPolicy(tuple(rule_list))
+    # Declare every name the scenario binds, so bind accepts the ones the
+    # ORS does not hold.
+    fabric.known_names.update(parse_name(a.args[0]) for a in s.timeline if a.op == "bind")
     for b in s.bindings:
-        fabric.known_names.add(parse_name(b.uri))
-    for a in s.timeline:
-        for arg in a.args:
-            if arg.startswith("n2n://"):
-                try:
-                    fabric.known_names.add(parse_name(arg))
-                except MalformedUri:
-                    pass
-    for b in s.bindings:
-        fabric.bind(parse_name(b.uri), b.nap)
+        name = parse_name(b.uri)
+        fabric.known_names.add(name)
+        fabric.bind(name, b.nap)
     return fabric
 
 
@@ -623,29 +625,19 @@ def parse_plan(text: str) -> MigrationPlan:
 
 
 def load_plan(path: str) -> MigrationPlan:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_plan(fh.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return parse_plan(_read_file(path))
 
 
 def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
+    """The scenario after one step; InvalidStep, naming the step, if the
+    step cannot apply or its result does not validate."""
     if step.op == "replace_authoritative_resolver":
         if not any(n.kind == "nrs" for n in s.nodes):
             raise InvalidStep("no resolver node exists to take over")
-        return s
-    if step.op == "deploy_nested_realm":
+        new = s
+    elif step.op == "deploy_nested_realm":
         realm_id, tech, parent, router, repo, attach = step.args
-        if any(r.id == realm_id for r in s.realms):
-            raise InvalidStep(f"realm {realm_id} already exists")
-        if parent not in {r.id for r in s.realms}:
-            raise InvalidStep(f"parent realm {parent} does not exist")
-        if attach not in {n.id for n in s.nodes}:
-            raise InvalidStep(f"attach node {attach} does not exist")
-        if tech not in RealmTech.__members__:
-            raise InvalidStep(f"unknown technology {tech}")
-        return replace(
+        new = replace(
             s,
             realms=s.realms + (RealmSpec(realm_id, tech, parent),),
             nodes=s.nodes + (
@@ -658,7 +650,7 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
                 LinkSpec(router, repo, realm_id, 1),
             ),
         )
-    if step.op == "update_nrs":
+    elif step.op == "update_nrs":
         record = _NRS.parse(step.args, "update_nrs")
         entities = s.entities
         if record.tech == "CCNISH" and record.fcn:
@@ -678,17 +670,19 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
                 raise InvalidStep(f"update_nrs: no entity named {record.prefix}")
             entities = tuple(new_entities)
         new = replace(s, entities=entities, nrs_records=s.nrs_records + (record,))
+    else:
+        raise InvalidStep(step.op)
+    try:
         validate_scenario(new)
-        return new
-    raise InvalidStep(step.op)
+    except ValidationError as exc:
+        raise InvalidStep(f"{','.join((step.op, *step.args))}: {exc}") from exc
+    return new
 
 
 def apply_migration(s: Scenario, plan: MigrationPlan) -> Scenario:
-    out = s
     for step in plan.steps:
-        out = apply_step(out, step)
-    validate_scenario(out)
-    return out
+        s = apply_step(s, step)
+    return s
 
 
 # ----------------------------------------------------------------- builtins

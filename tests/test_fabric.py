@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from internames.errors import (
+    DeliveryFailed,
     NoRoute,
     NotBound,
     RealmViolation,
@@ -17,6 +18,7 @@ from internames.errors import (
 )
 from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, TraceEvent
 from internames.names import parse_name
+from internames.node_api import NodeApi
 from internames.scenario import BUILTIN_NAMES, load_builtin, parse_scenario, run_scenario
 from internames.wire import MessageKind, WireMessage, decode
 
@@ -299,7 +301,16 @@ def oracle_nearest_server(f, node_id, kind):
     return None if best is None else (best[2], best[0], best[1])
 
 
-ROUTE_KINDS = st.sampled_from([NodeKind.HOST, NodeKind.ROUTER, NodeKind.NRS, NodeKind.ORS])
+def oracle_gateway(f, realm_id, node_id, toward):
+    reachable = [n for n in sorted(f.realms[realm_id].member_nodes)
+                 if f.nodes[n].kind is NodeKind.NAME_ROUTER
+                 and oracle_path(f, realm_id, node_id, n) is not None]
+    bordering = [n for n in reachable if toward.intersection(f.nodes[n].realms)]
+    return next(iter(bordering + reachable), None)
+
+
+ROUTE_KINDS = st.sampled_from([NodeKind.HOST, NodeKind.ROUTER, NodeKind.NRS, NodeKind.ORS,
+                               NodeKind.NAME_ROUTER])
 ROUTE_NODE = st.tuples(ROUTE_KINDS, st.booleans())  # (kind, member of the cell)
 ROUTE_STEP = st.one_of(
     # delays 1 and 2 make equal-delay ties; repeated endpoints make parallel links
@@ -332,6 +343,8 @@ def test_routes_match_link_scan_oracle(initial, steps):
                 assert f._link_between("net", a, b) is oracle_link_between(f, "net", a, b)
             for kind in (NodeKind.NRS, NodeKind.ORS):
                 assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
+            for toward in ({"cell"}, set()):
+                assert f._gateway("net", a, toward) == oracle_gateway(f, "net", a, toward)
 
     for kind, in_cell in initial:
         add(kind, in_cell)
@@ -600,6 +613,78 @@ def test_router_access_denied_drops(policy, action, drop, call):
     drops, calls = run_drops(CROSS_REALM, [action], [policy])
     assert drops == [drop + ("access-denied",)]
     assert calls == [(call, "access-denied")]
+
+
+# Variants of CROSS_REALM, written as extra section lines (a section may
+# appear twice). SIDE_REALM adds a realm holding one host, sideH;
+# RNX_IN_SIDE also puts RNx in it.
+SERVING_ROUTER = """
+[nodes]
+RNy,name_router,internet
+[links]
+RNy,rtrX,internet,1
+[entities]
+n2n://web.org:page,content,RNy,-,page-bytes,page,a page
+[nrs]
+n2n://web.org:page,HTTPISH,-,IPISH,RNy,0,100,-,-,-,-
+"""
+SIDE_REALM = """
+[realms]
+side,IPISH,-
+[nodes]
+sideH,host,side
+"""
+RNX_IN_SIDE = CROSS_REALM.replace("RNx,name_router,internet+ccnet",
+                                  "RNx,name_router,internet+ccnet+side") + SIDE_REALM
+
+
+@pytest.mark.parametrize("text, timeline, drops, call", [
+    # A name-router in one realm answers a GET itself.
+    (CROSS_REALM + SERVING_ROUTER, ["0,pull,n2n://users:u1,n2n://web.org:page"],
+     [], ("pull", None)),
+    # The document resolves, but no binding carries its name.
+    (CROSS_REALM, [f"0,push,n2n://users:u1,{DOC_URI},hi"],
+     [(4, "cli1", "internet", DOC_URI, "unreachable-name")], ("push", "unreachable-name")),
+    # u1 is bound outside ccnet, and no name-router is reachable from cli2.
+    (CROSS_REALM.replace("RNx,coreX,ccnet,1\n", ""),
+     ["0,push,n2n://users:u2,n2n://users:u1,hi"],
+     [(4, "cli2", "ccnet", "n2n://users:u1", "unreachable-name")], ("push", "unreachable-name")),
+    # u2's record is withdrawn between the sender's resolve and RNx's.
+    (CROSS_REALM, ["0,push,n2n://users:u1,n2n://users:u2,hi",
+                   "5,nrs_withdraw,n2n://users:u2,cli2.ccnet"],
+     [(10, "RNx", "internet", "n2n://users:u2", "unreachable-name")], ("push", "not-resolvable")),
+    # One of u2's records is scoped to a realm RNx is not in.
+    (CROSS_REALM + SIDE_REALM
+     + "[nrs]\nn2n://users:u2,HTTPISH,-,IPISH,sideH,0,100,-,-,-,-,side\n",
+     ["0,push,n2n://users:u1,n2n://users:u2,hi"],
+     [(10, "RNx", "internet", "n2n://users:u2", "unreachable-name")],
+     ("push", "unreachable-name")),
+    # RNx tries ccnet, then side; the name resolves in neither.
+    (RNX_IN_SIDE + "[nrs]\nn2n://ccn.com:gone,HTTPISH,-,IPISH,RNx,0,100,-,internet,-,-\n",
+     ["0,pull,n2n://users:u1,n2n://ccn.com:gone"],
+     [(14, "RNx", "internet", "n2n://ccn.com:gone", "not-resolvable")],
+     ("pull", "not-resolvable")),
+    # No FIB entry of cli2 matches the record's FCN.
+    (CROSS_REALM + "[nrs]\nn2n://ccn.com:none,CCNISH_OVER_UDPISH,other.org/none,CCNISH,coreX,"
+     "0,100,-,ccnet,-,-\n", ["0,pull,n2n://users:u2,n2n://ccn.com:none"],
+     [(4, "cli2", "ccnet", "n2n://ccn.com:none", "no-fib-match")], ("pull", "no-fib-match")),
+], ids=["router-serves-get", "push-to-unbound-name", "no-gateway", "egress-no-descriptor",
+        "egress-scope-outside-router", "ingress-realms-exhausted", "no-fib-match"])
+def test_return_path_drops(text, timeline, drops, call):
+    found, calls = run_drops(text, timeline)
+    assert found == drops
+    assert calls == [call]
+
+
+def test_subscribe_at_a_node_that_is_not_a_rendezvous_fails(cross_realm_fabric):
+    f = cross_realm_fabric
+    f.topic_home["sports/news"] = "host3a"
+    u1 = parse_name("n2n://users:u1")
+    call = f.start_subscribe(u1, "sports/news")
+    f.run_until_idle()
+    assert (call.result, call.error) == (None, "unhandled")
+    with pytest.raises(DeliveryFailed):
+        NodeApi(f, u1).subscribe("sports/news")
 
 
 def test_ccn_data_answering_a_request_is_not_checked_as_a_push():

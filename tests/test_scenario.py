@@ -34,6 +34,8 @@ from internames.scenario import (
     save_scenario,
 )
 
+from conftest import CROSS_REALM
+
 ALL_SOURCES = ("fig3", "mobility-return", "reverse-multicast", "disaster", "cdn")
 
 MINIMAL = """
@@ -185,6 +187,12 @@ def test_invalid_scenarios_rejected(text, error):
         parse_scenario(text)
 
 
+def test_topic_rendezvous_must_be_a_rendezvous_node():
+    text = CROSS_REALM.replace("sports/news,rvX", "sports/news,host3a")
+    with pytest.raises(ValidationError, match="host3a is not a rendezvous node"):
+        parse_scenario(text)
+
+
 def test_empty_timeline_trace_has_only_rebinds():
     result = run_scenario(parse_scenario(MINIMAL, name="minimal"))
     assert {e.event for e in result.fabric.trace} == {EventKind.REBIND}
@@ -238,6 +246,26 @@ def test_invalid_migration_steps():
     bare = parse_scenario(MINIMAL, name="bare")
     with pytest.raises(InvalidStep):
         apply_migration(bare, parse_plan("replace_authoritative_resolver\n"))
+
+
+@pytest.mark.parametrize("step, problem", [
+    ("deploy_nested_realm,cpccn,CCNISH,nowhere,RNC,repoC,rtrC",
+     "realm cpccn: undefined parent nowhere"),
+    ("deploy_nested_realm,cpccn,CCNISH,net,RNC,repoC,ghost",
+     "link references undefined node ghost"),
+    ("deploy_nested_realm,cpccn,WIFI,net,RNC,repoC,rtrC",
+     "realm cpccn: unknown technology WIFI"),
+    ("deploy_nested_realm,cpccn,CCNISH,net,cdn,repoC,rtrC",
+     "duplicate node cdn"),
+    ("update_nrs,n2n://cp.com:video,CCNISH_OVER_UDPISH,-,IPISH,cdn,0,100,-,-,-,-",
+     "CCNISH_OVER_UDPISH descriptors need a non-empty fcn"),
+], ids=["undefined-parent", "undefined-attach", "unknown-technology", "router-is-a-node",
+        "record-the-nrs-cannot-hold"])
+def test_migration_step_whose_result_fails_validation(step, problem):
+    with pytest.raises(InvalidStep) as info:
+        apply_migration(load_builtin("cdn"), parse_plan(step + "\n"))
+    assert str(info.value).startswith(f"{step}: ")
+    assert problem in str(info.value)
 
 
 def test_migration_keeps_old_path_pullable():
