@@ -300,6 +300,9 @@ class Fabric:
         for n in (a, b):
             if n not in realm.member_nodes:
                 raise RealmViolation(f"{n} is not a member of realm {realm_id}")
+        if delay < 1:
+            # Route search and its stub shortcut assume every hop costs time.
+            raise ValueError(f"link {a}-{b}: delay must be >= 1")
         link = Link(a, b, realm_id, delay)
         self.links.append(link)
         for end in {a, b}:
@@ -335,17 +338,29 @@ class Fabric:
             for rid in node.realms:
                 if self.realms[rid].technology is RealmTech.CCNISH:
                     adverts.setdefault(rid, []).append((fcn, home))
+        # A member's next hop toward an owner is the same for every prefix the
+        # owner advertises, so each (realm, owner) is routed once, into the
+        # members' Fibs grouped by next hop; a group shares one FibEntry per
+        # prefix, and every Fib still gets its entries in advert order.
         for rid, entries in sorted(adverts.items()):
             realm = self.realms[rid]
+            routes: dict[str, dict[str, list]] = {}
             for prefix, owner in entries:
                 realm.fib_registrations.append((prefix, owner))
-                for member in realm.member_nodes:
-                    if member == owner:
-                        continue
-                    path = self._path(rid, member, owner)
-                    if path is None or len(path) < 2:
-                        continue
-                    self.nodes[member].ccn[rid].fib.append(FibEntry(prefix, path[1]))
+                fibs_by_hop = routes.get(owner)
+                if fibs_by_hop is None:
+                    fibs_by_hop = routes[owner] = {}
+                    for member in realm.member_nodes:
+                        if member == owner:
+                            continue
+                        path = self._path(rid, member, owner)
+                        if path is None or len(path) < 2:
+                            continue
+                        fibs_by_hop.setdefault(path[1], []).append(self.nodes[member].ccn[rid].fib)
+                for hop, fibs in fibs_by_hop.items():
+                    entry = FibEntry(prefix, hop)
+                    for fib in fibs:
+                        fib.append(entry)
 
     # ---------------------------------------------------------------- helpers
 
@@ -768,6 +783,7 @@ class Fabric:
                 self._router_relay_pubsub(msg, node_id, realm_id, call)
                 return
         if msg.kind is MessageKind.HTTP_GET:
+            self._recv(msg, node_id, realm_id)
             self._serve_http(msg, node_id, realm_id, call)
             return
         if msg.kind in (MessageKind.SUB, MessageKind.PUB) and node.kind is NodeKind.RENDEZVOUS:
@@ -799,7 +815,7 @@ class Fabric:
     # ------------------------------------------------------------ HTTP serving
 
     def _serve_http(self, msg, node_id, realm_id, call) -> None:
-        self._recv(msg, node_id, realm_id)
+        """Answer a GET whose RECV is already logged from the node's HTTP store."""
         uri = format_name(msg.target_name) if msg.target_name else ""
         body = self.nodes[node_id].http_store.get(uri)
         if body is None:

@@ -323,11 +323,23 @@ _POLICY_OPERATIONS = frozenset(op.value for op in PolicyOperation)
 _NO_TAGS = frozenset()
 
 
-def _parse_or_fail(uri: str, where: str) -> Name:
-    try:
-        return parse_name(uri)
-    except MalformedUri as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+class _Memo(dict):
+    """key -> make(key), made on the key's first lookup; calling the table
+    looks a key up.  Set-up makes one per call, so each distinct URI or
+    predicate is made once per call and shared (both are immutable), and
+    nothing outlives the call."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[Any], Any]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+    __call__ = dict.__getitem__
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -347,8 +359,13 @@ def validate_scenario(s: Scenario) -> None:
             raise ValidationError(f"name realm {nr.id}: unknown scheme {nr.scheme}")
         name_realms[nr.id] = NameRealm(nr.id, NamingScheme(nr.scheme), nr.description)
 
+    name_of = _Memo(parse_name)
+
     def check_name(uri, where) -> Name:
-        name = _parse_or_fail(uri, where)
+        try:
+            name = name_of(uri)
+        except MalformedUri as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
         realm = name_realms.get(name.realm_id)
         if realm is not None and not realm.admits(name):
             raise ValidationError(f"{where}: {uri} not admitted by name realm {name.realm_id}")
@@ -482,17 +499,22 @@ def _descriptor(r: RecordSpec) -> ServiceDescriptor:
     )
 
 
-def _record_to_nrs(r: RecordSpec) -> NrsRecord:
-    return NrsRecord(parse_name(r.prefix), _descriptor(r), ContextPredicate(
-        time_window=r.window,
-        location_tags=frozenset(r.location_tags),
-        context_tags=frozenset(r.context_tags),
-        service=Service(r.service) if r.service else None,
-    ))
+def _predicate(key: tuple) -> ContextPredicate:
+    """The predicate of a (window, location tags, context tags, service) key."""
+    window, location_tags, context_tags, service = key
+    return ContextPredicate(window, location_tags, context_tags,
+                            Service(service) if service else None)
+
+
+def _record_to_nrs(r: RecordSpec, name_of: Callable[[str], Name] = parse_name,
+                   predicate_of: Callable[[tuple], ContextPredicate] = _predicate) -> NrsRecord:
+    return NrsRecord(name_of(r.prefix), _descriptor(r),
+                     predicate_of((r.window, r.location_tags, r.context_tags, r.service)))
 
 
 def build_fabric(s: Scenario) -> Fabric:
     fabric = Fabric()
+    name_of = _Memo(parse_name)
     for r in s.realms:
         fabric.add_realm(r.id, RealmTech[r.technology], r.parent)
     for n in s.nodes:
@@ -503,7 +525,7 @@ def build_fabric(s: Scenario) -> Fabric:
         fabric.topic_home[t.fcn] = t.rendezvous
         fabric.topics.setdefault(t.fcn, set())
     for e in s.entities:
-        name = parse_name(e.uri)
+        name = name_of(e.uri)
         entity = NamedEntity(
             name=name,
             kind=EntityKind(e.kind),
@@ -517,12 +539,13 @@ def build_fabric(s: Scenario) -> Fabric:
         for host in e.hosts:
             fabric.host_content(host, name, e.payload, e.fcn)
     fabric.build_fibs()
+    predicate_of = _Memo(_predicate)
     for r in s.nrs_records:
-        fabric.nrs.register(_record_to_nrs(r), CallerRole.ADMINISTRATOR)
+        fabric.nrs.register(_record_to_nrs(r, name_of, predicate_of), CallerRole.ADMINISTRATOR)
     rules: dict[str, list[PolicyRule]] = {}
     for p in s.policies:
         rules.setdefault(p.router, []).append(PolicyRule(
-            parse_name(p.prefix),
+            name_of(p.prefix),
             PolicyAction(p.action),
             PolicyOperation(p.operation),
         ))
@@ -530,9 +553,9 @@ def build_fabric(s: Scenario) -> Fabric:
         fabric.nodes[router].policy = AccessPolicy(tuple(rule_list))
     # Declare every name the scenario binds, so bind accepts the ones the
     # ORS does not hold.
-    fabric.known_names.update(parse_name(a.args[0]) for a in s.timeline if a.op == "bind")
+    fabric.known_names.update(name_of(a.args[0]) for a in s.timeline if a.op == "bind")
     for b in s.bindings:
-        name = parse_name(b.uri)
+        name = name_of(b.uri)
         fabric.known_names.add(name)
         fabric.bind(name, b.nap)
     return fabric

@@ -20,7 +20,7 @@ from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, TraceEvent
 from internames.names import parse_name
 from internames.node_api import NodeApi
 from internames.scenario import BUILTIN_NAMES, load_builtin, parse_scenario, run_scenario
-from internames.wire import MessageKind, WireMessage, decode
+from internames.wire import Fib, FibEntry, MessageKind, WireMessage, decode
 
 from conftest import CROSS_REALM
 
@@ -361,6 +361,91 @@ def test_routes_match_link_scan_oracle(initial, steps):
         check()
 
 
+@pytest.mark.parametrize("delay", [0, -1])
+def test_add_link_refuses_a_delay_below_one(delay):
+    f = tiny_ip_fabric()
+    with pytest.raises(ValueError, match="delay must be >= 1"):
+        f.add_link("a", "b", "net", delay)
+    assert len(f.links) == 1
+    assert f._path("net", "a", "b") == ["a", "b"]
+
+
+# ------------------------------------------------------------- FIB oracle
+# build_fibs as it was: one route per (prefix, member).  The fabric routes
+# each (realm, owner) once and shares entries; every Fib must come out the
+# same, entry for entry and in order.
+
+
+def oracle_build_fibs(f):
+    """(realm -> fib_registrations, (member, realm) -> Fib) by the per-prefix loop."""
+    adverts = {}
+    for node in f.nodes.values():
+        for rid, state in node.ccn.items():
+            for prefix in sorted(state.repo):
+                adverts.setdefault(rid, []).append((prefix, node.id))
+    for fcn, home in sorted(f.topic_home.items()):
+        for rid in f.nodes[home].realms:
+            if f.realms[rid].technology is RealmTech.CCNISH:
+                adverts.setdefault(rid, []).append((fcn, home))
+    registrations, fibs = {}, {}
+    for rid, entries in sorted(adverts.items()):
+        for prefix, owner in entries:
+            registrations.setdefault(rid, []).append((prefix, owner))
+            for member in sorted(f.realms[rid].member_nodes):
+                if member == owner:
+                    continue
+                path = oracle_path(f, rid, member, owner)
+                if path is None or len(path) < 2:
+                    continue
+                fibs.setdefault((member, rid), Fib()).append(FibEntry(prefix, path[1]))
+    return registrations, fibs
+
+
+FIB_PREFIXES = ("a", "a/b", "c", "d/e")
+FIB_NODE = st.tuples(st.booleans(), st.booleans())  # (member of ccnB, member of cell)
+FIB_LINK = st.tuples(st.integers(0, 7), st.integers(0, 7), st.booleans(), st.integers(1, 2))
+FIB_OWNER = st.tuples(st.integers(0, 7), st.sampled_from(FIB_PREFIXES))
+
+
+@settings(deadline=None)
+@given(st.lists(FIB_NODE, min_size=2, max_size=7), st.lists(FIB_LINK, max_size=14),
+       st.lists(FIB_OWNER, min_size=1, max_size=6), st.none() | st.integers(0, 7), st.booleans())
+def test_fibs_match_per_prefix_oracle(nodes, links, owners, topic_home, partitioned):
+    # Every node is in CCNISH realm ccnA, some also in ccnB and in cell.
+    # Repeated endpoints make parallel links, delays 1 and 2 make ties,
+    # owners share prefixes, and partition("cell") kills ccnA/ccnB links
+    # that cross cell's edge.
+    f = Fabric()
+    for rid, tech in (("ccnA", RealmTech.CCNISH), ("ccnB", RealmTech.CCNISH),
+                      ("cell", RealmTech.IPISH)):
+        f.add_realm(rid, tech)
+    ids = [f"n{i}" for i in range(len(nodes))]
+    for node, (in_b, in_cell) in zip(ids, nodes):
+        f.add_node(node, NodeKind.CCN_ROUTER,
+                   ["ccnA"] + ["ccnB"] * in_b + ["cell"] * in_cell)
+    for i, j, on_b, delay in links:
+        a, b = ids[i % len(ids)], ids[j % len(ids)]
+        if a == b:
+            continue
+        both_in_b = on_b and "ccnB" in f.nodes[a].realms and "ccnB" in f.nodes[b].realms
+        f.add_link(a, b, "ccnB" if both_in_b else "ccnA", delay)
+    for k, (i, prefix) in enumerate(owners):
+        f.host_content(ids[i % len(ids)], parse_name(f"n2n://repo:o{k}"), b"x", prefix)
+    if topic_home is not None:
+        f.topic_home["t/news"] = ids[topic_home % len(ids)]
+    if partitioned:
+        f.partition("cell")
+    registrations, fibs = oracle_build_fibs(f)
+    f.build_fibs()
+    for rid in ("ccnA", "ccnB"):
+        assert f.realms[rid].fib_registrations == registrations.get(rid, [])
+    for node in ids:
+        for rid, state in f.nodes[node].ccn.items():
+            expected = fibs.get((node, rid), Fib())
+            assert list(state.fib) == list(expected)
+            assert state.fib.best_hop == expected.best_hop
+
+
 def test_link_dying_in_flight_reroutes():
     # a-b-x-c is the shortest path (3); b-d-c (delay 2 each) is the detour.
     f = tiny_ip_fabric(("a",))
@@ -674,6 +759,15 @@ def test_return_path_drops(text, timeline, drops, call):
     found, calls = run_drops(text, timeline)
     assert found == drops
     assert calls == [call]
+
+
+def test_name_router_serving_a_get_logs_one_recv():
+    text = CROSS_REALM + SERVING_ROUTER + "[timeline]\n0,pull,n2n://users:u1,n2n://web.org:page\n"
+    result = run_scenario(parse_scenario(text, name="serving-router"))
+    at_router = [(e.tick, e.event, e.msg_id, e.detail) for e in result.fabric.sorted_trace()
+                 if e.node == "RNy"]
+    assert at_router == [(6, EventKind.RECV, 2, "kind=HTTP_GET"),
+                         (6, EventKind.SEND, 3, "to=cli1 kind=HTTP_RESP")]
 
 
 def test_subscribe_at_a_node_that_is_not_a_rendezvous_fails(cross_realm_fabric):

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -8,6 +9,7 @@ import internames
 from internames.cli import main
 from internames.errors import InvalidStep, ParseError, ValidationError
 from internames.fabric import EventKind
+from internames.names import Name
 from internames.scenario import (
     BUILTIN_NAMES,
     TIMELINE_OPS,
@@ -151,6 +153,50 @@ def test_duplicate_nrs_records_rejected(nrs_lines, repeats):
 def test_nrs_record_beside_host_record_builds():
     text = MINIMAL + "[nrs]\n" + HOST_RECORD.replace(",-,-,-,-", ",lab,-,-,-") + "\n"
     assert len(build_fabric(parse_scenario(text)).nrs.records()) == 2
+
+
+# Each object's URI appears in an entity, an [nrs] record, a binding and
+# the timeline; the two records share one predicate.
+NAMED_OFTEN = MINIMAL + """
+[entities]
+n2n://shop:item/1,content,b,-,one,item,first
+n2n://shop:item/2,content,b,-,two,item,second
+
+[bindings]
+n2n://shop:item/1,b.net
+n2n://shop:item/2,b.net
+
+[nrs]
+n2n://shop:item/1,HTTPISH,-,IPISH,b,0,100,lab,-,-,-
+n2n://shop:item/2,HTTPISH,-,IPISH,b,0,100,lab,-,-,-
+
+[timeline]
+1,pull,n2n://users:x,n2n://shop:item/1
+2,pull,n2n://users:x,n2n://shop:item/2
+"""
+
+
+def test_set_up_builds_each_name_once_per_step(monkeypatch):
+    built = Counter()
+    post_init = Name.__post_init__
+
+    def counted(name):
+        post_init(name)
+        built[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
+
+    monkeypatch.setattr(Name, "__post_init__", counted)
+    once = dict.fromkeys(["n2n://users:x", "n2n://shop:item/1", "n2n://shop:item/2"], 1)
+    # The second round must count the same: nothing is memoised across calls.
+    for _ in range(2):
+        built.clear()
+        s = parse_scenario(NAMED_OFTEN)
+        assert built == once
+        built.clear()
+        fabric = build_fabric(s)
+        assert built == once
+    item1, item2 = [r for r in fabric.nrs.records() if r.prefix.realm_id == "shop"
+                    and r.sd.next_hop_address == "b"]
+    assert item1.predicate is item2.predicate
 
 
 @pytest.mark.parametrize("section,line,message", [
