@@ -621,7 +621,7 @@ class Fabric:
         self._emit(node, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, detail)
         self._fail(call, detail)
 
-    def _drop_unsent(self, node, realm_id, name, detail, call) -> None:
+    def drop_unsent(self, node, realm_id, name, detail, call) -> None:
         """Drop a request that never went on the wire, under a fresh message id."""
         self._emit(node, realm_id, EventKind.DROP, self.new_msg_id(), name, detail)
         self._fail(call, detail)
@@ -705,7 +705,7 @@ class Fabric:
         consult is dropped and cont receives None."""
         server = self._nearest_server(node_id, kind)
         if server is None:
-            self._drop_unsent(node_id, realm_id, name, f"{kind.value}-unreachable", call)
+            self.drop_unsent(node_id, realm_id, name, f"{kind.value}-unreachable", call)
             self.at(self.clock.now_tick, lambda: cont(None))
             return
         _srv, delay, srv_realm = server
@@ -1019,7 +1019,7 @@ class Fabric:
 
         def onto(sds):
             if sds is None:
-                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call)
+                self.drop_unsent(node_id, realm_id, target, "not-resolvable", call)
                 return
             sd = sds[0]
             if self.realms[realm_id].technology is RealmTech.CCNISH:
@@ -1043,7 +1043,7 @@ class Fabric:
 
         def onto(sds):
             if sds is None:
-                self._drop_unsent(node_id, realm_id, target, "not-resolvable", call)
+                self.drop_unsent(node_id, realm_id, target, "not-resolvable", call)
                 return
             push = self._push_msg(realm_id, format_name(target), target, caller, body)
             self.deliver_to_name(push, node_id, realm_id, call)

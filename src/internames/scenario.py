@@ -11,12 +11,20 @@ read those two tables, so files round-trip: load(save(load(f))) == load(f).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields as spec_fields, replace
+from dataclasses import dataclass, field, fields as spec_fields, replace
 from importlib import resources
+from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
-from .errors import InvalidStep, ParseError, ValidationError
-from .fabric import PROTOCOL_OF_TECH, Fabric, NodeKind, RealmTech
+from .errors import (
+    DuplicateRecord,
+    InvalidStep,
+    NotBound,
+    NotFound,
+    ParseError,
+    ValidationError,
+)
+from .fabric import PROTOCOL_OF_TECH, CallRecord, Fabric, NodeKind, RealmTech
 from .name_router import AccessPolicy, PolicyAction, PolicyOperation, PolicyRule
 from .names import (
     EntityKind,
@@ -128,6 +136,14 @@ class ActionSpec:
             raise ValueError(f"op {self.op} takes {len(op.kinds)} args, got {len(self.args)}")
 
 
+class Built(NamedTuple):
+    """What validating a scenario builds for build_fabric to install: the
+    Name of each URI it names and one NrsRecord per [nrs] line."""
+
+    names: Callable[[str], Name]
+    records: tuple[NrsRecord, ...]
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
@@ -141,6 +157,10 @@ class Scenario:
     policies: tuple[PolicySpec, ...] = ()
     topics: tuple[TopicSpec, ...] = ()
     timeline: tuple[ActionSpec, ...] = ()
+    # Set by parse_scenario and apply_step, which validate what they return;
+    # left out of ==, hash and repr, and None on a Scenario built by hand or
+    # by replace().
+    built: Built | None = field(default=None, init=False, compare=False, repr=False)
 
 
 # ------------------------------------------------------------------ format
@@ -242,26 +262,36 @@ _BINDINGS = _SECTION_OF["bindings"]
 
 class Op(NamedTuple):
     """One timeline op: the kind of each argument, or None when the
-    arguments are one [nrs] record, and the step that fires it at the
-    fabric's tick, which returns the call it starts or None."""
+    arguments are one [nrs] record; the step that fires it at the fabric's
+    tick, which returns the call it starts or None; and, for an op that
+    starts a call, the call's target text read from the arguments."""
 
     kinds: tuple[str, ...] | None
     fire: Callable[[Fabric, tuple[str, ...]], Any]
+    target: Callable[[tuple[str, ...]], str] | None = None
 
 
 NAME, NAP, REALM, FREE = "name", "nap", "realm", "text"
+_second = itemgetter(1)
+
+
+def _keywords(a: tuple[str, ...]) -> str:
+    return ",".join(a[1].split())
+
 
 TIMELINE_OPS = {
-    "pull": Op((NAME, NAME), lambda f, a: f.start_pull(parse_name(a[0]), parse_name(a[1]))),
+    "pull": Op((NAME, NAME), lambda f, a: f.start_pull(parse_name(a[0]), parse_name(a[1])),
+               _second),
     "push": Op((NAME, NAME, FREE), lambda f, a: f.start_push(
-        parse_name(a[0]), parse_name(a[1]), a[2].encode())),
+        parse_name(a[0]), parse_name(a[1]), a[2].encode()), _second),
     "publish": Op((NAME, FREE, FREE), lambda f, a: f.start_publish(
-        parse_name(a[0]), a[1], a[2].encode())),
-    "subscribe": Op((NAME, FREE), lambda f, a: f.start_subscribe(parse_name(a[0]), a[1])),
+        parse_name(a[0]), a[1], a[2].encode()), _second),
+    "subscribe": Op((NAME, FREE), lambda f, a: f.start_subscribe(parse_name(a[0]), a[1]),
+                    _second),
     "search": Op((NAME, FREE), lambda f, a: f.start_search(
-        parse_name(a[0]), tuple(a[1].split()))),
+        parse_name(a[0]), tuple(a[1].split())), _keywords),
     "fetch": Op((NAME, FREE), lambda f, a: f.start_search(
-        parse_name(a[0]), tuple(a[1].split()), then_pull=True)),
+        parse_name(a[0]), tuple(a[1].split()), then_pull=True), _keywords),
     "bind": Op((NAME, NAP), lambda f, a: f.bind(parse_name(a[0]), a[1])),
     "unbind": Op((NAME, NAP), lambda f, a: f.unbind(parse_name(a[0]), a[1])),
     "partition": Op((REALM,), lambda f, a: f.partition(a[0])),
@@ -288,9 +318,13 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if section is None:
             raise ParseError(f"line {lineno}: record outside any section")
         rows.append(parse([f.strip() for f in line.split(",")], f"line {lineno}"))
-    scenario = Scenario(name, **{attr: tuple(found) for attr, found in records.items()})
-    validate_scenario(scenario)
-    return scenario
+    return _validated(Scenario(name, **{attr: tuple(found) for attr, found in records.items()}))
+
+
+def _validated(s: Scenario) -> Scenario:
+    """s, carrying the Names and NRS records its validation built."""
+    object.__setattr__(s, "built", validate_scenario(s))
+    return s
 
 
 def _read_file(path: str) -> str:
@@ -320,7 +354,6 @@ def save_scenario(s: Scenario) -> str:
 _NODE_KINDS = frozenset(k.value for k in NodeKind)
 _SERVICES = frozenset(sv.value for sv in Service)
 _POLICY_OPERATIONS = frozenset(op.value for op in PolicyOperation)
-_NO_TAGS = frozenset()
 
 
 class _Memo(dict):
@@ -342,7 +375,9 @@ class _Memo(dict):
     __call__ = dict.__getitem__
 
 
-def validate_scenario(s: Scenario) -> None:
+def validate_scenario(s: Scenario) -> Built:
+    """The Names and NRS records a valid scenario's set-up installs;
+    ValidationError naming the first line that is not valid."""
     realm_ids = set()
     for r in s.realms:
         if r.id in realm_ids:
@@ -407,25 +442,25 @@ def validate_scenario(s: Scenario) -> None:
             if host not in node_realms:
                 raise ValidationError(f"entity {e.uri}: undefined host {host}")
 
-    # The line that first registers each NRS store key (NrsRecord.key: a
-    # second record under it is refused); every binding registers a host
-    # record for its NAP.  A prefix's text stands for its Name, as
-    # parse_name accepts canonical URIs only.
+    # The line that first registers each NRS store key (NrsRecord.key: the
+    # store refuses a second record under it); every binding registers a
+    # host record for its NAP, with the empty predicate.
     techs = {r.id: RealmTech[r.technology] for r in s.realms}
+    anywhere = ContextPredicate()
     registered = {}
     for b in s.bindings:
-        check_name(b.uri, f"binding {b.uri}")
+        name = check_name(b.uri, f"binding {b.uri}")
         if b.nap not in nap_realm:
             raise ValidationError(f"binding {b.uri}: undefined nap {b.nap}")
-        protocol = PROTOCOL_OF_TECH[techs[nap_realm[b.nap]]].name
-        key = (b.uri, protocol, b.nap, None, _NO_TAGS, _NO_TAGS, None)
-        registered.setdefault(key, b)
+        protocol = PROTOCOL_OF_TECH[techs[nap_realm[b.nap]]]
+        registered.setdefault((name, protocol, b.nap, anywhere), b)
 
     locators = nap_realm.keys() | node_realms.keys()
+    predicate_of = _Memo(_predicate)
 
-    def check_record(r: RecordSpec, where: str) -> None:
-        """Refuse a record the NRS could not hold: an [nrs] line or the
-        arguments of an nrs_register op."""
+    def check_record(r: RecordSpec, where: str) -> NrsRecord:
+        """The record an [nrs] line or the arguments of an nrs_register op
+        describe; ValidationError if the NRS could not hold it."""
         check_name(r.prefix, where)
         if r.protocol not in Protocol.__members__:
             raise ValidationError(f"{where}: unknown protocol {r.protocol}")
@@ -436,19 +471,21 @@ def validate_scenario(s: Scenario) -> None:
         if r.service is not None and r.service not in _SERVICES:
             raise ValidationError(f"{where}: unknown service {r.service}")
         try:
-            _descriptor(r)
+            return _record_to_nrs(r, name_of, predicate_of)
         except ValueError as exc:
             raise ValidationError(f"{where}: {exc} in line {_NRS.format(r)}") from exc
 
+    records = []
     for r in s.nrs_records:
-        check_record(r, f"nrs record {r.prefix}")
-        key = (r.prefix, r.protocol, r.next_hop, r.window, frozenset(r.location_tags),
-               frozenset(r.context_tags), r.service)
-        first = registered.setdefault(key, r)
-        if first is not r:
+        record = check_record(r, f"nrs record {r.prefix}")
+        key = record.key()
+        first = registered.get(key)
+        if first is not None:
             repeats = (f"the host record of [bindings] line {_BINDINGS.format(first)}"
                        if isinstance(first, BindingSpec) else f"[nrs] line {_NRS.format(first)}")
             raise ValidationError(f"nrs record {_NRS.format(r)}: repeats {repeats}")
+        registered[key] = r
+        records.append(record)
 
     for p in s.policies:
         if p.router not in node_realms:
@@ -482,6 +519,7 @@ def validate_scenario(s: Scenario) -> None:
                 check_name(arg, where)
             elif kind in defined and arg not in defined[kind]:
                 raise ValidationError(f"{where}: undefined {kind} {arg}")
+    return Built(name_of, tuple(records))
 
 
 # ----------------------------------------------------------------- building
@@ -513,8 +551,11 @@ def _record_to_nrs(r: RecordSpec, name_of: Callable[[str], Name] = parse_name,
 
 
 def build_fabric(s: Scenario) -> Fabric:
+    """The fabric a scenario describes, holding the Names and NRS records
+    its validation built; a Scenario that carries none is validated here."""
+    built = validate_scenario(s) if s.built is None else s.built
+    name_of = built.names
     fabric = Fabric()
-    name_of = _Memo(parse_name)
     for r in s.realms:
         fabric.add_realm(r.id, RealmTech[r.technology], r.parent)
     for n in s.nodes:
@@ -539,9 +580,8 @@ def build_fabric(s: Scenario) -> Fabric:
         for host in e.hosts:
             fabric.host_content(host, name, e.payload, e.fcn)
     fabric.build_fibs()
-    predicate_of = _Memo(_predicate)
-    for r in s.nrs_records:
-        fabric.nrs.register(_record_to_nrs(r, name_of, predicate_of), CallerRole.ADMINISTRATOR)
+    for record in built.records:
+        fabric.nrs.register(record, CallerRole.ADMINISTRATOR)
     rules: dict[str, list[PolicyRule]] = {}
     for p in s.policies:
         rules.setdefault(p.router, []).append(PolicyRule(
@@ -572,11 +612,24 @@ class RunResult:
     calls: list
 
 
+# The errors a valid scenario's op can still raise when it fires, and the
+# detail of the DROP each becomes: a caller or unbind with no binding, a
+# withdraw of an absent record, and a register or bind that repeats one.
+_ABORTS = {NotBound: "not-bound", NotFound: "no-record", DuplicateRecord: "duplicate-record"}
+
+
 def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
-    fire = TIMELINE_OPS[a.op].fire
+    op = TIMELINE_OPS[a.op]
 
     def step():
-        call = fire(fabric, a.args)
+        try:
+            call = op.fire(fabric, a.args)
+        except tuple(_ABORTS) as exc:
+            # Every op that can raise these takes its name (or, for
+            # nrs_register, its prefix) first.
+            call = None if op.target is None else CallRecord(
+                a.op, parse_name(a.args[0]), op.target(a.args))
+            fabric.drop_unsent("-", "-", a.args[0], _ABORTS[type(exc)], call)
         if call is not None:
             calls.append(call)
 
@@ -696,10 +749,9 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
     else:
         raise InvalidStep(step.op)
     try:
-        validate_scenario(new)
+        return _validated(new)
     except ValidationError as exc:
         raise InvalidStep(f"{','.join((step.op, *step.args))}: {exc}") from exc
-    return new
 
 
 def apply_migration(s: Scenario, plan: MigrationPlan) -> Scenario:

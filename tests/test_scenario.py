@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -10,8 +11,10 @@ from internames.cli import main
 from internames.errors import InvalidStep, ParseError, ValidationError
 from internames.fabric import EventKind
 from internames.names import Name
+from internames.nrs import ServiceDescriptor
 from internames.scenario import (
     BUILTIN_NAMES,
+    SECTIONS,
     TIMELINE_OPS,
     ActionSpec,
     BindingSpec,
@@ -34,6 +37,7 @@ from internames.scenario import (
     parse_scenario,
     run_scenario,
     save_scenario,
+    validate_scenario,
 )
 
 from conftest import CROSS_REALM
@@ -150,13 +154,75 @@ def test_duplicate_nrs_records_rejected(nrs_lines, repeats):
     assert str(info.value).startswith(f"nrs record {nrs_lines[-1]}")
 
 
+# The rule validation applied before it keyed records by NrsRecord.key(),
+# kept as the reference: an [nrs] line repeats the first earlier [nrs] line,
+# or host record of a binding, with the same prefix, protocol, next hop,
+# window, location tags, context tags and service.
+FORMAT = {s.name: s.format for s in SECTIONS}
+HOST_PROTOCOL = {"IPISH": "HTTPISH", "CCNISH": "CCNISH_OVER_UDPISH"}
+NO_TAGS = frozenset()
+
+
+def oracle_repeat(s):
+    """The refusal of the first [nrs] line that repeats a record, or None."""
+    techs = {r.id: r.technology for r in s.realms}
+    nap_realm = {f"{n.id}.{rid}": rid for n in s.nodes for rid in n.realms}
+    registered = {}
+    for b in s.bindings:
+        protocol = HOST_PROTOCOL[techs[nap_realm[b.nap]]]
+        registered.setdefault((b.uri, protocol, b.nap, None, NO_TAGS, NO_TAGS, None), b)
+    for r in s.nrs_records:
+        key = (r.prefix, r.protocol, r.next_hop, r.window, frozenset(r.location_tags),
+               frozenset(r.context_tags), r.service)
+        first = registered.get(key)
+        if first is not None:
+            repeats = (f"the host record of [bindings] line {FORMAT['bindings'](first)}"
+                       if isinstance(first, BindingSpec) else f"[nrs] line {FORMAT['nrs'](first)}")
+            return f"nrs record {FORMAT['nrs'](r)}: repeats {repeats}"
+        registered[key] = r
+    return None
+
+
+# Small pools, so that drawn records often share a key: a host has a NAP in
+# an IPISH and a CCNISH realm, and records vary in fields inside and outside
+# the key.
+TWO_REALMS = dict(realms=(RealmSpec("net", "IPISH"), RealmSpec("ccn", "CCNISH")),
+                  nodes=(NodeSpec("a", "host", ("net",)), NodeSpec("b", "host", ("net", "ccn"))))
+URIS = st.sampled_from(["n2n://users:x", "n2n://shop:item"])
+TAG_LISTS = st.sampled_from([(), ("t1",), ("t1", "t2"), ("t2", "t1")])
+RECORDS = st.builds(
+    RecordSpec, prefix=URIS, protocol=st.sampled_from(sorted(HOST_PROTOCOL.values())),
+    fcn=st.just("f"), tech=st.sampled_from(sorted(HOST_PROTOCOL)),
+    next_hop=st.sampled_from(["b", "a.net", "b.ccn"]), priority=st.integers(0, 1),
+    ttl=st.integers(0, 1), context_tags=TAG_LISTS, location_tags=TAG_LISTS,
+    window=st.none() | st.just((0, 5)), service=st.none() | st.just("anycast"),
+    scope=st.none() | st.just("net"))
+
+
+@given(st.lists(st.builds(BindingSpec, URIS, st.sampled_from(["a.net", "b.ccn"])), max_size=3),
+       st.lists(RECORDS, max_size=4))
+@example([BindingSpec("n2n://shop:item", "b.ccn")],
+         [RecordSpec("n2n://shop:item", "CCNISH_OVER_UDPISH", "f", "CCNISH", "b.ccn", 1)])
+@example([], [RecordSpec("n2n://users:x", "HTTPISH", "f", "IPISH", "b", context_tags=tags)
+              for tags in (("t1", "t2"), ("t2", "t1"))])
+def test_repeated_records_refused_as_the_seven_field_rule_finds(bindings, records):
+    s = Scenario(**TWO_REALMS, bindings=tuple(bindings), nrs_records=tuple(records))
+    refusal = oracle_repeat(s)
+    if refusal is None:
+        assert len(validate_scenario(s).records) == len(records)
+    else:
+        with pytest.raises(ValidationError) as info:
+            validate_scenario(s)
+        assert str(info.value) == refusal
+
+
 def test_nrs_record_beside_host_record_builds():
     text = MINIMAL + "[nrs]\n" + HOST_RECORD.replace(",-,-,-,-", ",lab,-,-,-") + "\n"
     assert len(build_fabric(parse_scenario(text)).nrs.records()) == 2
 
 
 # Each object's URI appears in an entity, an [nrs] record, a binding and
-# the timeline; the two records share one predicate.
+# the timeline; the two records share one predicate but not a descriptor.
 NAMED_OFTEN = MINIMAL + """
 [entities]
 n2n://shop:item/1,content,b,-,one,item,first
@@ -168,7 +234,7 @@ n2n://shop:item/2,b.net
 
 [nrs]
 n2n://shop:item/1,HTTPISH,-,IPISH,b,0,100,lab,-,-,-
-n2n://shop:item/2,HTTPISH,-,IPISH,b,0,100,lab,-,-,-
+n2n://shop:item/2,HTTPISH,-,IPISH,b,1,100,lab,-,-,-
 
 [timeline]
 1,pull,n2n://users:x,n2n://shop:item/1
@@ -176,27 +242,45 @@ n2n://shop:item/2,HTTPISH,-,IPISH,b,0,100,lab,-,-,-
 """
 
 
-def test_set_up_builds_each_name_once_per_step(monkeypatch):
-    built = Counter()
-    post_init = Name.__post_init__
+def test_set_up_builds_each_name_and_record_once(monkeypatch):
+    names, sds = Counter(), Counter()
+    name_init, sd_init = Name.__post_init__, ServiceDescriptor.__post_init__
 
-    def counted(name):
-        post_init(name)
-        built[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
+    def counted_name(name):
+        name_init(name)
+        names[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
 
-    monkeypatch.setattr(Name, "__post_init__", counted)
-    once = dict.fromkeys(["n2n://users:x", "n2n://shop:item/1", "n2n://shop:item/2"], 1)
+    def counted_sd(sd):
+        sd_init(sd)
+        sds[sd.canonical_text()] += 1
+
+    monkeypatch.setattr(Name, "__post_init__", counted_name)
+    monkeypatch.setattr(ServiceDescriptor, "__post_init__", counted_sd)
+    once = Counter(["n2n://users:x", "n2n://shop:item/1", "n2n://shop:item/2"])
+    nrs_lines = Counter(f"protocol=HTTPISH fcn=- next_hop=b tech=IPISH priority={p} ttl=100"
+                        for p in (0, 1))
+    # The fabric registers a host record for each binding as it binds.
+    host_records = Counter(f"protocol=HTTPISH fcn=- next_hop={nap} tech=IPISH priority=0"
+                           " ttl=100 scope=net" for nap in ("a.net", "b.net", "b.net"))
+
+    def counts(make):
+        names.clear()
+        sds.clear()
+        return make(), names.copy(), sds.copy()
+
     # The second round must count the same: nothing is memoised across calls.
     for _ in range(2):
-        built.clear()
-        s = parse_scenario(NAMED_OFTEN)
-        assert built == once
-        built.clear()
-        fabric = build_fabric(s)
-        assert built == once
-    item1, item2 = [r for r in fabric.nrs.records() if r.prefix.realm_id == "shop"
-                    and r.sd.next_hop_address == "b"]
-    assert item1.predicate is item2.predicate
+        s, built_names, built_sds = counts(lambda: parse_scenario(NAMED_OFTEN))
+        assert (built_names, built_sds) == (once, nrs_lines)
+        fabric, built_names, built_sds = counts(lambda: build_fabric(s))
+        assert (built_names, built_sds) == (Counter(), host_records)
+        # replace() drops what validation built, so build_fabric validates.
+        copy, built_names, built_sds = counts(lambda: build_fabric(replace(s, name="copy")))
+        assert (built_names, built_sds) == (once, nrs_lines + host_records)
+        for f in (fabric, copy):
+            item1, item2 = [r for r in f.nrs.records() if r.prefix.realm_id == "shop"
+                            and r.sd.next_hop_address == "b"]
+            assert item1.predicate is item2.predicate
 
 
 @pytest.mark.parametrize("section,line,message", [
@@ -260,6 +344,26 @@ def test_diff_trace_identical_and_perturbed():
     assert "line 3" in message
     status, message = diff_trace(trace, trace + "extra\n")
     assert status == 1 and "longer" in message
+
+
+@pytest.mark.parametrize("line,name,detail,call", [
+    ("99,pull,n2n://users:nobody,n2n://users:nobody", "n2n://users:nobody", "not-bound",
+     ("pull", "n2n://users:nobody", "n2n://users:nobody")),
+    ("99,fetch,n2n://users:nobody,article  pdf", "n2n://users:nobody", "not-bound",
+     ("fetch", "n2n://users:nobody", "article,pdf")),
+    ("99,unbind,n2n://ccn.com:article.pdf,client1.internet", "n2n://ccn.com:article.pdf",
+     "not-bound", None),
+    ("99,nrs_withdraw,n2n://ccn.com:nothing,FCN9", "n2n://ccn.com:nothing", "no-record", None),
+    ("99,nrs_register,n2n://ccn.com:article.pdf,CCNISH_OVER_UDPISH,FCN1,IPISH,RN1,0,100,-,"
+     "internet,-,-", "n2n://ccn.com:article.pdf", "duplicate-record", None),
+], ids=["unbound-pull", "unbound-fetch", "unbind-unbound", "withdraw-absent", "register-again"])
+def test_op_that_cannot_fire_is_a_drop_and_the_run_goes_on(line, name, detail, call):
+    text = save_scenario(load_builtin("fig3")) + line + "\n"
+    result = run_scenario(parse_scenario(text, name="aborted"))
+    drop = f"t=99 node=- realm=- event=DROP msg=7 name={name} detail={detail}"
+    assert result.trace_text == golden_trace("fig3") + drop
+    aborted = [(c.kind, c.caller.uri, c.target, c.error) for c in result.calls[1:]]
+    assert aborted == ([] if call is None else [(*call, detail)])
 
 
 def test_builtins_match_frozen_goldens():
