@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -63,9 +64,11 @@ from .wire import (
 # A realm's technology is the next-hop technology of the NAPs in it.
 RealmTech = NextHopTech
 
+# Keyed by the tech's _value_: the engine looks it up per bridged message,
+# and an Enum member's own hash is a Python-level call.
 PROTOCOL_OF_TECH = {
-    RealmTech.IPISH: Protocol.HTTPISH,
-    RealmTech.CCNISH: Protocol.CCNISH_OVER_UDPISH,
+    RealmTech.IPISH._value_: Protocol.HTTPISH,
+    RealmTech.CCNISH._value_: Protocol.CCNISH_OVER_UDPISH,
 }
 
 
@@ -162,25 +165,44 @@ class Node:
 
 
 class SimClock:
-    """Monotone tick clock with a (tick, sequence)-ordered pending queue."""
+    """Monotone tick clock: callbacks run by tick, and in scheduling order
+    within a tick.
+
+    Each pending tick has one FIFO bucket, and a heap holds the distinct
+    ticks (a calendar queue with one bucket per tick).  schedule refuses the
+    past, so a callback scheduled while its tick runs joins the end of that
+    tick's bucket, behind everything scheduled before it."""
 
     def __init__(self):
         self.now_tick = 0
-        self._pending: list[tuple[int, int, object]] = []
-        self._seq = itertools.count()
+        self._buckets: dict[int, deque] = {}
+        self._ticks: list[int] = []  # heap of the ticks in _buckets
 
     def schedule(self, tick: int, fn) -> None:
         if tick < self.now_tick:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._pending, (tick, next(self._seq), fn))
+        bucket = self._buckets.get(tick)
+        if bucket is None:
+            bucket = self._buckets[tick] = deque()
+            heapq.heappush(self._ticks, tick)
+        bucket.append(fn)
 
     def pop_due(self, until_tick: int | None):
-        # schedule refuses the past, so each popped tick is at least now_tick.
-        pending = self._pending
-        while pending and (until_tick is None or pending[0][0] <= until_tick):
-            tick, _, fn = heapq.heappop(pending)
-            self.now_tick = tick
-            yield tick, fn
+        # A callback is taken off its bucket before it is yielded, so one that
+        # raises is consumed and the rest stay pending; its bucket, even if
+        # empty, is retired on a later run.  A drained bucket is retired only
+        # if it is still its tick's: a run nested in a callback may have
+        # retired it, and opened a new one for the same tick.
+        ticks, buckets = self._ticks, self._buckets
+        while ticks and (until_tick is None or ticks[0] <= until_tick):
+            tick = ticks[0]
+            bucket = buckets[tick]
+            while bucket:
+                self.now_tick = tick
+                yield tick, bucket.popleft()
+            if buckets.get(tick) is bucket:
+                heapq.heappop(ticks)
+                del buckets[tick]
 
 
 @dataclass
@@ -211,26 +233,113 @@ class CallRecord:
         return len({format_name(n) for _, n, _ in self.deliveries})
 
 
+# Printable ASCII other than the space: the bytes a body may show as text.
+_PRINTABLE = re.compile(rb"[!-~]+")
+
+
 def _body_text(body: bytes) -> str:
     if not body:
         return "-"
-    if all(33 <= c <= 126 for c in body):
+    if _PRINTABLE.fullmatch(body):
         return body.decode("ascii")
     return "hex:" + body.hex()
 
 
+# The tables the engine reads per event are keyed by the member's _value_,
+# whose str hash is C-level and cached.
 _KIND_TO_OP = {
-    MessageKind.HTTP_GET: PolicyOperation.PULL,
-    MessageKind.HTTP_PUSH: PolicyOperation.PUSH,
-    MessageKind.SUB: PolicyOperation.SUBSCRIBE,
-    MessageKind.PUB: PolicyOperation.PUBLISH,
+    MessageKind.HTTP_GET._value_: PolicyOperation.PULL,
+    MessageKind.HTTP_PUSH._value_: PolicyOperation.PUSH,
+    MessageKind.SUB._value_: PolicyOperation.SUBSCRIBE,
+    MessageKind.PUB._value_: PolicyOperation.PUBLISH,
 }
 
-_DELIVERABLE = {MessageKind.HTTP_RESP, MessageKind.CCN_DATA, MessageKind.HTTP_PUSH}
+_DELIVERABLE = frozenset(k._value_ for k in (MessageKind.HTTP_RESP, MessageKind.CCN_DATA,
+                                             MessageKind.HTTP_PUSH))
 
 # The query and answer events of a consult, by the kind of server asked.
-_CONSULT_EVENTS = {NodeKind.NRS: (EventKind.NRS_Q, EventKind.NRS_R),
-                   NodeKind.ORS: (EventKind.ORS_Q, EventKind.ORS_R)}
+_CONSULT_EVENTS = {NodeKind.NRS._value_: (EventKind.NRS_Q, EventKind.NRS_R),
+                   NodeKind.ORS._value_: (EventKind.ORS_Q, EventKind.ORS_R)}
+
+
+class _Flight:
+    """One transmit: msg on its way along path in one realm, hop by hop.
+
+    Each hop is scheduled when the previous one lands, over the cheapest
+    link alive at that moment; if none is, the flight re-routes from where
+    it is, or is dropped there.  The text every hop shares is built once:
+    ``detail`` for each FWD, and in a nested realm, whose hops are tunnelled
+    through the parent realm as HTTP pushes, the message's encoding and the
+    tunnel text."""
+
+    __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "on_arrive", "detail",
+                 "parent", "encoded", "tunnel", "outer_id")
+
+    def __init__(self, fabric, msg, realm, path, call, on_arrive, detail):
+        self.fabric = fabric
+        self.msg = msg
+        self.realm = realm
+        self.path = path
+        self.i = 1  # the hop under way ends at path[i]
+        self.call = call
+        self.on_arrive = on_arrive
+        self.detail = detail
+        self.parent = fabric.realms[realm].parent_realm
+        self.encoded = None
+
+    def hop(self) -> None:
+        """Send msg from path[i - 1] to path[i]."""
+        fabric, path, i = self.fabric, self.path, self.i
+        link = fabric._link_between(self.realm, path[i - 1], path[i])
+        if link is None:
+            # Link died after the path was computed; recompute from path[i - 1].
+            fresh = fabric._path(self.realm, path[i - 1], path[-1])
+            if fresh is None:
+                fabric.at(fabric.clock.now_tick, self.lost)
+                return
+            self.path, self.i = fresh, 1
+            self.hop()
+            return
+        if self.parent is not None:
+            self.tunnel_hop()
+            return
+        fabric.at(fabric.clock.now_tick + link.delay, self.land)
+
+    def land(self) -> None:
+        """msg reached path[i]: arrive if it is the last hop, else forward."""
+        fabric, path, i, msg = self.fabric, self.path, self.i, self.msg
+        if i == len(path) - 1:
+            fabric._arrive(msg, path[i], self.realm, self.call, self.on_arrive)
+            return
+        fabric._emit(path[i], self.realm, EventKind.FWD, msg.msg_id, msg.target_name,
+                     self.detail)
+        self.i = i + 1
+        self.hop()
+
+    def lost(self) -> None:
+        """No path is left from path[i - 1]: drop msg there."""
+        fabric = self.fabric
+        fabric._drop(self.path[self.i - 1], self.realm, self.msg,
+                     fabric._no_path_detail(self.realm), self.call)
+
+    def tunnel_hop(self) -> None:
+        """Carry the hop as a payload message in the parent realm."""
+        fabric, msg = self.fabric, self.msg
+        if self.encoded is None:
+            self.encoded = encode(msg)
+            self.tunnel = f"tunnel realm={self.realm} inner={msg.msg_id}"
+        outer = fabric._new_msg(kind=MessageKind.HTTP_PUSH, body=self.encoded)
+        fabric.encapsulations.append((outer.msg_id, msg.msg_id, self.realm))
+        self.outer_id = outer.msg_id
+        fabric._transmit(outer, self.path[self.i - 1], self.parent, self.path[self.i],
+                         EventKind.SEND, self.call, on_arrive=self.resume,
+                         detail_extra=self.tunnel)
+
+    def resume(self) -> None:
+        """The tunnelled hop reached path[i] in the parent realm."""
+        self.fabric._emit(self.path[self.i], self.parent, EventKind.RECV, self.outer_id, "-",
+                          self.tunnel)
+        self.land()
 
 
 class Fabric:
@@ -262,7 +371,10 @@ class Fabric:
         self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
         self._roots: dict[tuple[str, str], str] = {}
         self._links: dict[tuple[str, str, str], Link | None] = {}
-        self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
+        # keyed by (node, the kind's _value_)
+        self._servers: dict[tuple[str, str], tuple[str, int, str] | None] = {}
+        # the NRS_Q detail per (location, context tags)
+        self._query_text: dict[tuple[str, frozenset[str]], str] = {}
 
     # ---------------------------------------------------------------- topology
 
@@ -487,7 +599,7 @@ class Fabric:
 
         Ties go to the lower realm id, then the lower node id, whatever the
         scan order.  Memoised per (node, kind) beside the route memo."""
-        key = (node_id, kind)
+        key = (node_id, kind._value_)
         if key in self._servers:
             return self._servers[key]
         best = None
@@ -523,13 +635,15 @@ class Fabric:
             raise UnknownNap(nap_id)
         if name not in self.ors and name not in self.known_names:
             raise ValidationError(f"name {format_name(name)} is neither registered nor declared")
-        naps = self.bindings.setdefault(name, [])
-        if nap_id in naps:
+        if nap_id in self.bindings.get(name, ()):
             return
+        # The host record goes first, so a record the NRS refuses leaves no
+        # binding and no REBIND behind.
+        self._register_host_record(name, nap)
+        naps = self.bindings.setdefault(name, [])
         naps.append(nap_id)
         naps.sort()
         self._emit(nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"bind nap={nap_id}")
-        self._register_host_record(name, nap)
 
     def unbind(self, name: Name, nap_id: str) -> None:
         naps = self.bindings.get(name, [])
@@ -543,7 +657,7 @@ class Fabric:
     def _register_host_record(self, name: Name, nap: NetworkAttachmentPoint) -> None:
         tech = self.realms[nap.realm_id].technology
         sd = ServiceDescriptor(
-            protocol=PROTOCOL_OF_TECH[tech],
+            protocol=PROTOCOL_OF_TECH[tech._value_],
             fcn=format_name(name) if tech is RealmTech.CCNISH else "",
             next_hop_tech=tech,
             next_hop_address=nap.nap_id,
@@ -641,58 +755,15 @@ class Fabric:
         if path is None:
             self._drop(src, realm_id, msg, self._no_path_detail(realm_id), call)
             return
-        detail = f"to={dst_node} kind={msg.kind._value_}"
-        if detail_extra:
-            detail += " " + detail_extra
+        flight = _Flight(self, msg, realm_id, path, call, on_arrive,
+                         f"to={dst_node} kind={msg.kind._value_}")
+        detail = f"{flight.detail} {detail_extra}" if detail_extra else flight.detail
         self._emit(src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
         if len(path) == 1:
-            self.at(self.clock.now_tick, partial(self._arrive, msg, src, realm_id, call,
-                                                 on_arrive))
+            flight.i = 0
+            self.at(self.clock.now_tick, flight.land)
             return
-        self._schedule_hop(msg, realm_id, path, 1, call, on_arrive)
-
-    def _schedule_hop(self, msg, realm_id, path, i, call, on_arrive) -> None:
-        prev, node = path[i - 1], path[i]
-        link = self._link_between(realm_id, prev, node)
-        if link is None:
-            # Link died after the path was computed; recompute from prev.
-            fresh = self._path(realm_id, prev, path[-1])
-            if fresh is None:
-                self.at(self.clock.now_tick, lambda: self._drop(
-                    prev, realm_id, msg, self._no_path_detail(realm_id), call))
-                return
-            self._schedule_hop(msg, realm_id, fresh, 1, call, on_arrive)
-            return
-        if self.realms[realm_id].parent_realm is not None:
-            self._tunnel_hop(msg, realm_id, path, i, call, on_arrive)
-            return
-        self.at(self.clock.now_tick + link.delay,
-                partial(self._landed, msg, realm_id, path, i, call, on_arrive))
-
-    def _landed(self, msg, realm_id, path, i, call, on_arrive) -> None:
-        """msg reached path[i]: arrive if it is the last hop, else forward."""
-        node = path[i]
-        if i == len(path) - 1:
-            self._arrive(msg, node, realm_id, call, on_arrive)
-            return
-        self._emit(node, realm_id, EventKind.FWD, msg.msg_id, msg.target_name,
-                   f"to={path[-1]} kind={msg.kind._value_}")
-        self._schedule_hop(msg, realm_id, path, i + 1, call, on_arrive)
-
-    def _tunnel_hop(self, msg, realm_id, path, i, call, on_arrive) -> None:
-        """Carry a nested-realm link hop as a payload message in the parent."""
-        prev, node = path[i - 1], path[i]
-        parent = self.realms[realm_id].parent_realm
-        outer = self._new_msg(kind=MessageKind.HTTP_PUSH, body=encode(msg))
-        self.encapsulations.append((outer.msg_id, msg.msg_id, realm_id))
-
-        def resume():
-            self._emit(node, parent, EventKind.RECV, outer.msg_id, "-",
-                       f"tunnel realm={realm_id} inner={msg.msg_id}")
-            self._landed(msg, realm_id, path, i, call, on_arrive)
-
-        self._transmit(outer, prev, parent, node, EventKind.SEND, call,
-                       on_arrive=resume, detail_extra=f"tunnel realm={realm_id} inner={msg.msg_id}")
+        flight.hop()
 
     # ---------------------------------------------------------------- consults
 
@@ -705,11 +776,11 @@ class Fabric:
         consult is dropped and cont receives None."""
         server = self._nearest_server(node_id, kind)
         if server is None:
-            self.drop_unsent(node_id, realm_id, name, f"{kind.value}-unreachable", call)
+            self.drop_unsent(node_id, realm_id, name, f"{kind._value_}-unreachable", call)
             self.at(self.clock.now_tick, lambda: cont(None))
             return
         _srv, delay, srv_realm = server
-        query_event, answer_event = _CONSULT_EVENTS[kind]
+        query_event, answer_event = _CONSULT_EVENTS[kind._value_]
         qid = self.new_msg_id()
         self._emit(node_id, srv_realm, query_event, qid, name, query)
 
@@ -744,9 +815,12 @@ class Fabric:
                 cache.store(name, ctx, sds)
             return sd_list_text(sds), sds
 
-        tags = "+".join(sorted(self.node_tags[node_id])) or "-"
-        self._consult(node_id, NodeKind.NRS, location, name, f"loc={location} tags={tags}",
-                      answer, call, cont)
+        key = (location, self.node_tags[node_id])
+        query = self._query_text.get(key)
+        if query is None:
+            tags = "+".join(sorted(key[1])) or "-"
+            query = self._query_text[key] = f"loc={location} tags={tags}"
+        self._consult(node_id, NodeKind.NRS, location, name, query, answer, call, cont)
 
     def consult_ors(self, node_id: str, keywords: tuple[str, ...], call, cont) -> None:
         def answer():
@@ -764,32 +838,35 @@ class Fabric:
             on_arrive()
             return
         node = self.nodes[node_id]
-        if msg.kind is MessageKind.CCN_DATA and realm_id in node.ccn and msg.target_fcn:
+        kind = msg.kind
+        deliverable = kind._value_ in _DELIVERABLE
+        if kind is MessageKind.CCN_DATA and realm_id in node.ccn and msg.target_fcn:
             node.ccn[realm_id].content_store.insert(msg.target_fcn, msg.body)
-        if msg.kind in _DELIVERABLE and self._bound_here(msg.target_name, node_id, realm_id):
+        if deliverable and self._bound_here(msg.target_name, node_id, realm_id):
             self._deliver(msg, node_id, realm_id, call)
             return
-        if msg.kind is MessageKind.CCN_INTEREST:
+        if kind is MessageKind.CCN_INTEREST:
             self._ccn_arrive(msg, node_id, realm_id, call)
             return
+        pubsub = kind is MessageKind.SUB or kind is MessageKind.PUB
         if node.kind is NodeKind.NAME_ROUTER:
-            if msg.kind in (MessageKind.HTTP_GET,):
+            if kind is MessageKind.HTTP_GET:
                 self._router_ingress(msg, node_id, realm_id, call)
                 return
-            if msg.kind in _DELIVERABLE:
+            if deliverable:
                 self._router_egress(msg, node_id, realm_id, call)
                 return
-            if msg.kind in (MessageKind.SUB, MessageKind.PUB):
+            if pubsub:
                 self._router_relay_pubsub(msg, node_id, realm_id, call)
                 return
-        if msg.kind is MessageKind.HTTP_GET:
+        if kind is MessageKind.HTTP_GET:
             self._recv(msg, node_id, realm_id)
             self._serve_http(msg, node_id, realm_id, call)
             return
-        if msg.kind in (MessageKind.SUB, MessageKind.PUB) and node.kind is NodeKind.RENDEZVOUS:
+        if pubsub and node.kind is NodeKind.RENDEZVOUS:
             self._rendezvous(msg, node_id, realm_id, call)
             return
-        if msg.kind in _DELIVERABLE:
+        if deliverable:
             self._drop(node_id, realm_id, msg, "unreachable-name", call)
             return
         self._drop(node_id, realm_id, msg, "unhandled", call)
@@ -924,8 +1001,8 @@ class Fabric:
         self._transmit(out, node_id, realm_out, dst_node, EventKind.BRIDGE, call)
 
     def _bridged(self, msg, realm_in, realm_out, sd) -> WireMessage:
-        rule = BridgeRule(PROTOCOL_OF_TECH[self.realms[realm_in].technology],
-                          PROTOCOL_OF_TECH[self.realms[realm_out].technology],
+        rule = BridgeRule(PROTOCOL_OF_TECH[self.realms[realm_in].technology._value_],
+                          PROTOCOL_OF_TECH[self.realms[realm_out].technology._value_],
                           realm_in, realm_out)
         return self._register_msg(bridge(msg, rule, sd))
 
@@ -938,7 +1015,7 @@ class Fabric:
         checked as one; responses and other kinds with no policy operation
         pass unchecked."""
         self._recv(msg, node_id, realm_id)
-        op = _KIND_TO_OP.get(msg.kind)
+        op = _KIND_TO_OP.get(msg.kind._value_)
         if msg.kind is MessageKind.CCN_DATA and msg.msg_id not in self.response_of:
             op = PolicyOperation.PUSH
         if op is not None and msg.source_name is not None and check_access(

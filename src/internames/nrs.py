@@ -8,7 +8,7 @@ on top; registration is restricted to administrators and name-routers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DuplicateRecord, NotFound, NotResolvable, Unauthorized
@@ -40,7 +40,8 @@ class CallerRole(Enum):
     END_USER = "end_user"
 
 
-_WRITER_ROLES = {CallerRole.ADMINISTRATOR, CallerRole.NAME_ROUTER}
+# A tuple: membership tests identity and ==, with no Python-level Enum hash.
+_WRITER_ROLES = (CallerRole.ADMINISTRATOR, CallerRole.NAME_ROUTER)
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,9 @@ class ServiceDescriptor:
     priority: int = 0
     ttl_ticks: int = DEFAULT_TTL_TICKS
     scope: str | None = None
+    # canonical_text(), set on its first call and left out of ==, hash and
+    # repr; with no default, construction does not touch it.
+    _text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.protocol is Protocol.CCNISH_OVER_UDPISH and not self.fcn:
@@ -62,13 +66,18 @@ class ServiceDescriptor:
             raise ValueError("priority and ttl_ticks must be >= 0")
 
     def canonical_text(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            pass
         text = (
-            f"protocol={self.protocol.value} fcn={self.fcn or '-'}"
-            f" next_hop={self.next_hop_address} tech={self.next_hop_tech.value}"
+            f"protocol={self.protocol._value_} fcn={self.fcn or '-'}"
+            f" next_hop={self.next_hop_address} tech={self.next_hop_tech._value_}"
             f" priority={self.priority} ttl={self.ttl_ticks}"
         )
         if self.scope is not None:
             text += f" scope={self.scope}"
+        object.__setattr__(self, "_text", text)
         return text
 
 
@@ -118,11 +127,9 @@ class ResolutionContext:
     def cache_key_part(self) -> tuple:
         # now_tick deliberately excluded: expiry is handled by the TTL,
         # everything else keys the entry so contexts never cross-contaminate.
-        return (
-            self.location_tag,
-            tuple(sorted(self.context_tags)),
-            self.requested_service.value,
-        )
+        # The service is keyed by its _value_, as an Enum member's own hash
+        # is a Python-level call.
+        return (self.location_tag, self.context_tags, self.requested_service._value_)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,9 @@ REQUEST_KINDS = {
     MessageKind.SUB,
     MessageKind.PUB,
 }
+# The same kinds by _value_, for the per-message check: an Enum member's own
+# hash is a Python-level call.
+_REQUEST_VALUES = frozenset(k._value_ for k in REQUEST_KINDS)
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class WireMessage:
     hop_count: int = 0
 
     def __post_init__(self):
-        if self.source_name is None and self.kind in REQUEST_KINDS:
+        if self.source_name is None and self.kind._value_ in _REQUEST_VALUES:
             raise ValueError(f"{self.kind.value} requires a source_name")
         if self.hop_count > HOP_LIMIT:
             raise ValueError(f"hop_count exceeds {HOP_LIMIT}")

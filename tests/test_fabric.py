@@ -1,4 +1,6 @@
 import gc
+import heapq
+import itertools
 import random
 import weakref
 from functools import partial
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import internames.fabric as fabric_module
 from internames.errors import (
     DeliveryFailed,
     NoRoute,
@@ -16,11 +19,11 @@ from internames.errors import (
     UnknownRealm,
     ValidationError,
 )
-from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, TraceEvent
+from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, SimClock, TraceEvent
 from internames.names import parse_name
 from internames.node_api import NodeApi
 from internames.scenario import BUILTIN_NAMES, load_builtin, parse_scenario, run_scenario
-from internames.wire import Fib, FibEntry, MessageKind, WireMessage, decode
+from internames.wire import Fib, FibEntry, MessageKind, WireMessage, decode, encode
 
 from conftest import CROSS_REALM
 
@@ -491,6 +494,125 @@ def test_parallel_links_take_the_cheapest():
     assert [e.tick for e in f.trace if e.event is EventKind.RECV] == [1]
 
 
+def test_cheaper_link_healed_between_hops_takes_the_next_hop():
+    # a-b then b-c, linked twice: delay 5, and delay 1, which is down when
+    # the message leaves a and back up before it leaves b.
+    f = tiny_ip_fabric(("a", "b"))
+    f.add_node("c", NodeKind.HOST, ["net"])
+    f.add_link("b", "c", "net", 5)
+    cheap = f.add_link("b", "c", "net", 1)
+    cheap.alive = False
+    f._topology_changed()
+    tgt = bound(f, "c", "carol")
+    assert f._path("net", "a", "c") == ["a", "b", "c"]
+
+    def heal():
+        cheap.alive = True
+        f._topology_changed()
+
+    f.at(1, heal)  # runs before the message leaves b
+    f.send("a.net", "c", resp(f, tgt))
+    f.run_until_idle()
+    assert [(e.tick, e.node, e.event) for e in f.trace if e.event is not EventKind.REBIND] == [
+        (0, "a", EventKind.SEND),
+        (1, "b", EventKind.FWD),
+        (2, "c", EventKind.RECV),
+        (2, "c", EventKind.DELIVER),
+    ]
+
+
+def nested_fabric(detour):
+    """Realm "sub" nests in "net"; both have the links a-b-x-c (delay 1)
+    and, with detour, b-d-c (delay 2 each).  x is also in "cell"."""
+    f = Fabric()
+    f.add_realm("net", RealmTech.IPISH)
+    f.add_realm("sub", RealmTech.IPISH, parent="net")
+    f.add_realm("cell", RealmTech.IPISH)
+    for node in "abcd":
+        f.add_node(node, NodeKind.HOST, ["net", "sub"])
+    f.add_node("x", NodeKind.ROUTER, ["net", "sub", "cell"])
+    links = [("a", "b", 1), ("b", "x", 1), ("x", "c", 1)]
+    if detour:
+        links += [("b", "d", 2), ("d", "c", 2)]
+    for rid in ("sub", "net"):
+        for a, b, delay in links:
+            f.add_link(a, b, rid, delay)
+    return f
+
+
+NESTED_SEND = [
+    "t=0 node=a realm=sub event=SEND msg=1 name=n2n://users:carol detail=to=c kind=HTTP_RESP",
+    "t=0 node=a realm=net event=SEND msg=2 name=- detail=to=b kind=HTTP_PUSH tunnel realm=sub inner=1",
+    "t=1 node=b realm=sub event=FWD msg=1 name=n2n://users:carol detail=to=c kind=HTTP_RESP",
+]
+
+
+@pytest.mark.parametrize("detour, cut_at, rest", [
+    # x is cut off while the message is at b: the next tunnel hop re-routes by d.
+    (True, 1, [
+        "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
+        "t=1 node=b realm=net event=SEND msg=3 name=- detail=to=d kind=HTTP_PUSH tunnel realm=sub inner=1",
+        "t=3 node=d realm=sub event=FWD msg=1 name=n2n://users:carol detail=to=c kind=HTTP_RESP",
+        "t=3 node=d realm=net event=RECV msg=3 name=- detail=tunnel realm=sub inner=1",
+        "t=3 node=d realm=net event=SEND msg=4 name=- detail=to=c kind=HTTP_PUSH tunnel realm=sub inner=1",
+        "t=5 node=c realm=sub event=RECV msg=1 name=n2n://users:carol detail=kind=HTTP_RESP",
+        "t=5 node=c realm=sub event=DELIVER msg=1 name=n2n://users:carol detail=nap=c.sub body=hi",
+        "t=5 node=c realm=net event=RECV msg=4 name=- detail=tunnel realm=sub inner=1",
+    ]),
+    # ... and with no detour it is dropped at b.
+    (False, 1, [
+        "t=1 node=b realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned",
+        "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
+    ]),
+    # x is cut off as the message reaches it: it is dropped at x.
+    (True, 2, [
+        "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
+        "t=1 node=b realm=net event=SEND msg=3 name=- detail=to=x kind=HTTP_PUSH tunnel realm=sub inner=1",
+        "t=2 node=x realm=sub event=FWD msg=1 name=n2n://users:carol detail=to=c kind=HTTP_RESP",
+        "t=2 node=x realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned",
+        "t=2 node=x realm=net event=RECV msg=3 name=- detail=tunnel realm=sub inner=1",
+    ]),
+], ids=["reroute", "drop-at-b", "drop-at-x"])
+def test_partition_mid_path_in_a_nested_realm(detour, cut_at, rest):
+    f = nested_fabric(detour)
+    tgt = parse_name("n2n://users:carol")
+    f.known_names.add(tgt)
+    f.bind(tgt, "c.sub")
+    f.at(cut_at, lambda: f.partition("cell"))
+    f.send("a.sub", "c", WireMessage(msg_id=f.new_msg_id(), kind=MessageKind.HTTP_RESP,
+                                     target_name=tgt, body=b"hi"))
+    f.run_until_idle()
+    lines = [line for line in f.trace_text().splitlines() if "event=REBIND" not in line]
+    assert lines == NESTED_SEND + rest
+
+
+def test_tunnelled_bodies_decode_to_their_inner_message(monkeypatch):
+    encoded = []  # (message, bytes) per encode call
+
+    def recording_encode(msg):
+        body = encode(msg)
+        encoded.append((msg, body))
+        return body
+
+    monkeypatch.setattr(fabric_module, "encode", recording_encode)
+    nested = nested_fabric(True)
+    tgt = parse_name("n2n://users:carol")
+    nested.known_names.add(tgt)
+    nested.bind(tgt, "c.sub")
+    nested.at(1, lambda: nested.partition("cell"))
+    nested.send("a.sub", "c", resp(nested, tgt))
+    nested.run_until_idle()
+    # One flight, re-routed on its way, tunnels three hops on one encoding.
+    assert len(nested.encapsulations) == 3 and len(encoded) == 1
+    migration = run_scenario(load_builtin("migration")).fabric
+    inner_of = {body: msg for msg, body in encoded}
+    for fabric in (nested, migration):
+        for outer, inner_id, _ in fabric.encapsulations:
+            body = fabric.messages[outer].body
+            assert decode(body) == inner_of[body]
+            assert inner_of[body].msg_id == inner_id
+
+
 # ------------------------------------------------------------ stub routing
 # A stub (every alive link to one neighbour) answers from its neighbour's
 # route tree; each case is checked against the oracle over every pair.
@@ -904,3 +1026,112 @@ def test_sends_scheduled_through_at_emit_in_tick_order(seed):
         f.at(rng.randint(0, 20), partial(f.send, f"{src}.net", dst, m))
     f.run_until_idle()
     assert_emitted_in_tick_order(f)
+
+
+# ------------------------------------------------------------------- clock
+# The clock before per-tick buckets, kept as the oracle: one heap of
+# (tick, sequence, callback).  Over random schedules the bucketed clock must
+# hand out the same callbacks at the same ticks, in the same order.
+
+
+class HeapClock:
+    def __init__(self):
+        self.now_tick = 0
+        self._pending = []
+        self._seq = itertools.count()
+
+    def schedule(self, tick, fn):
+        if tick < self.now_tick:
+            raise ValueError("cannot schedule into the past")
+        heapq.heappush(self._pending, (tick, next(self._seq), fn))
+
+    def pop_due(self, until_tick):
+        pending = self._pending
+        while pending and (until_tick is None or pending[0][0] <= until_tick):
+            tick, _, fn = heapq.heappop(pending)
+            self.now_tick = tick
+            yield tick, fn
+
+
+class Boom(Exception):
+    pass
+
+
+# A callback: the callbacks it schedules, each at a delay from now (0 is the
+# tick it runs in); then the tick it runs the clock to, from inside, as a
+# nested run ("idle" to the end, None for no run); then whether it raises.
+NESTED_RUN = st.sampled_from([None, None, None, "idle", 0, 2])
+CALLBACK = st.recursive(
+    st.tuples(st.just(()), NESTED_RUN, st.booleans()),
+    lambda inner: st.tuples(st.lists(st.tuples(st.integers(0, 3), inner), max_size=3)
+                            .map(tuple), NESTED_RUN, st.booleans()),
+    max_leaves=10)
+# A step schedules callbacks from outside, then runs to a tick (None: idle).
+CLOCK_STEP = st.tuples(st.none() | st.integers(0, 12),
+                       st.lists(st.tuples(st.integers(0, 4), CALLBACK), max_size=4))
+
+
+def drive(clock, steps):
+    """Each step's schedules and run, as Fabric.run drives the clock, then
+    runs to idle; the log holds each (tick, callback) handed out, each raise
+    and the now_tick each run leaves."""
+    log = []
+    labels = itertools.count()
+
+    def make(spec):
+        children, nested, raises = spec
+        label = next(labels)
+
+        def fn():
+            for delay, child in children:
+                clock.schedule(clock.now_tick + delay, make(child))
+            if nested is not None:
+                run(None if nested == "idle" else clock.now_tick + nested)
+            if raises:
+                raise Boom(label)
+
+        fn.label = label
+        return fn
+
+    def run(until_tick):
+        for tick, fn in clock.pop_due(until_tick):
+            log.append((tick, fn.label))
+            fn()
+        if until_tick is not None:
+            clock.now_tick = max(clock.now_tick, until_tick)
+        log.append(("now", clock.now_tick))
+
+    def outer_run(until_tick):
+        try:
+            run(until_tick)
+        except Boom as exc:
+            log.append(("raised", exc.args[0]))
+            return False
+        return True
+
+    for until_tick, schedules in steps:
+        for delay, spec in schedules:
+            clock.schedule(clock.now_tick + delay, make(spec))
+        outer_run(until_tick)
+    while not outer_run(None):
+        pass
+    return log
+
+
+@settings(deadline=None)
+@given(st.lists(CLOCK_STEP, min_size=1, max_size=6))
+def test_bucketed_clock_matches_heap_oracle(steps):
+    clock = SimClock()
+    assert drive(clock, steps) == drive(HeapClock(), steps)
+    assert clock._buckets == {} and clock._ticks == []
+
+
+@given(st.binary(max_size=8) | st.text(max_size=8).map(str.encode))
+def test_body_text_matches_per_byte_rule(body):
+    if not body:
+        expected = "-"
+    elif all(33 <= c <= 126 for c in body):
+        expected = body.decode("ascii")
+    else:
+        expected = "hex:" + body.hex()
+    assert fabric_module._body_text(body) == expected

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +56,14 @@ def test_canonical_text_layout():
     scoped = sd("a", scope="town").canonical_text()
     assert scoped.endswith(" scope=town")
     assert sd_list_text([sd("a"), sd("b")]).count(" | ") == 1
+
+
+def test_canonical_text_kept_out_of_equality_hash_and_repr():
+    built, fresh = sd("a", scope="town"), sd("a", scope="town")
+    text = built.canonical_text()
+    assert built.canonical_text() is text  # built once
+    assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+    assert replace(built, priority=2).canonical_text() == text.replace("priority=0", "priority=2")
 
 
 def test_end_user_cannot_register_or_withdraw():

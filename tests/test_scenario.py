@@ -366,6 +366,36 @@ def test_op_that_cannot_fire_is_a_drop_and_the_run_goes_on(line, name, detail, c
     assert aborted == ([] if call is None else [(*call, detail)])
 
 
+def test_bind_refused_by_the_nrs_leaves_nothing_bound():
+    # The binding's host record repeats the [nrs] record, so the bind is
+    # refused whole: no REBIND, and the later unbind has nothing to undo.
+    text = """
+[realms]
+net,IPISH,-
+
+[nodes]
+a,host,net
+s,nrs,net
+
+[links]
+a,s,net,1
+
+[nrs]
+n2n://users:x,HTTPISH,-,IPISH,a.net,0,100,-,-,-,-
+
+[timeline]
+1,bind,n2n://users:x,a.net
+5,unbind,n2n://users:x,a.net
+"""
+    result = run_scenario(parse_scenario(text, name="refused-bind"))
+    assert result.trace_text.splitlines() == [
+        "t=1 node=- realm=- event=DROP msg=1 name=n2n://users:x detail=duplicate-record",
+        "t=5 node=- realm=- event=DROP msg=2 name=n2n://users:x detail=not-bound",
+    ]
+    assert result.fabric.bindings_of(Name("users", ("x",))) == []
+    assert [r.sd.next_hop_address for r in result.fabric.nrs.records()] == ["a.net"]
+
+
 def test_builtins_match_frozen_goldens():
     for name in BUILTIN_NAMES:
         actual = run_scenario(load_builtin(name)).trace_text + "\n"
