@@ -54,7 +54,7 @@ from .ors import ObjectResolutionService, OrsQuery, OrsResult
 from .wire import (
     HOP_LIMIT,
     CcnRouterState,
-    FibEntry,
+    Fib,
     MessageKind,
     WireMessage,
     encode,
@@ -272,10 +272,10 @@ class _Flight:
     through the parent realm as HTTP pushes, the message's encoding and the
     tunnel text."""
 
-    __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "on_arrive", "detail",
-                 "parent", "encoded", "tunnel", "outer_id")
+    __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "on_arrive", "on_lost",
+                 "detail", "parent", "encoded", "tunnel", "outer_id")
 
-    def __init__(self, fabric, msg, realm, path, call, on_arrive, detail):
+    def __init__(self, fabric, msg, realm, path, call, on_arrive, on_lost, detail):
         self.fabric = fabric
         self.msg = msg
         self.realm = realm
@@ -283,6 +283,7 @@ class _Flight:
         self.i = 1  # the hop under way ends at path[i]
         self.call = call
         self.on_arrive = on_arrive
+        self.on_lost = on_lost
         self.detail = detail
         self.parent = fabric.realms[realm].parent_realm
         self.encoded = None
@@ -318,9 +319,7 @@ class _Flight:
 
     def lost(self) -> None:
         """No path is left from path[i - 1]: drop msg there."""
-        fabric = self.fabric
-        fabric._drop(self.path[self.i - 1], self.realm, self.msg,
-                     fabric._no_path_detail(self.realm), self.call)
+        self.fabric._lost(self.path[self.i - 1], self.realm, self.msg, self.call, self.on_lost)
 
     def tunnel_hop(self) -> None:
         """Carry the hop as a payload message in the parent realm."""
@@ -333,13 +332,20 @@ class _Flight:
         self.outer_id = outer.msg_id
         fabric._transmit(outer, self.path[self.i - 1], self.parent, self.path[self.i],
                          EventKind.SEND, self.call, on_arrive=self.resume,
-                         detail_extra=self.tunnel)
+                         on_lost=self.outer_lost, detail_extra=self.tunnel)
 
     def resume(self) -> None:
         """The tunnelled hop reached path[i] in the parent realm."""
         self.fabric._emit(self.path[self.i], self.parent, EventKind.RECV, self.outer_id, "-",
                           self.tunnel)
         self.land()
+
+    def outer_lost(self, reason: str) -> None:
+        """The tunnelled hop was lost in the parent realm: drop msg where the
+        hop began.  The call keeps the outer message's reason as its error."""
+        msg = self.msg
+        self.fabric._emit(self.path[self.i - 1], self.realm, EventKind.DROP, msg.msg_id,
+                          msg.target_name, f"{reason} outer={self.outer_id}")
 
 
 class Fabric:
@@ -367,6 +373,8 @@ class Fabric:
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self.encapsulations: list[tuple[int, int, str]] = []  # (outer, inner, nested realm)
         self._msg_ids = itertools.count(1)
+        # (realm, the kind's _value_) -> the realm's members of that kind
+        self._members_of_kind: dict[tuple[str, str], list[str]] = {}
         self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
         self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
         self._roots: dict[tuple[str, str], str] = {}
@@ -399,6 +407,7 @@ class Fabric:
         for rid in realm_ids:
             realm = self.realms[rid]
             realm.member_nodes.add(node_id)
+            self._members_of_kind.setdefault((rid, kind._value_), []).append(node_id)
             nap_id = f"{node_id}.{rid}"
             self.naps[nap_id] = NetworkAttachmentPoint(nap_id, node_id, rid)
             if realm.technology is RealmTech.CCNISH:
@@ -439,7 +448,12 @@ class Fabric:
                 state.repo[fcn] = payload
 
     def build_fibs(self) -> None:
-        """Populate every CCNISH realm FIB from its members' own prefixes."""
+        """Give every CCNISH realm member a FIB over its realm's adverts.
+
+        A realm's adverts, the prefixes its members hold and the topics homed
+        on them, are indexed once into one Fib that every member reads through
+        its own hop map: its next hop toward each owner it can reach, routed
+        once per (member, owner).  Partition and heal do not rebuild them."""
         adverts: dict[str, list[tuple[str, str]]] = {}
         for node in self.nodes.values():
             for rid, state in node.ccn.items():
@@ -450,29 +464,20 @@ class Fabric:
             for rid in node.realms:
                 if self.realms[rid].technology is RealmTech.CCNISH:
                     adverts.setdefault(rid, []).append((fcn, home))
-        # A member's next hop toward an owner is the same for every prefix the
-        # owner advertises, so each (realm, owner) is routed once, into the
-        # members' Fibs grouped by next hop; a group shares one FibEntry per
-        # prefix, and every Fib still gets its entries in advert order.
         for rid, entries in sorted(adverts.items()):
             realm = self.realms[rid]
-            routes: dict[str, dict[str, list]] = {}
-            for prefix, owner in entries:
-                realm.fib_registrations.append((prefix, owner))
-                fibs_by_hop = routes.get(owner)
-                if fibs_by_hop is None:
-                    fibs_by_hop = routes[owner] = {}
-                    for member in realm.member_nodes:
-                        if member == owner:
-                            continue
+            realm.fib_registrations.extend(entries)
+            shared = Fib()
+            shared.advertise(entries)
+            owners = dict.fromkeys(owner for _, owner in entries)
+            for member in realm.member_nodes:
+                hops = {}
+                for owner in owners:
+                    if owner != member:
                         path = self._path(rid, member, owner)
-                        if path is None or len(path) < 2:
-                            continue
-                        fibs_by_hop.setdefault(path[1], []).append(self.nodes[member].ccn[rid].fib)
-                for hop, fibs in fibs_by_hop.items():
-                    entry = FibEntry(prefix, hop)
-                    for fib in fibs:
-                        fib.append(entry)
+                        if path is not None:
+                            hops[owner] = path[1]
+                self.nodes[member].ccn[rid].fib = shared.through(hops)
 
     # ---------------------------------------------------------------- helpers
 
@@ -604,9 +609,7 @@ class Fabric:
             return self._servers[key]
         best = None
         for rid in self.nodes[node_id].realms:
-            for member in self.realms[rid].member_nodes:
-                if self.nodes[member].kind is not kind:
-                    continue
+            for member in self._members_of_kind.get((rid, kind._value_), ()):
                 path = self._path(rid, node_id, member)
                 if path is None:
                     continue
@@ -622,9 +625,8 @@ class Fabric:
 
         The first reachable one, by node id, that borders a realm in toward;
         failing that, the first reachable one."""
-        return min((n for n in self.realms[realm_id].member_nodes
-                    if self.nodes[n].kind is NodeKind.NAME_ROUTER
-                    and self._path(realm_id, node_id, n) is not None),
+        routers = self._members_of_kind.get((realm_id, NodeKind.NAME_ROUTER._value_), ())
+        return min((n for n in routers if self._path(realm_id, node_id, n) is not None),
                    key=lambda n: (toward.isdisjoint(self.nodes[n].realms), n), default=None)
 
     # ---------------------------------------------------------------- bindings
@@ -749,13 +751,20 @@ class Fabric:
         severed = any(not l.alive and l.realm == realm_id for l in self.links)
         return "partitioned" if severed else "no-route"
 
+    def _lost(self, node, realm_id, msg, call, on_lost) -> None:
+        """No path is left from node: drop msg there, and pass on_lost the reason."""
+        reason = self._no_path_detail(realm_id)
+        self._drop(node, realm_id, msg, reason, call)
+        if on_lost is not None:
+            on_lost(reason)
+
     def _transmit(self, msg, src, realm_id, dst_node, first_event, call,
-                  on_arrive=None, detail_extra="") -> None:
+                  on_arrive=None, on_lost=None, detail_extra="") -> None:
         path = self._path(realm_id, src, dst_node)
         if path is None:
-            self._drop(src, realm_id, msg, self._no_path_detail(realm_id), call)
+            self._lost(src, realm_id, msg, call, on_lost)
             return
-        flight = _Flight(self, msg, realm_id, path, call, on_arrive,
+        flight = _Flight(self, msg, realm_id, path, call, on_arrive, on_lost,
                          f"to={dst_node} kind={msg.kind._value_}")
         detail = f"{flight.detail} {detail_extra}" if detail_extra else flight.detail
         self._emit(src, realm_id, first_event, msg.msg_id, msg.target_name, detail)

@@ -139,7 +139,9 @@ class NrsRecord:
     predicate: ContextPredicate = ContextPredicate()
 
     def key(self) -> tuple:
-        return (self.prefix, self.sd.protocol, self.sd.next_hop_address, self.predicate)
+        # The protocol by its _value_, as an Enum member's own hash is a
+        # Python-level call.
+        return (self.prefix, self.sd.protocol._value_, self.sd.next_hop_address, self.predicate)
 
 
 class NameResolutionService:

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from internames.scenario import build_fabric, parse_scenario
+
+# Deeper runs of the oracle properties: pytest -k oracle --hypothesis-profile=ci.
+# Without the option every test keeps hypothesis's default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 # One IP-style realm and one CCN-style realm joined by a name-router,
 # with a client on each side, a pub/sub rendezvous and spare hosts.

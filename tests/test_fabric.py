@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import internames.fabric as fabric_module
 from internames.errors import (
     DeliveryFailed,
+    NoFibMatch,
     NoRoute,
     NotBound,
     RealmViolation,
@@ -23,7 +24,16 @@ from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, SimClock, 
 from internames.names import parse_name
 from internames.node_api import NodeApi
 from internames.scenario import BUILTIN_NAMES, load_builtin, parse_scenario, run_scenario
-from internames.wire import Fib, FibEntry, MessageKind, WireMessage, decode, encode
+from internames.wire import (
+    Fib,
+    FibEntry,
+    MessageKind,
+    WireMessage,
+    decode,
+    encode,
+    fcn_segments,
+    fib_lookup,
+)
 
 from conftest import CROSS_REALM
 
@@ -449,6 +459,119 @@ def test_fibs_match_per_prefix_oracle(nodes, links, owners, topic_home, partitio
             assert state.fib.best_hop == expected.best_hop
 
 
+def fib_fabric(nodes, links, owners, topic_home, partitioned):
+    """The FIB oracle's fabric: every node in CCNISH ccnA, some in ccnB and cell."""
+    f = Fabric()
+    for rid, tech in (("ccnA", RealmTech.CCNISH), ("ccnB", RealmTech.CCNISH),
+                      ("cell", RealmTech.IPISH)):
+        f.add_realm(rid, tech)
+    for i, (in_b, in_cell) in enumerate(nodes):
+        f.add_node(f"n{i}", NodeKind.CCN_ROUTER, ["ccnA"] + ["ccnB"] * in_b + ["cell"] * in_cell)
+    for i, j, on_b, delay in links:
+        a, b = f"n{i % len(nodes)}", f"n{j % len(nodes)}"
+        if a != b:
+            both_in_b = on_b and "ccnB" in f.nodes[a].realms and "ccnB" in f.nodes[b].realms
+            f.add_link(a, b, "ccnB" if both_in_b else "ccnA", delay)
+    for k, (i, prefix) in enumerate(owners):
+        f.host_content(f"n{i % len(nodes)}", parse_name(f"n2n://repo:o{k}"), b"x", prefix)
+    if topic_home is not None:
+        f.topic_home["t/news"] = f"n{topic_home % len(nodes)}"
+    if partitioned:
+        f.partition("cell")
+    return f
+
+
+def brute_lookup(entries, fcn):
+    """The longest matching prefix's smallest next hop, by a scan; None on a miss."""
+    target = fcn_segments(fcn)
+    hits = [(-len(e.prefix_segments), e.next_hop) for e in entries
+            if target[:len(e.prefix_segments)] == e.prefix_segments]
+    return min(hits)[1] if hits else None
+
+
+def lookup_or_none(fib, fcn):
+    try:
+        return fib_lookup(fib, fcn)
+    except NoFibMatch:
+        return None
+
+
+FIB_FCN = st.one_of(
+    st.sampled_from(FIB_PREFIXES + ("t/news", "ccnx://a/b")),            # hits
+    st.tuples(st.sampled_from(FIB_PREFIXES + ("t/news",)),
+              st.sampled_from(("b", "x/y"))).map("/".join),               # extensions
+    st.sampled_from(("x", "ab", "d", "t", "")),                           # misses
+)
+FIB_APPEND = st.tuples(st.sampled_from(FIB_PREFIXES + ("x", "a/b/c")), st.integers(0, 7))
+
+
+@settings(deadline=None)
+@given(st.lists(FIB_NODE, min_size=2, max_size=7), st.lists(FIB_LINK, max_size=14),
+       st.lists(FIB_OWNER, min_size=1, max_size=6), st.none() | st.integers(0, 7), st.booleans(),
+       st.lists(FIB_FCN, min_size=1, max_size=8), st.integers(0, 7),
+       st.lists(FIB_APPEND, max_size=4))
+def test_fib_lookups_match_per_prefix_oracle(nodes, links, owners, topic_home, partitioned,
+                                             fcns, appended_to, appends):
+    # Every member answers every FCN as a scan of the oracle's entries does;
+    # entries appended to one member's Fib reach that member's answers only.
+    f = fib_fabric(nodes, links, owners, topic_home, partitioned)
+    _, fibs = oracle_build_fibs(f)
+    f.build_fibs()
+    member = f"n{appended_to % len(nodes)}"
+    extra = [FibEntry(prefix, f"n{j % len(nodes)}") for prefix, j in appends]
+    for entry in extra:
+        f.nodes[member].ccn["ccnA"].fib.append(entry)
+    for node in f.nodes.values():
+        for rid, state in node.ccn.items():
+            expected = list(fibs.get((node.id, rid), Fib()))
+            if (node.id, rid) == (member, "ccnA"):
+                expected += extra
+            assert list(state.fib) == expected
+            for fcn in fcns:
+                assert lookup_or_none(state.fib, fcn) == brute_lookup(expected, fcn), fcn
+
+
+def test_build_fibs_shares_one_advert_index_per_realm(monkeypatch):
+    # Realm ccn: a chain of six members, three of which own ten prefixes
+    # each, plus a topic; a second realm holds two of the members.
+    f = Fabric()
+    f.add_realm("ccn", RealmTech.CCNISH)
+    f.add_realm("edge", RealmTech.CCNISH)
+    members = [f"m{i}" for i in range(6)]
+    for m in members:
+        f.add_node(m, NodeKind.CCN_ROUTER, ["ccn"] + ["edge"] * (m in ("m0", "m1")))
+    for a, b in zip(members, members[1:]):
+        f.add_link(a, b, "ccn")
+    f.add_link("m0", "m1", "edge")
+    owners = ("m0", "m2", "m5")
+    for owner in owners:
+        for k in range(10):
+            f.host_content(owner, parse_name(f"n2n://repo:{owner}-{k}"), b"x", f"{owner}/{k}")
+    f.topic_home["t/news"] = "m3"
+    paths, entries = [], []
+    real_path = f._path
+    monkeypatch.setattr(f, "_path", lambda *args: paths.append(args) or real_path(*args))
+    real_init = FibEntry.__init__
+    monkeypatch.setattr(FibEntry, "__init__",
+                        lambda self, *args: entries.append(args) or real_init(self, *args))
+    f.build_fibs()
+    monkeypatch.undo()
+    fibs = [f.nodes[m].ccn["ccn"].fib for m in members]
+    # Four owners in ccn (m0, m2, m5, m3), two in edge (m0, m1 share m0's adverts).
+    assert len(paths) <= len(members) * 4 + 2 * 1
+    assert entries == []
+    assert all(fib._index is fibs[0]._index and fib._adverts is fibs[0]._adverts for fib in fibs)
+    assert len(fibs[0]._index) == 31
+    assert [len(fib._hops) for fib in fibs] == [3, 4, 3, 3, 4, 3]
+    assert f.nodes["m0"].ccn["edge"].fib._index is not fibs[0]._index
+    assert fib_lookup(fibs[0], "m5/3/x") == "m1" and fib_lookup(fibs[5], "m0/3") == "m4"
+    # The first append gives the member its own copy; the others keep the shared one.
+    fibs[1].append(FibEntry("m5/3", "m0"))
+    assert fibs[1]._index is not fibs[0]._index
+    assert fib_lookup(fibs[1], "m5/3") == "m0" and fib_lookup(fibs[2], "m5/3") == "m3"
+    assert all(fib._index is fibs[0]._index for fib in fibs[2:])
+
+
 def test_link_dying_in_flight_reroutes():
     # a-b-x-c is the shortest path (3); b-d-c (delay 2 each) is the detour.
     f = tiny_ip_fabric(("a",))
@@ -584,6 +707,56 @@ def test_partition_mid_path_in_a_nested_realm(detour, cut_at, rest):
     f.run_until_idle()
     lines = [line for line in f.trace_text().splitlines() if "event=REBIND" not in line]
     assert lines == NESTED_SEND + rest
+
+
+@pytest.mark.parametrize("net_links, cut, rest", [
+    # The parent realm's b-c is cut before the second hop: its outer push
+    # has no route from b, and the inner message is dropped at b too.
+    ([("a", "b"), ("b", "c")], ("b", "c"), [
+        "t=1 node=b realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned outer=3",
+        "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
+        "t=1 node=b realm=net event=DROP msg=3 name=- detail=partitioned",
+    ]),
+    # The parent realm carries b-c by d, and d-c dies as the outer push
+    # reaches d: it is dropped at d, and the inner message at b.
+    ([("a", "b"), ("b", "d"), ("d", "c")], ("d", "c"), [
+        "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
+        "t=1 node=b realm=net event=SEND msg=3 name=- detail=to=c kind=HTTP_PUSH tunnel realm=sub inner=1",
+        "t=2 node=b realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned outer=3",
+        "t=2 node=d realm=net event=FWD msg=3 name=- detail=to=c kind=HTTP_PUSH",
+        "t=2 node=d realm=net event=DROP msg=3 name=- detail=partitioned",
+    ]),
+], ids=["unrouted", "lost-in-flight"])
+def test_lost_tunnelled_hop_drops_its_inner_message(net_links, cut, rest):
+    # Realm "sub", nested in "net", has the links a-b-c; an HTTP response
+    # goes a -> c in sub, and the net link cut dies at tick 1 or 2.
+    f = Fabric()
+    f.add_realm("net", RealmTech.IPISH)
+    f.add_realm("sub", RealmTech.IPISH, parent="net")
+    for node in "abc":
+        f.add_node(node, NodeKind.HOST, ["net", "sub"])
+    f.add_node("d", NodeKind.ROUTER, ["net"])
+    for a, b in net_links:
+        f.add_link(a, b, "net")
+    for a, b in (("a", "b"), ("b", "c")):
+        f.add_link(a, b, "sub")
+    tgt = parse_name("n2n://users:carol")
+    f.known_names.add(tgt)
+    f.bind(tgt, "c.sub")
+
+    def kill():
+        for link in f.links:
+            if link.realm == "net" and {link.a, link.b} == set(cut):
+                link.alive = False
+        f._topology_changed()
+
+    f.at(len(net_links) - 1, kill)
+    call = fabric_module.CallRecord("push", None, "n2n://users:carol")
+    f._transmit(resp(f, tgt, b"hi"), "a", "sub", "c", EventKind.SEND, call)
+    f.run_until_idle()
+    lines = [line for line in f.trace_text().splitlines() if "event=REBIND" not in line]
+    assert lines == NESTED_SEND[:3] + rest
+    assert call.error == "partitioned"
 
 
 def test_tunnelled_bodies_decode_to_their_inner_message(monkeypatch):
