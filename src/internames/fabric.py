@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     NoFibMatch,
@@ -38,7 +38,7 @@ from .name_router import (
     bridge,
     check_access,
 )
-from .names import Name, format_name
+from .names import Name, format_name, parse_name
 from .nrs import (
     CacheStore,
     CallerRole,
@@ -353,9 +353,14 @@ class Fabric:
 
     The clock is the only source of time: every call acts, and every event
     is stamped, at ``now``.  Later work is scheduled with ``at(tick, fn)``
-    and happens when ``run`` reaches that tick."""
+    and happens when ``run`` reaches that tick.
+
+    ``name_of`` gives the Name of a URI: a scenario's timeline ops read
+    their names through it when they fire.  build_fabric sets it to the
+    table its validation built; otherwise each URI is parsed anew."""
 
     def __init__(self):
+        self.name_of: Callable[[str], Name] = parse_name
         self.realms: dict[str, NetworkRealm] = {}
         self.nodes: dict[str, Node] = {}
         self.naps: dict[str, NetworkAttachmentPoint] = {}
@@ -383,6 +388,8 @@ class Fabric:
         self._servers: dict[tuple[str, str], tuple[str, int, str] | None] = {}
         # the NRS_Q detail per (location, context tags)
         self._query_text: dict[tuple[str, frozenset[str]], str] = {}
+        # (realm in, realm out) -> the rule that bridges between them
+        self._bridge_rules: dict[tuple[str, str], BridgeRule] = {}
 
     # ---------------------------------------------------------------- topology
 
@@ -1010,9 +1017,14 @@ class Fabric:
         self._transmit(out, node_id, realm_out, dst_node, EventKind.BRIDGE, call)
 
     def _bridged(self, msg, realm_in, realm_out, sd) -> WireMessage:
-        rule = BridgeRule(PROTOCOL_OF_TECH[self.realms[realm_in].technology._value_],
-                          PROTOCOL_OF_TECH[self.realms[realm_out].technology._value_],
-                          realm_in, realm_out)
+        key = (realm_in, realm_out)
+        rule = self._bridge_rules.get(key)
+        if rule is None:
+            # A realm's technology never changes, so neither does its rule.
+            rule = self._bridge_rules[key] = BridgeRule(
+                PROTOCOL_OF_TECH[self.realms[realm_in].technology._value_],
+                PROTOCOL_OF_TECH[self.realms[realm_out].technology._value_],
+                realm_in, realm_out)
         return self._register_msg(bridge(msg, rule, sd))
 
     # ------------------------------------------------------------ router paths

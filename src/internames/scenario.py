@@ -138,7 +138,8 @@ class ActionSpec:
 
 class Built(NamedTuple):
     """What validating a scenario builds for build_fabric to install: the
-    Name of each URI it names and one NrsRecord per [nrs] line."""
+    Name of each URI it names, which the fabric keeps for its timeline ops,
+    and one NrsRecord per [nrs] line."""
 
     names: Callable[[str], Name]
     records: tuple[NrsRecord, ...]
@@ -264,7 +265,9 @@ class Op(NamedTuple):
     """One timeline op: the kind of each argument, or None when the
     arguments are one [nrs] record; the step that fires it at the fabric's
     tick, which returns the call it starts or None; and, for an op that
-    starts a call, the call's target text read from the arguments."""
+    starts a call, the call's target text read from the arguments.  A step
+    reads each name through the fabric's name_of, so a fabric from
+    build_fabric fires with the Names validation built."""
 
     kinds: tuple[str, ...] | None
     fire: Callable[[Fabric, tuple[str, ...]], Any]
@@ -280,25 +283,25 @@ def _keywords(a: tuple[str, ...]) -> str:
 
 
 TIMELINE_OPS = {
-    "pull": Op((NAME, NAME), lambda f, a: f.start_pull(parse_name(a[0]), parse_name(a[1])),
+    "pull": Op((NAME, NAME), lambda f, a: f.start_pull(f.name_of(a[0]), f.name_of(a[1])),
                _second),
     "push": Op((NAME, NAME, FREE), lambda f, a: f.start_push(
-        parse_name(a[0]), parse_name(a[1]), a[2].encode()), _second),
+        f.name_of(a[0]), f.name_of(a[1]), a[2].encode()), _second),
     "publish": Op((NAME, FREE, FREE), lambda f, a: f.start_publish(
-        parse_name(a[0]), a[1], a[2].encode()), _second),
-    "subscribe": Op((NAME, FREE), lambda f, a: f.start_subscribe(parse_name(a[0]), a[1]),
+        f.name_of(a[0]), a[1], a[2].encode()), _second),
+    "subscribe": Op((NAME, FREE), lambda f, a: f.start_subscribe(f.name_of(a[0]), a[1]),
                     _second),
     "search": Op((NAME, FREE), lambda f, a: f.start_search(
-        parse_name(a[0]), tuple(a[1].split())), _keywords),
+        f.name_of(a[0]), tuple(a[1].split())), _keywords),
     "fetch": Op((NAME, FREE), lambda f, a: f.start_search(
-        parse_name(a[0]), tuple(a[1].split()), then_pull=True), _keywords),
-    "bind": Op((NAME, NAP), lambda f, a: f.bind(parse_name(a[0]), a[1])),
-    "unbind": Op((NAME, NAP), lambda f, a: f.unbind(parse_name(a[0]), a[1])),
+        f.name_of(a[0]), tuple(a[1].split()), then_pull=True), _keywords),
+    "bind": Op((NAME, NAP), lambda f, a: f.bind(f.name_of(a[0]), a[1])),
+    "unbind": Op((NAME, NAP), lambda f, a: f.unbind(f.name_of(a[0]), a[1])),
     "partition": Op((REALM,), lambda f, a: f.partition(a[0])),
     "heal": Op((REALM,), lambda f, a: f.heal(a[0])),
     "nrs_register": Op(None, lambda f, a: f.nrs.register(
-        _record_to_nrs(_NRS.parse(a, "nrs_register")), CallerRole.ADMINISTRATOR)),
-    "nrs_withdraw": Op((NAME, FREE), lambda f, a: f.nrs.withdraw(parse_name(a[0]), a[1])),
+        _record_to_nrs(_NRS.parse(a, "nrs_register"), f.name_of), CallerRole.ADMINISTRATOR)),
+    "nrs_withdraw": Op((NAME, FREE), lambda f, a: f.nrs.withdraw(f.name_of(a[0]), a[1])),
 }
 
 
@@ -351,16 +354,24 @@ def save_scenario(s: Scenario) -> str:
 
 # --------------------------------------------------------------- validation
 
-_NODE_KINDS = frozenset(k.value for k in NodeKind)
-_SERVICES = frozenset(sv.value for sv in Service)
-_POLICY_OPERATIONS = frozenset(op.value for op in PolicyOperation)
+# Each enum's members by the text a scenario spells them with, read once:
+# Enum's own lookups and __members__ are Python-level, and set-up makes
+# one per row.
+_REALM_TECHS = dict(RealmTech.__members__)
+_PROTOCOLS = dict(Protocol.__members__)
+_NEXT_HOP_TECHS = dict(NextHopTech.__members__)
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_ENTITY_KINDS = {k.value: k for k in EntityKind}
+_SERVICES = {sv.value: sv for sv in Service}
+_POLICY_ACTIONS = {a.value: a for a in PolicyAction}
+_POLICY_OPERATIONS = {op.value: op for op in PolicyOperation}
 
 
 class _Memo(dict):
     """key -> make(key), made on the key's first lookup; calling the table
     looks a key up.  Set-up makes one per call, so each distinct URI or
     predicate is made once per call and shared (both are immutable), and
-    nothing outlives the call."""
+    no two calls share a table."""
 
     __slots__ = ("make",)
 
@@ -382,7 +393,7 @@ def validate_scenario(s: Scenario) -> Built:
     for r in s.realms:
         if r.id in realm_ids:
             raise ValidationError(f"duplicate realm {r.id}")
-        if r.technology not in RealmTech.__members__:
+        if r.technology not in _REALM_TECHS:
             raise ValidationError(f"realm {r.id}: unknown technology {r.technology}")
         if r.parent is not None and r.parent not in realm_ids:
             raise ValidationError(f"realm {r.id}: undefined parent {r.parent}")
@@ -436,7 +447,7 @@ def validate_scenario(s: Scenario) -> Built:
         if name in seen_entities:
             raise ValidationError(f"duplicate entity {e.uri}")
         seen_entities.add(name)
-        if e.kind not in ("content", "service_access_point"):
+        if e.kind not in _ENTITY_KINDS:
             raise ValidationError(f"entity {e.uri}: unknown kind {e.kind}")
         for host in e.hosts:
             if host not in node_realms:
@@ -445,7 +456,7 @@ def validate_scenario(s: Scenario) -> Built:
     # The line that first registers each NRS store key (NrsRecord.key: the
     # store refuses a second record under it); every binding registers a
     # host record for its NAP, with the empty predicate.
-    techs = {r.id: RealmTech[r.technology] for r in s.realms}
+    techs = {r.id: _REALM_TECHS[r.technology] for r in s.realms}
     anywhere = ContextPredicate()
     registered = {}
     for b in s.bindings:
@@ -462,9 +473,9 @@ def validate_scenario(s: Scenario) -> Built:
         """The record an [nrs] line or the arguments of an nrs_register op
         describe; ValidationError if the NRS could not hold it."""
         check_name(r.prefix, where)
-        if r.protocol not in Protocol.__members__:
+        if r.protocol not in _PROTOCOLS:
             raise ValidationError(f"{where}: unknown protocol {r.protocol}")
-        if r.tech not in NextHopTech.__members__:
+        if r.tech not in _NEXT_HOP_TECHS:
             raise ValidationError(f"{where}: unknown tech {r.tech}")
         if r.next_hop not in locators:
             raise ValidationError(f"{where}: undefined next hop {r.next_hop}")
@@ -491,7 +502,7 @@ def validate_scenario(s: Scenario) -> Built:
         if p.router not in node_realms:
             raise ValidationError(f"policy: undefined router {p.router}")
         check_name(p.prefix, f"policy {p.prefix}")
-        if p.action not in ("allow", "deny"):
+        if p.action not in _POLICY_ACTIONS:
             raise ValidationError(f"policy: unknown action {p.action}")
         if p.operation not in _POLICY_OPERATIONS:
             raise ValidationError(f"policy: unknown operation {p.operation}")
@@ -527,9 +538,9 @@ def validate_scenario(s: Scenario) -> Built:
 
 def _descriptor(r: RecordSpec) -> ServiceDescriptor:
     return ServiceDescriptor(
-        protocol=Protocol[r.protocol],
+        protocol=_PROTOCOLS[r.protocol],
         fcn=r.fcn,
-        next_hop_tech=NextHopTech[r.tech],
+        next_hop_tech=_NEXT_HOP_TECHS[r.tech],
         next_hop_address=r.next_hop,
         priority=r.priority,
         ttl_ticks=r.ttl,
@@ -541,10 +552,10 @@ def _predicate(key: tuple) -> ContextPredicate:
     """The predicate of a (window, location tags, context tags, service) key."""
     window, location_tags, context_tags, service = key
     return ContextPredicate(window, location_tags, context_tags,
-                            Service(service) if service else None)
+                            _SERVICES[service] if service else None)
 
 
-def _record_to_nrs(r: RecordSpec, name_of: Callable[[str], Name] = parse_name,
+def _record_to_nrs(r: RecordSpec, name_of: Callable[[str], Name],
                    predicate_of: Callable[[tuple], ContextPredicate] = _predicate) -> NrsRecord:
     return NrsRecord(name_of(r.prefix), _descriptor(r),
                      predicate_of((r.window, r.location_tags, r.context_tags, r.service)))
@@ -556,10 +567,11 @@ def build_fabric(s: Scenario) -> Fabric:
     built = validate_scenario(s) if s.built is None else s.built
     name_of = built.names
     fabric = Fabric()
+    fabric.name_of = name_of
     for r in s.realms:
-        fabric.add_realm(r.id, RealmTech[r.technology], r.parent)
+        fabric.add_realm(r.id, _REALM_TECHS[r.technology], r.parent)
     for n in s.nodes:
-        fabric.add_node(n.id, NodeKind(n.kind), list(n.realms))
+        fabric.add_node(n.id, _NODE_KINDS[n.kind], list(n.realms))
     for l in s.links:
         fabric.add_link(l.a, l.b, l.realm, l.delay)
     for t in s.topics:
@@ -569,7 +581,7 @@ def build_fabric(s: Scenario) -> Fabric:
         name = name_of(e.uri)
         entity = NamedEntity(
             name=name,
-            kind=EntityKind(e.kind),
+            kind=_ENTITY_KINDS[e.kind],
             payload=e.payload if e.kind == "content" else b"",
             metadata={
                 "keywords": ",".join(e.keywords),
@@ -586,8 +598,8 @@ def build_fabric(s: Scenario) -> Fabric:
     for p in s.policies:
         rules.setdefault(p.router, []).append(PolicyRule(
             name_of(p.prefix),
-            PolicyAction(p.action),
-            PolicyOperation(p.operation),
+            _POLICY_ACTIONS[p.action],
+            _POLICY_OPERATIONS[p.operation],
         ))
     for router, rule_list in rules.items():
         fabric.nodes[router].policy = AccessPolicy(tuple(rule_list))
@@ -628,7 +640,7 @@ def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
             # Every op that can raise these takes its name (or, for
             # nrs_register, its prefix) first.
             call = None if op.target is None else CallRecord(
-                a.op, parse_name(a.args[0]), op.target(a.args))
+                a.op, fabric.name_of(a.args[0]), op.target(a.args))
             fabric.drop_unsent("-", "-", a.args[0], _ABORTS[type(exc)], call)
         if call is not None:
             calls.append(call)

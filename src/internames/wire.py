@@ -49,8 +49,11 @@ REQUEST_KINDS = {
 _REQUEST_VALUES = frozenset(k._value_ for k in REQUEST_KINDS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireMessage:
+    """One message on the wire; slotted, as a run builds thousands and the
+    fabric keeps every one."""
+
     msg_id: int
     kind: MessageKind
     target_fcn: str = ""

@@ -9,8 +9,10 @@ from hypothesis import example, given, strategies as st
 import internames
 from internames.cli import main
 from internames.errors import InvalidStep, ParseError, ValidationError
-from internames.fabric import EventKind
-from internames.names import Name
+from internames import fabric as fabric_module
+from internames.fabric import EventKind, Fabric, NodeKind, RealmTech
+from internames.name_router import BridgeRule
+from internames.names import Name, parse_name
 from internames.nrs import ServiceDescriptor
 from internames.scenario import (
     BUILTIN_NAMES,
@@ -28,6 +30,7 @@ from internames.scenario import (
     RecordSpec,
     Scenario,
     TopicSpec,
+    _schedule_action,
     apply_migration,
     build_fabric,
     diff_trace,
@@ -281,6 +284,123 @@ def test_set_up_builds_each_name_and_record_once(monkeypatch):
             item1, item2 = [r for r in f.nrs.records() if r.prefix.realm_id == "shop"
                             and r.sd.next_hop_address == "b"]
             assert item1.predicate is item2.predicate
+
+
+# Every op that takes a name fires on CROSS_REALM; the last pull's caller
+# is no longer bound, so it fires down the abort path.
+NAMED_OPS = CROSS_REALM + """
+[timeline]
+1,pull,n2n://users:u1,n2n://ccn.com:doc
+2,push,n2n://users:u1,n2n://users:u2,hello
+3,bind,n2n://users:u4,host3b.internet
+4,nrs_register,n2n://ccn.com:more,HTTPISH,-,IPISH,host3a,0,100,-,-,-,-
+5,subscribe,n2n://users:u3,sports/news
+6,pull,n2n://users:u4,n2n://ccn.com:doc
+10,publish,n2n://users:u1,sports/news,goal
+12,fetch,n2n://users:u1,doc
+14,search,n2n://users:u3,paper
+40,unbind,n2n://users:u4,host3b.internet
+41,nrs_withdraw,n2n://ccn.com:more,host3a
+42,pull,n2n://users:u4,n2n://ccn.com:doc
+"""
+
+
+def _run_timeline(fabric, timeline):
+    calls = []
+    for a in timeline:
+        _schedule_action(fabric, a, calls)
+    fabric.run()
+    return calls
+
+
+def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
+    built = Counter()
+    name_init = Name.__post_init__
+
+    def counted_name(name):
+        name_init(name)
+        built[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
+
+    monkeypatch.setattr(Name, "__post_init__", counted_name)
+    s = parse_scenario(NAMED_OPS, name="named-ops")
+    fabric = build_fabric(s)
+    built.clear()
+    calls = _run_timeline(fabric, s.timeline)
+    assert built == Counter()
+    outcomes = [(c.kind, c.caller.uri, c.result, c.error) for c in calls]
+    assert outcomes == [
+        ("pull", "n2n://users:u1", b"doc-bytes", None),
+        ("push", "n2n://users:u1", None, None),
+        ("subscribe", "n2n://users:u3", b"subscribed", None),
+        ("pull", "n2n://users:u4", b"doc-bytes", None),
+        ("publish", "n2n://users:u1", None, None),
+        ("fetch", "n2n://users:u1", b"doc-bytes", None),
+        ("search", "n2n://users:u3", None, None),
+        ("pull", "n2n://users:u4", None, "not-bound"),
+    ]
+    for call in calls:
+        if call.kind == "pull":
+            key = next(k for k in fabric.bindings if k == call.caller)
+            assert call.caller is key
+    # The same ops parsing each name as they fire give the same run.
+    again = build_fabric(s)
+    again.name_of = parse_name
+    built.clear()
+    assert [(c.kind, c.result, c.error) for c in _run_timeline(again, s.timeline)] == [
+        (kind, result, error) for kind, _, result, error in outcomes]
+    assert built
+    assert again.trace_text() == fabric.trace_text()
+    assert [n.uri for n in calls[-2].search_result.names] == ["n2n://ccn.com:doc"]
+
+
+def test_timeline_ops_fire_on_a_fabric_built_by_hand():
+    fabric = Fabric()
+    fabric.add_realm("net", RealmTech.IPISH)
+    for node, kind in (("a", NodeKind.HOST), ("b", NodeKind.HOST), ("s", NodeKind.NRS)):
+        fabric.add_node(node, kind, ["net"])
+    fabric.add_link("a", "b", "net")
+    fabric.add_link("b", "s", "net")
+    item = parse_name("n2n://shop:item")
+    fabric.host_content("b", item, b"item-bytes")
+    fabric.known_names.add(parse_name("n2n://users:x"))
+    assert fabric.name_of is parse_name
+    timeline = [
+        ActionSpec(1, "bind", ("n2n://users:x", "a.net")),
+        ActionSpec(2, "nrs_register", ("n2n://shop:item", "HTTPISH", "-", "IPISH", "b",
+                                       "0", "100", "-", "-", "-", "-")),
+        ActionSpec(3, "pull", ("n2n://users:x", "n2n://shop:item")),
+        ActionSpec(20, "unbind", ("n2n://users:x", "a.net")),
+        ActionSpec(21, "pull", ("n2n://users:x", "n2n://shop:item")),
+    ]
+    calls = _run_timeline(fabric, timeline)
+    assert [(c.kind, c.caller, c.result, c.error) for c in calls] == [
+        ("pull", parse_name("n2n://users:x"), b"item-bytes", None),
+        ("pull", parse_name("n2n://users:x"), None, "not-bound"),
+    ]
+    assert [r.prefix for r in fabric.nrs.records()] == [item]
+
+
+def test_a_run_builds_one_bridge_rule_per_realm_pair(monkeypatch):
+    rules, pairs = [], []
+    rule_init, bridge = BridgeRule.__post_init__, fabric_module.bridge
+
+    def counted_rule(rule):
+        rule_init(rule)
+        rules.append((rule.realm_in, rule.realm_out))
+
+    def counted_bridge(m, rule, sd):
+        pairs.append((rule.realm_in, rule.realm_out))
+        return bridge(m, rule, sd)
+
+    monkeypatch.setattr(BridgeRule, "__post_init__", counted_rule)
+    monkeypatch.setattr(fabric_module, "bridge", counted_bridge)
+    # The migration, with its one pull made three times.
+    text = save_scenario(load_builtin("migration")) + "".join(
+        f"{tick},pull,n2n://users:dave,n2n://cp.com:video\n" for tick in (40, 80))
+    result = run_scenario(parse_scenario(text, name="migration-again"))
+    assert [c.result for c in result.calls] == [b"video-bytes"] * 3
+    assert len(pairs) == 6
+    assert sorted(rules) == sorted(set(pairs))
 
 
 @pytest.mark.parametrize("section,line,message", [

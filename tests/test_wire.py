@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 
@@ -70,6 +71,21 @@ def test_hop_count_bounded():
     with pytest.raises(ValueError):
         WireMessage(1, MessageKind.HTTP_RESP, hop_count=HOP_LIMIT + 1)
     assert interest(hops=3).bumped().hop_count == 4
+
+
+def test_message_is_frozen_and_slotted():
+    m = interest()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.hop_count = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.target_fcn = "ccnx://elsewhere"
+    assert [f.name for f in dataclasses.fields(m)] == [
+        "msg_id", "kind", "target_fcn", "target_name", "source_name", "body", "hop_count"]
+    moved = dataclasses.replace(m, target_fcn="ccnx://ccn.com/other", hop_count=2)
+    assert (moved.target_fcn, moved.hop_count, moved.source_name) == (
+        "ccnx://ccn.com/other", 2, m.source_name)
+    assert m.hop_count == 0
+    assert not hasattr(m, "__dict__")
 
 
 def test_round_trip_interest():
