@@ -115,11 +115,8 @@ class TraceEvent(NamedTuple):
         return (f"t={tick} node={node} realm={realm} event={event._value_}"
                 f" msg={msg_id} name={name} detail={detail}")
 
-    def sort_key(self) -> tuple:
-        return (self.tick, self.node, self.msg_id)
 
-
-# The fields of TraceEvent.sort_key, fetched in C.
+# The trace order: (tick, node, msg_id), fetched in C.
 _TRACE_ORDER = itemgetter(0, 1, 4)
 # Builds a TraceEvent from a ready tuple, skipping NamedTuple's Python __new__.
 _tuple_new = tuple.__new__
@@ -328,7 +325,6 @@ class _Flight:
             self.encoded = encode(msg)
             self.tunnel = f"tunnel realm={self.realm} inner={msg.msg_id}"
         outer = fabric._new_msg(kind=MessageKind.HTTP_PUSH, body=self.encoded)
-        fabric.encapsulations.append((outer.msg_id, msg.msg_id, self.realm))
         self.outer_id = outer.msg_id
         fabric._transmit(outer, self.path[self.i - 1], self.parent, self.path[self.i],
                          EventKind.SEND, self.call, on_arrive=self.resume,
@@ -376,7 +372,6 @@ class Fabric:
         self.trace: list[TraceEvent] = []
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
-        self.encapsulations: list[tuple[int, int, str]] = []  # (outer, inner, nested realm)
         self._msg_ids = itertools.count(1)
         # (realm, the kind's _value_) -> the realm's members of that kind
         self._members_of_kind: dict[tuple[str, str], list[str]] = {}
@@ -474,8 +469,7 @@ class Fabric:
         for rid, entries in sorted(adverts.items()):
             realm = self.realms[rid]
             realm.fib_registrations.extend(entries)
-            shared = Fib()
-            shared.advertise(entries)
+            shared = Fib(entries)
             owners = dict.fromkeys(owner for _, owner in entries)
             for member in realm.member_nodes:
                 hops = {}
@@ -658,10 +652,12 @@ class Fabric:
         naps = self.bindings.get(name, [])
         if nap_id not in naps:
             raise NotBound(f"{format_name(name)} at {nap_id}")
+        # The host record goes first, as in bind, so a record already
+        # withdrawn leaves the binding and no REBIND behind.
+        self.nrs.withdraw(name, nap_id)
         naps.remove(nap_id)
         nap = self.naps[nap_id]
         self._emit(nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"unbind nap={nap_id}")
-        self.nrs.withdraw(name, nap_id)
 
     def _register_host_record(self, name: Name, nap: NetworkAttachmentPoint) -> None:
         tech = self.realms[nap.realm_id].technology

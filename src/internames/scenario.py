@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .fabric import PROTOCOL_OF_TECH, CallRecord, Fabric, NodeKind, RealmTech
+from .fabric import PROTOCOL_OF_TECH, CallRecord, Fabric, NodeKind
 from .name_router import AccessPolicy, PolicyAction, PolicyOperation, PolicyRule
 from .names import (
     EntityKind,
@@ -356,8 +356,8 @@ def save_scenario(s: Scenario) -> str:
 
 # Each enum's members by the text a scenario spells them with, read once:
 # Enum's own lookups and __members__ are Python-level, and set-up makes
-# one per row.
-_REALM_TECHS = dict(RealmTech.__members__)
+# one per row.  A realm's technology is a next-hop technology (RealmTech
+# is NextHopTech), so one table serves realms and records.
 _PROTOCOLS = dict(Protocol.__members__)
 _NEXT_HOP_TECHS = dict(NextHopTech.__members__)
 _NODE_KINDS = {k.value: k for k in NodeKind}
@@ -393,7 +393,7 @@ def validate_scenario(s: Scenario) -> Built:
     for r in s.realms:
         if r.id in realm_ids:
             raise ValidationError(f"duplicate realm {r.id}")
-        if r.technology not in _REALM_TECHS:
+        if r.technology not in _NEXT_HOP_TECHS:
             raise ValidationError(f"realm {r.id}: unknown technology {r.technology}")
         if r.parent is not None and r.parent not in realm_ids:
             raise ValidationError(f"realm {r.id}: undefined parent {r.parent}")
@@ -456,7 +456,7 @@ def validate_scenario(s: Scenario) -> Built:
     # The line that first registers each NRS store key (NrsRecord.key: the
     # store refuses a second record under it); every binding registers a
     # host record for its NAP, with the empty predicate.
-    techs = {r.id: _REALM_TECHS[r.technology] for r in s.realms}
+    techs = {r.id: _NEXT_HOP_TECHS[r.technology] for r in s.realms}
     anywhere = ContextPredicate()
     registered = {}
     for b in s.bindings:
@@ -569,14 +569,13 @@ def build_fabric(s: Scenario) -> Fabric:
     fabric = Fabric()
     fabric.name_of = name_of
     for r in s.realms:
-        fabric.add_realm(r.id, _REALM_TECHS[r.technology], r.parent)
+        fabric.add_realm(r.id, _NEXT_HOP_TECHS[r.technology], r.parent)
     for n in s.nodes:
         fabric.add_node(n.id, _NODE_KINDS[n.kind], list(n.realms))
     for l in s.links:
         fabric.add_link(l.a, l.b, l.realm, l.delay)
     for t in s.topics:
         fabric.topic_home[t.fcn] = t.rendezvous
-        fabric.topics.setdefault(t.fcn, set())
     for e in s.entities:
         name = name_of(e.uri)
         entity = NamedEntity(

@@ -153,10 +153,6 @@ class FibEntry:
     prefix: str
     next_hop: str
 
-    @property
-    def prefix_segments(self) -> tuple[str, ...]:
-        return fcn_segments(self.prefix)
-
 
 class Fib:
     """A forwarding table: adverts (prefix, owner), read through a hop map.
@@ -164,48 +160,26 @@ class Fib:
     The index maps each advertised prefix's segments to its owners, and the
     hop map maps an owner to this table's next hop toward it.  A lookup
     takes the longest prefix with an owner in the hop map, then the smallest
-    of those owners' next hops.  An appended FibEntry is its own owner,
-    mapped to its own next hop.  Tables made by ``through`` share one
-    adverts list and index, each with its own hops; a table that shares
-    them copies both before it changes them.
+    of those owners' next hops.  A table never changes once built; tables
+    made by ``through`` share one adverts tuple and index, each with its own
+    hops.
     """
 
-    __slots__ = ("_adverts", "_index", "_hops", "_shared")
+    __slots__ = ("_adverts", "_index", "_hops")
 
-    def __init__(self, entries: Iterable[FibEntry] = ()):
-        self._adverts: list[tuple[str, object]] = []
+    def __init__(self, adverts: Iterable[tuple[str, object]] = ()):
+        self._adverts = tuple(adverts)
         self._index: dict[tuple[str, ...], list] = {}
         self._hops: dict[object, str] = {}
-        self._shared = False
-        for entry in entries:
-            self.append(entry)
-
-    def advertise(self, adverts: Iterable[tuple[str, object]]) -> None:
-        """Add adverts (prefix, owner), in order; each routes once its owner has a hop."""
-        if self._shared:
-            self._adverts = list(self._adverts)
-            self._index = {segments: list(owners) for segments, owners in self._index.items()}
-            self._shared = False
-        listed, index = self._adverts, self._index
-        for advert in adverts:
-            listed.append(advert)
-            prefix, owner = advert
-            segments = fcn_segments(prefix)
-            owners = index.get(segments)
-            if owners is None:
-                index[segments] = [owner]
-            elif owner not in owners:
+        for prefix, owner in self._adverts:
+            owners = self._index.setdefault(fcn_segments(prefix), [])
+            if owner not in owners:
                 owners.append(owner)
-
-    def append(self, entry: FibEntry) -> None:
-        self.advertise(((entry.prefix, entry),))
-        self._hops[entry] = entry.next_hop
 
     def through(self, hops: dict[object, str]) -> "Fib":
         """A table over this one's adverts and index, with hops as its hop map."""
-        fib = Fib()
+        fib = Fib.__new__(Fib)
         fib._adverts, fib._index, fib._hops = self._adverts, self._index, hops
-        fib._shared = self._shared = True
         return fib
 
     def __iter__(self) -> Iterator[FibEntry]:
@@ -215,26 +189,17 @@ class Fib:
             if hop is not None:
                 yield FibEntry(prefix, hop)
 
-    @property
-    def best_hop(self) -> dict[tuple[str, ...], str]:
-        """Prefix segments -> the smallest next hop this table holds for them."""
-        best: dict[tuple[str, ...], str] = {}
-        for entry in self:
-            segments = entry.prefix_segments
-            hop = best.get(segments)
-            if hop is None or entry.next_hop < hop:
-                best[segments] = entry.next_hop
-        return best
-
 
 def fib_lookup(table: Fib | Iterable[FibEntry], fcn: str) -> str:
     """Longest '/'-segment prefix match; length ties take the smallest next hop.
 
-    ``table`` is a Fib, or any iterable of FibEntry, which is indexed first.
+    ``table`` is a Fib, or any iterable of FibEntry, which is indexed first:
+    each entry is an advert that owns itself, with its own next hop.
     A prefix matches only if one of its owners has a next hop.
     """
     if not isinstance(table, Fib):
-        table = Fib(table)
+        entries = tuple(table)
+        table = Fib((e.prefix, e) for e in entries).through({e: e.next_hop for e in entries})
     hops = table._hops
     for owners in longest_prefix_hits(table._index, fcn_segments(fcn)):
         if len(owners) == 1:

@@ -11,7 +11,7 @@ from internames.nrs import (
     Protocol,
     ServiceDescriptor,
 )
-from internames.wire import HOP_LIMIT, FibEntry
+from internames.wire import HOP_LIMIT, Fib, FibEntry
 
 U1 = parse_name("n2n://users:u1")
 U2 = parse_name("n2n://users:u2")
@@ -157,7 +157,11 @@ def test_interest_caught_in_fib_loop_raises_hop_limit(cross_realm_fabric):
         Protocol.CCNISH_OVER_UDPISH, "loop/x", NextHopTech.CCNISH, "coreX")),
         CallerRole.ADMINISTRATOR)
     for node, hop in [("cli2", "coreX"), ("coreX", "nrsY"), ("nrsY", "coreX")]:
-        fab.nodes[node].ccn["ccnet"].fib.append(FibEntry("loop", hop))
+        # A FIB never changes once built: give each node a new one, its
+        # entries plus the loop's.
+        state = fab.nodes[node].ccn["ccnet"]
+        entries = [*state.fib, FibEntry("loop", hop)]
+        state.fib = Fib((e.prefix, e) for e in entries).through({e: e.next_hop for e in entries})
     with pytest.raises(HopLimitExceeded) as caught:
         NodeApi(fab, U2).pull(looped)
     assert isinstance(caught.value, Unreachable)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from internames.errors import DuplicateName
-from internames.names import EntityKind, Name, NamedEntity, parse_name
+from internames.names import EntityKind, NamedEntity, parse_name
 from internames.ors import ObjectResolutionService, OrsQuery, OrsResult
 
 

@@ -474,9 +474,13 @@ def test_diff_trace_identical_and_perturbed():
     ("99,unbind,n2n://ccn.com:article.pdf,client1.internet", "n2n://ccn.com:article.pdf",
      "not-bound", None),
     ("99,nrs_withdraw,n2n://ccn.com:nothing,FCN9", "n2n://ccn.com:nothing", "no-record", None),
+    # The host record is gone before the unbind, so the unbind changes nothing: no REBIND.
+    ("98,nrs_withdraw,n2n://users:alice,client1.internet\n"
+     "99,unbind,n2n://users:alice,client1.internet", "n2n://users:alice", "no-record", None),
     ("99,nrs_register,n2n://ccn.com:article.pdf,CCNISH_OVER_UDPISH,FCN1,IPISH,RN1,0,100,-,"
      "internet,-,-", "n2n://ccn.com:article.pdf", "duplicate-record", None),
-], ids=["unbound-pull", "unbound-fetch", "unbind-unbound", "withdraw-absent", "register-again"])
+], ids=["unbound-pull", "unbound-fetch", "unbind-unbound", "withdraw-absent",
+        "unbind-withdrawn", "register-again"])
 def test_op_that_cannot_fire_is_a_drop_and_the_run_goes_on(line, name, detail, call):
     text = save_scenario(load_builtin("fig3")) + line + "\n"
     result = run_scenario(parse_scenario(text, name="aborted"))

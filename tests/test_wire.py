@@ -12,6 +12,7 @@ from internames.wire import (
     HOP_LIMIT,
     CcnRouterState,
     ContentStore,
+    Fib,
     FibEntry,
     MessageKind,
     WireMessage,
@@ -234,7 +235,6 @@ def test_fib_random_tables_match_brute_force():
 
 
 def test_fib_index_edge_cases():
-    state = CcnRouterState()
     entries = [
         FibEntry("a/b", "m-hop"),
         FibEntry("ccnx://", "default-hop"),  # zero segments: matches every fcn
@@ -242,10 +242,8 @@ def test_fib_index_edge_cases():
         FibEntry("a/b", "m-hop"),            # repeated (prefix, hop)
         FibEntry("ccnx://a", "z-hop"),
     ]
-    for entry in entries:
-        state.fib.append(entry)
-    assert list(state.fib) == entries
-    assert [e.prefix for e in state.fib] == [e.prefix for e in entries]
+    fib = Fib((e.prefix, e) for e in entries).through({e: e.next_hop for e in entries})
+    assert list(fib) == entries
     for fcn, hop in [
         ("a/b/c", "k-hop"),
         ("ccnx://a/b", "k-hop"),
@@ -254,11 +252,27 @@ def test_fib_index_edge_cases():
         ("", "default-hop"),
         ("ccnx://", "default-hop"),
     ]:
-        assert fib_lookup(state.fib, fcn) == hop
+        assert fib_lookup(fib, fcn) == hop
         assert fib_lookup(entries, fcn) == hop
         assert fib_lookup(reversed(entries), fcn) == hop
     with pytest.raises(NoFibMatch):
         fib_lookup(entries[:1], "a")
+
+
+def test_fib_tables_through_one_index_keep_their_own_hops():
+    # Owner o1 advertises a and a/b, o2 a/b, o3 c: one index, two hop maps.
+    shared = Fib([("a", "o1"), ("a/b", "o2"), ("a/b", "o1"), ("c", "o3")])
+    near = shared.through({"o1": "h2", "o2": "h1"})
+    far = shared.through({"o3": "h3"})
+    assert list(shared) == [] and list(Fib()) == []
+    assert list(near) == [FibEntry("a", "h2"), FibEntry("a/b", "h1"), FibEntry("a/b", "h2")]
+    assert list(far) == [FibEntry("c", "h3")]
+    assert fib_lookup(near, "a/b/x") == "h1"  # the smallest hop of a/b's owners
+    assert fib_lookup(near, "a/x") == "h2"
+    assert fib_lookup(far, "c/x") == "h3"
+    for fib, fcn in ((near, "c"), (far, "a/b"), (shared, "a")):
+        with pytest.raises(NoFibMatch):  # no owner of a matching prefix has a hop
+            fib_lookup(fib, fcn)
 
 
 def test_content_store_capacity_and_eviction_order():
