@@ -324,7 +324,7 @@ class _Flight:
         if self.encoded is None:
             self.encoded = encode(msg)
             self.tunnel = f"tunnel realm={self.realm} inner={msg.msg_id}"
-        outer = fabric._new_msg(kind=MessageKind.HTTP_PUSH, body=self.encoded)
+        outer = fabric._new_msg(MessageKind.HTTP_PUSH, "", None, None, self.encoded)
         self.outer_id = outer.msg_id
         fabric._transmit(outer, self.path[self.i - 1], self.parent, self.path[self.i],
                          EventKind.SEND, self.call, on_arrive=self.resume,
@@ -493,8 +493,9 @@ class Fabric:
         self.messages[msg.msg_id] = msg
         return msg
 
-    def _new_msg(self, **fields) -> WireMessage:
-        return self._register_msg(WireMessage(msg_id=self.new_msg_id(), **fields))
+    def _new_msg(self, *fields) -> WireMessage:
+        """A kept message with the next id; fields are WireMessage's from kind on."""
+        return self._register_msg(WireMessage(self.new_msg_id(), *fields))
 
     def at(self, tick: int, fn) -> None:
         self.clock.schedule(tick, fn)
@@ -594,11 +595,7 @@ class Fabric:
         raise NoRoute(f"unknown locator {locator}")
 
     def node_ctx(self, node_id: str, location: str) -> ResolutionContext:
-        return ResolutionContext(
-            now_tick=self.clock.now_tick,
-            location_tag=location,
-            context_tags=self.node_tags[node_id],
-        )
+        return ResolutionContext(self.clock.now_tick, location, self.node_tags[node_id])
 
     def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
         """Closest reachable server of the given kind: (server, delay, realm).
@@ -915,9 +912,8 @@ class Fabric:
     def _respond(self, request, kind, body, node_id, realm_id, call) -> None:
         """Answer a request from a store: send body back to the request's
         source name as a response of kind."""
-        resp = self._new_msg(kind=kind, target_fcn=request.target_fcn,
-                             target_name=request.source_name,
-                             source_name=request.target_name, body=body)
+        resp = self._new_msg(kind, request.target_fcn, request.source_name,
+                             request.target_name, body)
         self.response_of[resp.msg_id] = request.msg_id
         self.deliver_to_name(resp, node_id, realm_id, call)
 
@@ -1117,12 +1113,10 @@ class Fabric:
                 return
             sd = sds[0]
             if self.realms[realm_id].technology is RealmTech.CCNISH:
-                interest = self._new_msg(kind=MessageKind.CCN_INTEREST, target_fcn=sd.fcn,
-                                         target_name=target, source_name=caller)
+                interest = self._new_msg(MessageKind.CCN_INTEREST, sd.fcn, target, caller)
                 self.ccn_start(interest, node_id, realm_id, EventKind.SEND, call)
             else:
-                get = self._new_msg(kind=MessageKind.HTTP_GET, target_name=target,
-                                    source_name=caller)
+                get = self._new_msg(MessageKind.HTTP_GET, "", target, caller)
                 dst_node, _ = self.locate(sd.next_hop_address)
                 self._transmit(get, node_id, realm_id, dst_node, EventKind.SEND, call)
 
@@ -1148,10 +1142,8 @@ class Fabric:
     def _push_msg(self, realm_id, fcn, target, source, body) -> WireMessage:
         """A name-addressed push: CCN data in a CCNISH realm, else an HTTP push."""
         if self.realms[realm_id].technology is RealmTech.CCNISH:
-            return self._new_msg(kind=MessageKind.CCN_DATA, target_fcn=fcn,
-                                 target_name=target, source_name=source, body=body)
-        return self._new_msg(kind=MessageKind.HTTP_PUSH, target_name=target,
-                             source_name=source, body=body)
+            return self._new_msg(MessageKind.CCN_DATA, fcn, target, source, body)
+        return self._new_msg(MessageKind.HTTP_PUSH, "", target, source, body)
 
     def start_subscribe(self, caller: Name, topic_fcn: str) -> CallRecord:
         call = CallRecord("subscribe", caller, topic_fcn)
@@ -1172,7 +1164,7 @@ class Fabric:
                        f"unknown-topic topic={topic_fcn}")
             self._fail(call, "unknown-topic")
             return
-        msg = self._new_msg(kind=kind, target_fcn=topic_fcn, source_name=caller, body=body)
+        msg = self._new_msg(kind, topic_fcn, None, caller, body)
         if home in self.realms[realm_id].member_nodes:
             self._transmit(msg, node_id, realm_id, home, EventKind.SEND, call)
             return

@@ -112,17 +112,27 @@ class ContextPredicate:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ResolutionContext:
+    """The caller's side of a resolve; the fabric builds one per cache lookup
+    and resolve, so __init__ sets each slot through its descriptor, past the
+    frozen __setattr__, and keeps tags that are already a frozenset."""
+
     now_tick: int
     location_tag: str = ""
     context_tags: frozenset[str] = frozenset()
     requested_service: Service = Service.UNICAST
 
-    def __post_init__(self):
-        if self.now_tick < 0:
+    def __init__(self, now_tick: int, location_tag: str = "",
+                 context_tags: frozenset[str] = frozenset(),
+                 requested_service: Service = Service.UNICAST):
+        if now_tick < 0:
             raise ValueError("now_tick must be >= 0")
-        object.__setattr__(self, "context_tags", frozenset(self.context_tags))
+        _set_now_tick(self, now_tick)
+        _set_location_tag(self, location_tag)
+        _set_context_tags(self, context_tags if type(context_tags) is frozenset
+                          else frozenset(context_tags))
+        _set_requested_service(self, requested_service)
 
     def cache_key_part(self) -> tuple:
         # now_tick deliberately excluded: expiry is handled by the TTL,
@@ -130,6 +140,11 @@ class ResolutionContext:
         # The service is keyed by its _value_, as an Enum member's own hash
         # is a Python-level call.
         return (self.location_tag, self.context_tags, self.requested_service._value_)
+
+
+_set_now_tick, _set_location_tag, _set_context_tags, _set_requested_service = (
+    ResolutionContext.__dict__[name].__set__
+    for name in ("now_tick", "location_tag", "context_tags", "requested_service"))
 
 
 @dataclass(frozen=True)

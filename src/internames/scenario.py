@@ -127,6 +127,9 @@ class ActionSpec:
     tick: int
     op: str
     args: tuple[str, ...] = ()
+    # Set by validation to the NrsRecord an nrs_register op describes; left
+    # out of ==, hash and repr, and None on a spec made by hand.
+    record: NrsRecord | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         op = TIMELINE_OPS.get(self.op)
@@ -216,7 +219,7 @@ class Section:
         self.rest = codecs[-1].rest
         self.width = len(codecs)
         self.parsers = tuple(c.parse for c in codecs)
-        self.fields = spec_fields(spec)
+        self.fields = [f for f in spec_fields(spec) if f.init]
 
     def parse(self, line_fields, where: str):
         """The spec a line's stripped fields describe; ParseError if they cannot."""
@@ -264,13 +267,14 @@ _BINDINGS = _SECTION_OF["bindings"]
 class Op(NamedTuple):
     """One timeline op: the kind of each argument, or None when the
     arguments are one [nrs] record; the step that fires it at the fabric's
-    tick, which returns the call it starts or None; and, for an op that
-    starts a call, the call's target text read from the arguments.  A step
-    reads each name through the fabric's name_of, so a fabric from
-    build_fabric fires with the Names validation built."""
+    tick, given the arguments or that record, which returns the call it
+    starts or None; and, for an op that starts a call, the call's target
+    text read from the arguments.  A step reads each name through the
+    fabric's name_of, so a fabric from build_fabric fires with the Names
+    validation built."""
 
     kinds: tuple[str, ...] | None
-    fire: Callable[[Fabric, tuple[str, ...]], Any]
+    fire: Callable[[Fabric, Any], Any]
     target: Callable[[tuple[str, ...]], str] | None = None
 
 
@@ -299,8 +303,7 @@ TIMELINE_OPS = {
     "unbind": Op((NAME, NAP), lambda f, a: f.unbind(f.name_of(a[0]), a[1])),
     "partition": Op((REALM,), lambda f, a: f.partition(a[0])),
     "heal": Op((REALM,), lambda f, a: f.heal(a[0])),
-    "nrs_register": Op(None, lambda f, a: f.nrs.register(
-        _record_to_nrs(_NRS.parse(a, "nrs_register"), f.name_of), CallerRole.ADMINISTRATOR)),
+    "nrs_register": Op(None, lambda f, record: f.nrs.register(record, CallerRole.ADMINISTRATOR)),
     "nrs_withdraw": Op((NAME, FREE), lambda f, a: f.nrs.withdraw(f.name_of(a[0]), a[1])),
 }
 
@@ -388,7 +391,8 @@ class _Memo(dict):
 
 def validate_scenario(s: Scenario) -> Built:
     """The Names and NRS records a valid scenario's set-up installs;
-    ValidationError naming the first line that is not valid."""
+    ValidationError naming the first line that is not valid.  Each
+    nrs_register op keeps the record it describes, for when it fires."""
     realm_ids = set()
     for r in s.realms:
         if r.id in realm_ids:
@@ -523,7 +527,7 @@ def validate_scenario(s: Scenario) -> Built:
         where = f"timeline t={a.tick} {a.op}"
         kinds = TIMELINE_OPS[a.op].kinds
         if kinds is None:
-            check_record(_NRS.parse(a.args, where), where)
+            object.__setattr__(a, "record", check_record(_NRS.parse(a.args, where), where))
             continue
         for kind, arg in zip(kinds, a.args):
             if kind == NAME:
@@ -634,7 +638,11 @@ def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
 
     def step():
         try:
-            call = op.fire(fabric, a.args)
+            args = a.args
+            if op.kinds is None:
+                # The record validation built, or one parsed from a hand-made spec.
+                args = a.record or _record_to_nrs(_NRS.parse(args, a.op), fabric.name_of)
+            call = op.fire(fabric, args)
         except tuple(_ABORTS) as exc:
             # Every op that can raise these takes its name (or, for
             # nrs_register, its prefix) first.

@@ -49,10 +49,11 @@ REQUEST_KINDS = {
 _REQUEST_VALUES = frozenset(k._value_ for k in REQUEST_KINDS)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WireMessage:
     """One message on the wire; slotted, as a run builds thousands and the
-    fabric keeps every one."""
+    fabric keeps every one, and __init__ sets each slot through its
+    descriptor, past the frozen __setattr__."""
 
     msg_id: int
     kind: MessageKind
@@ -62,15 +63,29 @@ class WireMessage:
     body: bytes = b""
     hop_count: int = 0
 
-    def __post_init__(self):
-        if self.source_name is None and self.kind._value_ in _REQUEST_VALUES:
-            raise ValueError(f"{self.kind.value} requires a source_name")
-        if self.hop_count > HOP_LIMIT:
+    def __init__(self, msg_id: int, kind: MessageKind, target_fcn: str = "",
+                 target_name: Name | None = None, source_name: Name | None = None,
+                 body: bytes = b"", hop_count: int = 0):
+        if source_name is None and kind._value_ in _REQUEST_VALUES:
+            raise ValueError(f"{kind.value} requires a source_name")
+        if hop_count > HOP_LIMIT:
             raise ValueError(f"hop_count exceeds {HOP_LIMIT}")
+        _set_msg_id(self, msg_id)
+        _set_kind(self, kind)
+        _set_target_fcn(self, target_fcn)
+        _set_target_name(self, target_name)
+        _set_source_name(self, source_name)
+        _set_body(self, body)
+        _set_hop_count(self, hop_count)
 
     def bumped(self) -> "WireMessage":
         return WireMessage(self.msg_id, self.kind, self.target_fcn, self.target_name,
                            self.source_name, self.body, self.hop_count + 1)
+
+
+(_set_msg_id, _set_kind, _set_target_fcn, _set_target_name, _set_source_name, _set_body,
+ _set_hop_count) = (WireMessage.__dict__[name].__set__ for name in (
+    "msg_id", "kind", "target_fcn", "target_name", "source_name", "body", "hop_count"))
 
 
 _FIELD_COUNT = 7

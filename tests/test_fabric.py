@@ -215,6 +215,8 @@ def test_partition_injects_disaster_tag_and_heal_removes_it():
     f = run_scenario(parse_scenario(PARTITION_SCN, name="p2")).fabric
     assert f.node_tags["pageS"] == frozenset({"disaster"})
     assert f.node_tags["extC"] == frozenset({"normal"})
+    # A resolution context takes the node's tags as they are.
+    assert f.node_ctx("pageS", "town").context_tags is f.node_tags["pageS"]
     f.heal("town")
     assert f.node_tags["pageS"] == frozenset({"normal"})
 

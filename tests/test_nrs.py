@@ -1,5 +1,7 @@
+import copy
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +66,46 @@ def test_canonical_text_kept_out_of_equality_hash_and_repr():
     assert built.canonical_text() is text  # built once
     assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
     assert replace(built, priority=2).canonical_text() == text.replace("priority=0", "priority=2")
+
+
+def test_context_is_frozen_and_slotted():
+    # One tag: a copied frozenset of several may list them in another order.
+    c = ctx(5, "net", ("a",), Service.ANYCAST)
+    with pytest.raises(FrozenInstanceError):
+        c.now_tick = 6
+    with pytest.raises(FrozenInstanceError):
+        c.context_tags = frozenset()
+    assert not hasattr(c, "__dict__")
+    assert [f.name for f in fields(c)] == [
+        "now_tick", "location_tag", "context_tags", "requested_service"]
+    later = replace(c, now_tick=9, context_tags=["z"])
+    assert (later.now_tick, later.location_tag, later.context_tags) == (9, "net", frozenset({"z"}))
+    for twin in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+        assert twin == c and hash(twin) == hash(c) and repr(twin) == repr(c)
+
+
+@pytest.mark.parametrize("tags", [{"a", "b"}, ["b", "a", "a"], ("a", "b")],
+                         ids=["set", "list", "tuple"])
+def test_context_tags_come_out_a_frozenset(tags):
+    c = ResolutionContext(0, "net", tags)
+    assert type(c.context_tags) is frozenset and c.context_tags == {"a", "b"}
+    kept = frozenset(tags)
+    assert ResolutionContext(0, "net", kept).context_tags is kept
+
+
+@given(tick=st.integers(min_value=-3, max_value=3), loc=st.sampled_from(["", "net"]),
+       tags=st.frozensets(st.sampled_from("abc")),
+       service=st.sampled_from(list(Service)))
+def test_context_checks_then_keeps_every_field(tick, loc, tags, service):
+    if tick < 0:
+        with pytest.raises(ValueError, match="^now_tick must be >= 0$"):
+            ResolutionContext(tick, loc, tags, service)
+        return
+    c = ResolutionContext(tick, loc, tags, service)
+    assert (c.now_tick, c.location_tag, c.context_tags, c.requested_service) == (
+        tick, loc, tags, service)
+    assert c == ResolutionContext(now_tick=tick, location_tag=loc, context_tags=set(tags),
+                                  requested_service=service)
 
 
 def test_end_user_cannot_register_or_withdraw():

@@ -13,7 +13,7 @@ from internames import fabric as fabric_module
 from internames.fabric import EventKind, Fabric, NodeKind, RealmTech
 from internames.name_router import BridgeRule
 from internames.names import Name, parse_name
-from internames.nrs import ServiceDescriptor
+from internames.nrs import ContextPredicate, ServiceDescriptor
 from internames.scenario import (
     BUILTIN_NAMES,
     SECTIONS,
@@ -316,17 +316,35 @@ def _run_timeline(fabric, timeline):
 def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
     built = Counter()
     name_init = Name.__post_init__
+    sd_init, predicate_init = ServiceDescriptor.__post_init__, ContextPredicate.__post_init__
 
     def counted_name(name):
         name_init(name)
         built[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
 
+    def counted_sd(sd):
+        sd_init(sd)
+        built[f"sd {sd.next_hop_address}"] += 1
+
+    def counted_predicate(predicate):
+        predicate_init(predicate)
+        built["predicate"] += 1
+
     monkeypatch.setattr(Name, "__post_init__", counted_name)
+    monkeypatch.setattr(ServiceDescriptor, "__post_init__", counted_sd)
+    monkeypatch.setattr(ContextPredicate, "__post_init__", counted_predicate)
     s = parse_scenario(NAMED_OPS, name="named-ops")
     fabric = build_fabric(s)
+    registered = []
+    register = fabric.nrs.register
+    fabric.nrs.register = lambda record, role: registered.append(record) or register(record, role)
     built.clear()
     calls = _run_timeline(fabric, s.timeline)
-    assert built == Counter()
+    # Only the bind builds: the host record of its nap.  The nrs_register op
+    # registers the record validation built.
+    assert built == Counter({"sd host3b.internet": 1})
+    (op,) = [a for a in s.timeline if a.op == "nrs_register"]
+    assert op.record is not None and registered[-1] is op.record
     outcomes = [(c.kind, c.caller.uri, c.result, c.error) for c in calls]
     assert outcomes == [
         ("pull", "n2n://users:u1", b"doc-bytes", None),
@@ -373,6 +391,7 @@ def test_timeline_ops_fire_on_a_fabric_built_by_hand():
         ActionSpec(21, "pull", ("n2n://users:x", "n2n://shop:item")),
     ]
     calls = _run_timeline(fabric, timeline)
+    assert timeline[1].record is None  # made by hand: the op parses its arguments
     assert [(c.kind, c.caller, c.result, c.error) for c in calls] == [
         ("pull", parse_name("n2n://users:x"), b"item-bytes", None),
         ("pull", parse_name("n2n://users:x"), None, "not-bound"),

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 import struct
 
@@ -10,6 +12,7 @@ from internames.names import Name
 from internames.wire import (
     CONTENT_STORE_CAPACITY,
     HOP_LIMIT,
+    REQUEST_KINDS,
     CcnRouterState,
     ContentStore,
     Fib,
@@ -87,6 +90,28 @@ def test_message_is_frozen_and_slotted():
         "ccnx://ccn.com/other", 2, m.source_name)
     assert m.hop_count == 0
     assert not hasattr(m, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert twin == m and hash(twin) == hash(m) and repr(twin) == repr(m)
+
+
+@given(kind=st.sampled_from(list(MessageKind)), source=st.none() | names,
+       hop_count=st.integers(min_value=HOP_LIMIT - 2, max_value=HOP_LIMIT + 2),
+       target=st.none() | names, body=st.binary(max_size=8))
+def test_construction_checks_then_keeps_every_field(kind, source, hop_count, target, body):
+    fields = (9, kind, "ccnx://a", target, source, body, hop_count)
+    if source is None and kind in REQUEST_KINDS:
+        refusal = f"{kind.value} requires a source_name"
+    elif hop_count > HOP_LIMIT:
+        refusal = f"hop_count exceeds {HOP_LIMIT}"
+    else:
+        refusal = None
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            WireMessage(*fields)
+        return
+    m = WireMessage(*fields)
+    assert tuple(getattr(m, f.name) for f in dataclasses.fields(m)) == fields
+    assert decode(encode(m)) == m
 
 
 def test_round_trip_interest():
