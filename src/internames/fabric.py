@@ -21,11 +21,18 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import (
+    AccessDenied,
+    DeliveryFailed,
+    DuplicateRecord,
+    HopLimitExceeded,
+    InternamesError,
     NoFibMatch,
     NoRoute,
     NotBound,
+    NotFound,
     NotResolvable,
     RealmViolation,
+    Unreachable,
     UnknownNap,
     UnknownRealm,
     ValidationError,
@@ -210,9 +217,10 @@ class CallRecord:
     call's messages; the fabric keeps no list of calls.  ``result`` is the
     first body delivered to a pull or fetch, or ``b"subscribed"`` once a
     subscribe reaches its rendezvous.  ``error`` is the reason of the call's
-    first drop, unless a result came first.  ``deliveries`` gets one (nap,
-    name, body) per message of the call that reaches a binding of its target
-    name.  ``search_result`` is the ORS answer to a search or fetch."""
+    first DROP, unless a result came first; only Fabric.drop writes it.
+    ``deliveries`` gets one (nap, name, body) per message of the call that
+    reaches a binding of its target name.  ``search_result`` is the ORS
+    answer to a search or fetch."""
     kind: str
     caller: Name | None
     target: str
@@ -254,9 +262,31 @@ _KIND_TO_OP = {
 _DELIVERABLE = frozenset(k._value_ for k in (MessageKind.HTTP_RESP, MessageKind.CCN_DATA,
                                              MessageKind.HTTP_PUSH))
 
-# The query and answer events of a consult, by the kind of server asked.
-_CONSULT_EVENTS = {NodeKind.NRS._value_: (EventKind.NRS_Q, EventKind.NRS_R),
-                   NodeKind.ORS._value_: (EventKind.ORS_Q, EventKind.ORS_R)}
+# A consult's query and answer events, and its drop reason when no server is reachable.
+_CONSULT_EVENTS = {NodeKind.NRS._value_: (EventKind.NRS_Q, EventKind.NRS_R, "nrs-unreachable"),
+                   NodeKind.ORS._value_: (EventKind.ORS_Q, EventKind.ORS_R, "ors-unreachable")}
+
+# Each reason a DROP can carry -> the error NodeApi raises for it.  The last
+# three are the scenario runner's, for an op that cannot fire: its error.
+DROP_REASONS: dict[str, type[InternamesError]] = {
+    "nrs-unreachable": Unreachable,  # no NRS server reachable from the node
+    "ors-unreachable": Unreachable,  # no ORS server reachable from the node
+    "not-resolvable": NotResolvable,  # the NRS holds no record for the name there
+    "unreachable-name": Unreachable,  # no binding or descriptor leads on to the name
+    "access-denied": AccessDenied,  # a name-router's policy refuses the sender
+    "not-found": NotFound,  # the serving node's store lacks the name
+    "no-route": Unreachable,  # no path is left in the realm
+    "partitioned": Unreachable,  # no path is left, and a link of the realm is cut
+    "no-fib-match": Unreachable,  # no FIB entry matches the interest's FCN
+    "hop-limit": HopLimitExceeded,  # the interest ran out of hops
+    "unknown-topic": NotFound,  # no rendezvous homes the topic
+    "unreachable-topic": Unreachable,  # no name-router leads on to the topic's home
+    "not-a-ccn-node": DeliveryFailed,  # an interest arrived in a realm that is not CCN
+    "unhandled": DeliveryFailed,  # the node has nothing to do with the message
+    "not-bound": NotBound,  # the op's caller or name has no binding
+    "no-record": NotFound,  # the op withdraws a record the NRS lacks
+    "duplicate-record": DuplicateRecord,  # the op registers a record the NRS holds
+}
 
 
 class _Flight:
@@ -337,11 +367,9 @@ class _Flight:
         self.land()
 
     def outer_lost(self, reason: str) -> None:
-        """The tunnelled hop was lost in the parent realm: drop msg where the
-        hop began.  The call keeps the outer message's reason as its error."""
-        msg = self.msg
-        self.fabric._emit(self.path[self.i - 1], self.realm, EventKind.DROP, msg.msg_id,
-                          msg.target_name, f"{reason} outer={self.outer_id}")
+        """The tunnelled hop was lost in the parent realm: drop msg where it began."""
+        self.fabric.drop(self.path[self.i - 1], self.realm, self.msg, reason, self.call,
+                         extra=f"outer={self.outer_id}")
 
 
 class Fabric:
@@ -733,17 +761,13 @@ class Fabric:
         self._transmit(payload, nap.node_id, nap.realm_id, dst_node, EventKind.SEND, None)
         return payload.msg_id
 
-    def _drop(self, node, realm_id, msg, detail, call) -> None:
-        self._emit(node, realm_id, EventKind.DROP, msg.msg_id, msg.target_name, detail)
-        self._fail(call, detail)
-
-    def drop_unsent(self, node, realm_id, name, detail, call) -> None:
-        """Drop a request that never went on the wire, under a fresh message id."""
-        self._emit(node, realm_id, EventKind.DROP, self.new_msg_id(), name, detail)
-        self._fail(call, detail)
-
-    def _fail(self, call, reason) -> None:
-        """Record a call's first failure, unless it already has a result."""
+    def drop(self, node, realm_id, msg, reason, call, name="-", extra="") -> None:
+        """Log a DROP of msg, or with msg None of a request never sent, as name
+        and a fresh id; its detail is reason, then extra.  The call's first
+        reason is its error, unless it already has a result."""
+        msg_id, name = (self.new_msg_id(), name) if msg is None else (msg.msg_id, msg.target_name)
+        self._emit(node, realm_id, EventKind.DROP, msg_id, name,
+                   f"{reason} {extra}" if extra else reason)
         if call is not None and call.error is None and call.result is None:
             call.error = reason
 
@@ -754,7 +778,7 @@ class Fabric:
     def _lost(self, node, realm_id, msg, call, on_lost) -> None:
         """No path is left from node: drop msg there, and pass on_lost the reason."""
         reason = self._no_path_detail(realm_id)
-        self._drop(node, realm_id, msg, reason, call)
+        self.drop(node, realm_id, msg, reason, call)
         if on_lost is not None:
             on_lost(reason)
 
@@ -783,13 +807,13 @@ class Fabric:
         query is the query event's detail; answer() gives the answer event's
         detail and the value cont receives.  With no server reachable the
         consult is dropped and cont receives None."""
+        query_event, answer_event, unreachable = _CONSULT_EVENTS[kind._value_]
         server = self._nearest_server(node_id, kind)
         if server is None:
-            self.drop_unsent(node_id, realm_id, name, f"{kind._value_}-unreachable", call)
+            self.drop(node_id, realm_id, None, unreachable, call, name=name)
             self.at(self.clock.now_tick, lambda: cont(None))
             return
         _srv, delay, srv_realm = server
-        query_event, answer_event = _CONSULT_EVENTS[kind._value_]
         qid = self.new_msg_id()
         self._emit(node_id, srv_realm, query_event, qid, name, query)
 
@@ -804,7 +828,7 @@ class Fabric:
                     call, cont, cache: CacheStore | None = None) -> None:
         """Resolve over the fabric: NRS_Q now, NRS_R after the round trip.
 
-        cont receives the descriptor list, or None when unresolvable."""
+        cont receives the descriptor list, or None for a miss, which cont drops."""
         if cache is not None:
             hit = cache.lookup(name, self.node_ctx(node_id, location))
             if hit is not None:
@@ -818,7 +842,6 @@ class Fabric:
             try:
                 sds = self.nrs.resolve(name, ctx)
             except NotResolvable:
-                self._fail(call, "not-resolvable")
                 return "no-record", None
             if cache is not None:
                 cache.store(name, ctx, sds)
@@ -876,9 +899,9 @@ class Fabric:
             self._rendezvous(msg, node_id, realm_id, call)
             return
         if deliverable:
-            self._drop(node_id, realm_id, msg, "unreachable-name", call)
+            self.drop(node_id, realm_id, msg, "unreachable-name", call)
             return
-        self._drop(node_id, realm_id, msg, "unhandled", call)
+        self.drop(node_id, realm_id, msg, "unhandled", call)
 
     def _bound_here(self, name, node_id, realm_id) -> bool:
         return f"{node_id}.{realm_id}" in self.bindings.get(name, ())
@@ -905,7 +928,7 @@ class Fabric:
         uri = format_name(msg.target_name) if msg.target_name else ""
         body = self.nodes[node_id].http_store.get(uri)
         if body is None:
-            self._drop(node_id, realm_id, msg, "not-found", call)
+            self.drop(node_id, realm_id, msg, "not-found", call)
             return
         self._respond(msg, MessageKind.HTTP_RESP, body, node_id, realm_id, call)
 
@@ -934,18 +957,18 @@ class Fabric:
             self._respond(interest, MessageKind.CCN_DATA, cached, node_id, realm_id, call)
             return
         if interest.hop_count >= HOP_LIMIT:
-            self._drop(node_id, realm_id, interest, "hop-limit", call)
+            self.drop(node_id, realm_id, interest, "hop-limit", call)
             return
         try:
             next_hop = fib_lookup(state.fib, fcn)
         except NoFibMatch:
-            self._drop(node_id, realm_id, interest, "no-fib-match", call)
+            self.drop(node_id, realm_id, interest, "no-fib-match", call)
             return
         self._transmit(interest.bumped(), node_id, realm_id, next_hop, send_event, call)
 
     def _ccn_arrive(self, interest, node_id, realm_id, call) -> None:
         if realm_id not in self.nodes[node_id].ccn:
-            self._drop(node_id, realm_id, interest, "not-a-ccn-node", call)
+            self.drop(node_id, realm_id, interest, "not-a-ccn-node", call)
             return
         self._recv(interest, node_id, realm_id, f"fcn={interest.target_fcn}")
         self.ccn_start(interest, node_id, realm_id, EventKind.FWD, call)
@@ -960,7 +983,7 @@ class Fabric:
         name = msg.target_name
         naps = self.bindings_of(name) if name is not None else []
         if not naps:
-            self._drop(node_id, realm_id, msg, "unreachable-name", call)
+            self.drop(node_id, realm_id, msg, "unreachable-name", call)
             return
         local = [nap for nap in naps if nap.realm_id == realm_id]
         remote = [nap for nap in naps if nap.realm_id != realm_id]
@@ -971,7 +994,7 @@ class Fabric:
             # itself just runs the egress re-resolution locally.
             gateway = self._gateway(realm_id, node_id, {nap.realm_id for nap in remote})
             if gateway is None:
-                self._drop(node_id, realm_id, msg, "unreachable-name", call)
+                self.drop(node_id, realm_id, msg, "unreachable-name", call)
                 return
             self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call)
 
@@ -984,7 +1007,7 @@ class Fabric:
 
         def onto(sds):
             if sds is None:
-                self._drop(node_id, realm_id, msg, "unreachable-name", call)
+                self.drop(node_id, realm_id, msg, "unreachable-name", call)
                 return
             seen = set()
             for sd in sds:
@@ -994,7 +1017,7 @@ class Fabric:
                     continue
                 seen.add(key)
                 if out_realm not in node.realms:
-                    self._drop(node_id, realm_id, msg, "unreachable-name", call)
+                    self.drop(node_id, realm_id, msg, "unreachable-name", call)
                     continue
                 self._forward_out(msg, sd, node_id, realm_id, out_realm, call)
 
@@ -1033,7 +1056,7 @@ class Fabric:
             op = PolicyOperation.PUSH
         if op is not None and msg.source_name is not None and check_access(
                 self.nodes[node_id].policy, msg.source_name, op) is PolicyAction.DENY:
-            self._drop(node_id, realm_id, msg, "access-denied", call)
+            self.drop(node_id, realm_id, msg, "access-denied", call)
             return False
         return True
 
@@ -1057,7 +1080,7 @@ class Fabric:
                 if rest:
                     self._try_realms(msg, node_id, realm_in, rest, call)
                 else:
-                    self._drop(node_id, realm_in, msg, "not-resolvable", call)
+                    self.drop(node_id, realm_in, msg, "not-resolvable", call)
                 return
             sd = sds[0]
             if self.realms[realm_out].technology is RealmTech.CCNISH:
@@ -1077,14 +1100,14 @@ class Fabric:
         node = self.nodes[node_id]
         home = self.topic_home.get(msg.target_fcn)
         if home is None:
-            self._drop(node_id, realm_id, msg, "unknown-topic", call)
+            self.drop(node_id, realm_id, msg, "unknown-topic", call)
             return
         for rid in sorted(r for r in node.realms if r != realm_id):
             if home in self.realms[rid].member_nodes and \
                     self._path(rid, node_id, home) is not None:
                 self._transmit(msg, node_id, rid, home, EventKind.FWD, call)
                 return
-        self._drop(node_id, realm_id, msg, "unreachable-topic", call)
+        self.drop(node_id, realm_id, msg, "unreachable-topic", call)
 
     def _rendezvous(self, msg, node_id, realm_id, call) -> None:
         self._recv(msg, node_id, realm_id, f"topic={msg.target_fcn}")
@@ -1109,7 +1132,7 @@ class Fabric:
 
         def onto(sds):
             if sds is None:
-                self.drop_unsent(node_id, realm_id, target, "not-resolvable", call)
+                self.drop(node_id, realm_id, None, "not-resolvable", call, name=target)
                 return
             sd = sds[0]
             if self.realms[realm_id].technology is RealmTech.CCNISH:
@@ -1131,7 +1154,7 @@ class Fabric:
 
         def onto(sds):
             if sds is None:
-                self.drop_unsent(node_id, realm_id, target, "not-resolvable", call)
+                self.drop(node_id, realm_id, None, "not-resolvable", call, name=target)
                 return
             push = self._push_msg(realm_id, format_name(target), target, caller, body)
             self.deliver_to_name(push, node_id, realm_id, call)
@@ -1160,9 +1183,7 @@ class Fabric:
         node_id, realm_id = nap.node_id, nap.realm_id
         home = self.topic_home.get(topic_fcn)
         if home is None:
-            self._emit(node_id, realm_id, EventKind.DROP, self.new_msg_id(), "-",
-                       f"unknown-topic topic={topic_fcn}")
-            self._fail(call, "unknown-topic")
+            self.drop(node_id, realm_id, None, "unknown-topic", call, extra=f"topic={topic_fcn}")
             return
         msg = self._new_msg(kind, topic_fcn, None, caller, body)
         if home in self.realms[realm_id].member_nodes:
@@ -1170,7 +1191,7 @@ class Fabric:
             return
         gateway = self._gateway(realm_id, node_id, set(self.nodes[home].realms))
         if gateway is None:
-            self._drop(node_id, realm_id, msg, "unreachable-topic", call)
+            self.drop(node_id, realm_id, msg, "unreachable-topic", call)
             return
         self._transmit(msg, node_id, realm_id, gateway, EventKind.SEND, call)
 

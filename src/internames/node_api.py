@@ -7,37 +7,15 @@ then reports the outcome.
 
 from __future__ import annotations
 
-from .errors import (
-    AccessDenied,
-    DeliveryFailed,
-    HopLimitExceeded,
-    NotFound,
-    NotResolvable,
-    Unreachable,
-)
-from .fabric import CallRecord, Fabric
+from .errors import DeliveryFailed
+from .fabric import DROP_REASONS, CallRecord, Fabric
 from .names import Name
 from .ors import OrsResult
-
-_ERROR_MAP = {
-    "not-resolvable": NotResolvable,
-    "nrs-unreachable": Unreachable,
-    "ors-unreachable": Unreachable,
-    "access-denied": AccessDenied,
-    "not-found": NotFound,
-    "unreachable-name": Unreachable,
-    "no-route": Unreachable,
-    "partitioned": Unreachable,
-    "no-fib-match": Unreachable,
-    "hop-limit": HopLimitExceeded,
-    "unknown-topic": NotFound,
-    "unreachable-topic": Unreachable,
-}
 
 
 def _raise_for(call: CallRecord) -> None:
     if call.error is not None:
-        raise _ERROR_MAP.get(call.error, DeliveryFailed)(call.error)
+        raise DROP_REASONS[call.error](call.error)
 
 
 class NodeApi:

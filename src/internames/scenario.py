@@ -628,8 +628,8 @@ class RunResult:
 
 
 # The errors a valid scenario's op can still raise when it fires, and the
-# detail of the DROP each becomes: a caller or unbind with no binding, a
-# withdraw of an absent record, and a register or bind that repeats one.
+# DROP reason each becomes: a caller or unbind with no binding, a withdraw
+# of an absent record, and a register or bind that repeats one.
 _ABORTS = {NotBound: "not-bound", NotFound: "no-record", DuplicateRecord: "duplicate-record"}
 
 
@@ -648,7 +648,7 @@ def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
             # nrs_register, its prefix) first.
             call = None if op.target is None else CallRecord(
                 a.op, fabric.name_of(a.args[0]), op.target(a.args))
-            fabric.drop_unsent("-", "-", a.args[0], _ABORTS[type(exc)], call)
+            fabric.drop("-", "-", None, _ABORTS[type(exc)], call, name=a.args[0])
         if call is not None:
             calls.append(call)
 

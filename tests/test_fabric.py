@@ -21,7 +21,7 @@ from internames.errors import (
     UnknownRealm,
     ValidationError,
 )
-from internames.fabric import EventKind, Fabric, NodeKind, RealmTech, SimClock
+from internames.fabric import DROP_REASONS, EventKind, Fabric, NodeKind, RealmTech, SimClock
 from internames.names import parse_name
 from internames.node_api import NodeApi
 from internames.scenario import (
@@ -32,6 +32,7 @@ from internames.scenario import (
     run_scenario,
 )
 from internames.wire import (
+    HOP_LIMIT,
     FibEntry,
     MessageKind,
     WireMessage,
@@ -41,7 +42,7 @@ from internames.wire import (
     fib_lookup,
 )
 
-from conftest import CROSS_REALM
+from conftest import CROSS_REALM, UNFIRABLE_OPS, fig3_and, run_checked, watched_drops
 
 
 def tiny_ip_fabric(hosts=("a", "b"), delay=1):
@@ -1001,8 +1002,9 @@ def test_no_path_reason_ignores_dead_links_of_other_realms():
 
 
 # ------------------------------------------------------------ drop paths
-# Each case runs conftest's CROSS_REALM (or a copy without some resolver
-# nodes) and pins the DROP line and the call's error.
+# Each case runs conftest's CROSS_REALM (or a variant of it) and pins the
+# DROP line and the call's error; run_checked also checks that every
+# call's error is the reason of its first DROP.
 
 
 def without_nodes(text, *node_ids):
@@ -1010,11 +1012,15 @@ def without_nodes(text, *node_ids):
     return "\n".join(l for l in text.splitlines() if not l.startswith(prefixes))
 
 
-def run_drops(text, timeline, policies=()):
+def drop_scenario(text, timeline, policies=()):
     if policies:
         text += "\n[policies]\n" + "\n".join(policies) + "\n"
     text += "\n[timeline]\n" + "\n".join(timeline) + "\n"
-    result = run_scenario(parse_scenario(text, name="drops"))
+    return parse_scenario(text, name="drops")
+
+
+def run_drops(text, timeline, policies=()):
+    result, _ = run_checked(drop_scenario(text, timeline, policies))
     drops = [(e.tick, e.node, e.realm, e.name, e.detail)
              for e in result.fabric.sorted_trace() if e.event is EventKind.DROP]
     return drops, [(c.kind, c.error) for c in result.calls]
@@ -1023,7 +1029,7 @@ def run_drops(text, timeline, policies=()):
 DOC_URI = "n2n://ccn.com:doc"
 
 
-@pytest.mark.parametrize("policy, action, drop, call", [
+ACCESS_DENIED = [
     ("RNx,n2n://users:u1,deny,pull",
      f"0,pull,n2n://users:u1,{DOC_URI}",
      (6, "RNx", "internet", DOC_URI), "pull"),
@@ -1036,7 +1042,11 @@ DOC_URI = "n2n://ccn.com:doc"
     ("RNx,n2n://users:u2,deny,subscribe",
      "0,subscribe,n2n://users:u2,sports/news",
      (2, "RNx", "ccnet", "-"), "subscribe"),
-], ids=["ingress-pull", "egress-push", "egress-ccn-push", "relay-subscribe"])
+]
+
+
+@pytest.mark.parametrize("policy, action, drop, call", ACCESS_DENIED,
+                         ids=["ingress-pull", "egress-push", "egress-ccn-push", "relay-subscribe"])
 def test_router_access_denied_drops(policy, action, drop, call):
     drops, calls = run_drops(CROSS_REALM, [action], [policy])
     assert drops == [drop + ("access-denied",)]
@@ -1064,9 +1074,20 @@ sideH,host,side
 """
 RNX_IN_SIDE = CROSS_REALM.replace("RNx,name_router,internet+ccnet",
                                   "RNx,name_router,internet+ccnet+side") + SIDE_REALM
+# A page on sideH, linked to RNx: u1 resolves it to RNx, and RNx resolves it
+# in side only.
+SIDE_PAGE = """
+[links]
+RNx,sideH,side,1
+[entities]
+n2n://side.org:page,content,sideH,-,page-bytes,page,a side page
+[nrs]
+n2n://side.org:page,HTTPISH,-,IPISH,RNx,0,100,-,internet,-,-
+n2n://side.org:page,HTTPISH,-,IPISH,sideH,0,100,-,side,-,-
+"""
 
 
-@pytest.mark.parametrize("text, timeline, drops, call", [
+RETURN_PATHS = [
     # A name-router in one realm answers a GET itself.
     (CROSS_REALM + SERVING_ROUTER, ["0,pull,n2n://users:u1,n2n://web.org:page"],
      [], ("pull", None)),
@@ -1080,7 +1101,8 @@ RNX_IN_SIDE = CROSS_REALM.replace("RNx,name_router,internet+ccnet",
     # u2's record is withdrawn between the sender's resolve and RNx's.
     (CROSS_REALM, ["0,push,n2n://users:u1,n2n://users:u2,hi",
                    "5,nrs_withdraw,n2n://users:u2,cli2.ccnet"],
-     [(10, "RNx", "internet", "n2n://users:u2", "unreachable-name")], ("push", "not-resolvable")),
+     [(10, "RNx", "internet", "n2n://users:u2", "unreachable-name")],
+     ("push", "unreachable-name")),
     # One of u2's records is scoped to a realm RNx is not in.
     (CROSS_REALM + SIDE_REALM
      + "[nrs]\nn2n://users:u2,HTTPISH,-,IPISH,sideH,0,100,-,-,-,-,side\n",
@@ -1092,12 +1114,26 @@ RNX_IN_SIDE = CROSS_REALM.replace("RNx,name_router,internet+ccnet",
      ["0,pull,n2n://users:u1,n2n://ccn.com:gone"],
      [(14, "RNx", "internet", "n2n://ccn.com:gone", "not-resolvable")],
      ("pull", "not-resolvable")),
+    # RNx tries ccnet, where the page has no record, then side, where it has.
+    (RNX_IN_SIDE + SIDE_PAGE, ["0,pull,n2n://users:u1,n2n://side.org:page"], [], ("pull", None)),
+    # u1 is also bound on sideH, in a realm no name-router borders: the copy
+    # of host3a's response sent to RNx is dropped there after cli1 has it.
+    (CROSS_REALM + SIDE_REALM + "[bindings]\nn2n://users:u1,sideH.side\n"
+     "[entities]\nn2n://web.org:page,content,host3a,-,page-bytes,page,a page\n"
+     "[nrs]\nn2n://web.org:page,HTTPISH,-,IPISH,host3a,0,100,-,-,-,-\n",
+     ["0,pull,n2n://users:u1,n2n://web.org:page"],
+     [(12, "RNx", "internet", "n2n://users:u1", "unreachable-name")], ("pull", None)),
     # No FIB entry of cli2 matches the record's FCN.
     (CROSS_REALM + "[nrs]\nn2n://ccn.com:none,CCNISH_OVER_UDPISH,other.org/none,CCNISH,coreX,"
      "0,100,-,ccnet,-,-\n", ["0,pull,n2n://users:u2,n2n://ccn.com:none"],
      [(4, "cli2", "ccnet", "n2n://ccn.com:none", "no-fib-match")], ("pull", "no-fib-match")),
-], ids=["router-serves-get", "push-to-unbound-name", "no-gateway", "egress-no-descriptor",
-        "egress-scope-outside-router", "ingress-realms-exhausted", "no-fib-match"])
+]
+
+
+@pytest.mark.parametrize("text, timeline, drops, call", RETURN_PATHS, ids=[
+    "router-serves-get", "push-to-unbound-name", "no-gateway", "egress-no-descriptor",
+    "egress-scope-outside-router", "ingress-realms-exhausted", "ingress-second-realm-resolves",
+    "drop-after-result", "no-fib-match"])
 def test_return_path_drops(text, timeline, drops, call):
     found, calls = run_drops(text, timeline)
     assert found == drops
@@ -1175,17 +1211,69 @@ def test_unknown_topic_drops_subscribe():
     assert calls == [("subscribe", "unknown-topic")]
 
 
-@pytest.mark.parametrize("kind, detail", [
-    (MessageKind.CCN_INTEREST, "not-a-ccn-node"),
-    (MessageKind.SUB, "unhandled"),
-], ids=["interest-at-ip-host", "sub-at-host"])
-def test_message_without_a_call_dropped_at_a_host(kind, detail):
-    # Fabric.send carries no call record: these drops run with none.
+# A host, its NRS and a repo at the far end of a chain of HOP_LIMIT CCN
+# routers: an interest reaches the last router after HOP_LIMIT hops.
+CCN_CHAIN = [f"c{i}" for i in range(HOP_LIMIT)]
+FAR_REPO = "\n".join([
+    "[realms]", "ccnet,CCNISH,-",
+    "[nodes]", "cli,host,ccnet", "nrsC,nrs,ccnet", "repoF,repo,ccnet",
+    *(f"{c},ccn_router,ccnet" for c in CCN_CHAIN),
+    "[links]", "nrsC,cli,ccnet,1",
+    *(f"{a},{b},ccnet,1" for a, b in zip(["cli", *CCN_CHAIN], [*CCN_CHAIN, "repoF"])),
+    "[entities]", "n2n://far.org:doc,content,repoF,far.org/doc,doc-bytes,doc,a far document",
+    "[bindings]", "n2n://users:u,cli.ccnet",
+    "[nrs]", "n2n://far.org:doc,CCNISH_OVER_UDPISH,far.org/doc,CCNISH,c0,0,100,-,ccnet,-,-", ""])
+
+FORWARD_PATHS = [
+    # The record leads to host3a, whose store lacks the page.
+    (CROSS_REALM + "[nrs]\nn2n://web.org:gone,HTTPISH,-,IPISH,host3a,0,100,-,-,-,-\n",
+     ["0,pull,n2n://users:u1,n2n://web.org:gone"],
+     [(6, "host3a", "internet", "n2n://web.org:gone", "not-found")], ("pull", "not-found")),
+    # The record leads to a host linked to nothing.
+    (CROSS_REALM + "[nodes]\nlone,host,internet\n"
+     "[nrs]\nn2n://web.org:lone,HTTPISH,-,IPISH,lone,0,100,-,-,-,-\n",
+     ["0,pull,n2n://users:u1,n2n://web.org:lone"],
+     [(4, "cli1", "internet", "n2n://web.org:lone", "no-route")], ("pull", "no-route")),
+    # ccnet is cut off, RNx with it, after u1's resolve and before its GET.
+    (CROSS_REALM, ["0,partition,ccnet", f"1,pull,n2n://users:u1,{DOC_URI}"],
+     [(5, "cli1", "internet", DOC_URI, "partitioned")], ("pull", "partitioned")),
+    # No name-router is reachable from cli2 to carry the subscribe out of ccnet.
+    (CROSS_REALM.replace("RNx,coreX,ccnet,1\n", ""), ["0,subscribe,n2n://users:u2,sports/news"],
+     [(0, "cli2", "ccnet", "-", "unreachable-topic")], ("subscribe", "unreachable-topic")),
+    # The interest runs out of hops at the last router, one short of the repo:
+    # it leaves cli at tick 2, with the NRS's answer, and each hop takes one.
+    (FAR_REPO, ["0,pull,n2n://users:u,n2n://far.org:doc"],
+     [(2 + HOP_LIMIT, CCN_CHAIN[-1], "ccnet", "n2n://far.org:doc", "hop-limit")],
+     ("pull", "hop-limit")),
+]
+
+
+@pytest.mark.parametrize("text, timeline, drops, call", FORWARD_PATHS, ids=[
+    "get-at-host-without-the-page", "next-hop-linked-to-nothing", "realm-partitioned",
+    "no-gateway-to-topic-home", "interest-out-of-hops"])
+def test_forward_path_drops(text, timeline, drops, call):
+    found, calls = run_drops(text, timeline)
+    assert found == drops
+    assert calls == [call]
+
+
+HOST_DROPS = [(MessageKind.CCN_INTEREST, "not-a-ccn-node"), (MessageKind.SUB, "unhandled")]
+
+
+def send_to_host(kind):
+    """Send a message of kind from host a to host b, which has no use for it."""
     f = tiny_ip_fabric()
     sender = bound(f, "a", "alice")
     f.send("a.net", "b", WireMessage(msg_id=f.new_msg_id(), kind=kind,
                                      target_fcn="ccn.com/doc", source_name=sender))
     f.run_until_idle()
+    return f
+
+
+@pytest.mark.parametrize("kind, detail", HOST_DROPS, ids=["interest-at-ip-host", "sub-at-host"])
+def test_message_without_a_call_dropped_at_a_host(kind, detail):
+    # Fabric.send carries no call record: these drops run with none.
+    f = send_to_host(kind)
     drops = [(e.tick, e.node, e.realm, e.detail)
              for e in f.trace if e.event is EventKind.DROP]
     assert drops == [(1, "b", "net", detail)]
@@ -1214,25 +1302,39 @@ def assert_emitted_in_tick_order(fabric):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtins_emit_in_tick_order(name):
-    assert_emitted_in_tick_order(run_scenario(load_builtin(name)).fabric)
+    assert_emitted_in_tick_order(run_checked(load_builtin(name))[0].fabric)
 
 
-@pytest.mark.parametrize("text, timeline, policies", [
-    (CROSS_REALM, [f"0,pull,n2n://users:u1,{DOC_URI}"], ["RNx,n2n://users:u1,deny,pull"]),
-    (CROSS_REALM, ["0,push,n2n://users:u1,n2n://users:u2,hi"], ["RNx,n2n://users:u1,deny,push"]),
-    (CROSS_REALM, ["0,push,n2n://users:u2,n2n://users:u1,hi"], ["RNx,n2n://users:u2,deny,push"]),
-    (CROSS_REALM, ["0,subscribe,n2n://users:u2,sports/news"],
-     ["RNx,n2n://users:u2,deny,subscribe"]),
+# Every run_drops scenario above, as (text, timeline, policies).
+DROP_RUNS = [
+    *((CROSS_REALM, [action], [policy]) for policy, action, _, _ in ACCESS_DENIED),
     (CROSS_REALM, [f"0,pull,n2n://users:u1,{DOC_URI}"], [f"RNx,{DOC_URI},deny,push"]),
     (RV_IN_CCNET, CCN_FAN_OUT, ["RNx,n2n://users:u2,deny,push"]),
     (without_nodes(CROSS_REALM, "nrsX", "nrsY"), [f"0,pull,n2n://users:u1,{DOC_URI}"], []),
     (without_nodes(CROSS_REALM, "orsX"),
      ["0,search,n2n://users:u1,doc", "1,fetch,n2n://users:u1,doc"], []),
     (CROSS_REALM, ["0,subscribe,n2n://users:u1,no/topic"], []),
-])
+    *((text, timeline, []) for text, timeline, _, _ in RETURN_PATHS + FORWARD_PATHS),
+]
+
+
+@pytest.mark.parametrize("text, timeline, policies", DROP_RUNS)
 def test_drop_paths_emit_in_tick_order(text, timeline, policies):
-    text += "\n[policies]\n" + "\n".join(policies) + "\n[timeline]\n" + "\n".join(timeline)
-    assert_emitted_in_tick_order(run_scenario(parse_scenario(text + "\n")).fabric)
+    assert_emitted_in_tick_order(run_checked(drop_scenario(text, timeline, policies))[0].fabric)
+
+
+def test_drops_reach_every_reason_in_the_table():
+    # The builtins, every run_drops scenario, the ops that cannot fire and
+    # the messages sent to a host that has no use for them.
+    scenarios = [*map(load_builtin, BUILTIN_NAMES),
+                 *(drop_scenario(*run) for run in DROP_RUNS),
+                 *(fig3_and(line) for line, *_ in UNFIRABLE_OPS)]
+    reached = {reason for s in scenarios for reason in run_checked(s)[1]}
+    with watched_drops() as drops:
+        for kind, _ in HOST_DROPS:
+            send_to_host(kind)
+    reached.update(reason for _, reason, _ in drops)
+    assert reached == set(DROP_REASONS)
 
 
 @pytest.mark.parametrize("seed", range(5))

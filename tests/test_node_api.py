@@ -1,7 +1,15 @@
+from pathlib import Path
+
 import pytest
 
-from internames.errors import HopLimitExceeded, NotFound, NotResolvable, Unreachable
-from internames.fabric import EventKind
+from internames.errors import (
+    HopLimitExceeded,
+    InternamesError,
+    NotFound,
+    NotResolvable,
+    Unreachable,
+)
+from internames.fabric import DROP_REASONS, EventKind
 from internames.names import parse_name
 from internames.node_api import NodeApi
 from internames.nrs import (
@@ -36,6 +44,19 @@ def test_bridge_transparency(cross_realm_fabric):
     outside = NodeApi(cross_realm_fabric, U1).pull(DOC)
     inside = NodeApi(cross_realm_fabric, U2).pull(DOC)
     assert outside == inside == b"doc-bytes"
+
+
+def test_every_drop_reason_names_an_internames_error():
+    assert all(issubclass(error, InternamesError) for error in DROP_REASONS.values())
+
+
+def test_readme_lists_every_drop_reason_and_its_error():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Drop reasons\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.split(" | ") for line in section.splitlines() if line.startswith("| `")]
+    listed = {reason.strip("|` "): error.strip("|` ") for reason, _, error in rows}
+    assert list(listed) == list(DROP_REASONS)
+    assert listed == {reason: error.__name__ for reason, error in DROP_REASONS.items()}
 
 
 def test_pull_unregistered_name(cross_realm_fabric):
@@ -104,6 +125,18 @@ def test_push_after_unbinding_sole_nap(cross_realm_fabric):
         NodeApi(f, U1).push(U2, b"x")
 
 
+def test_push_whose_egress_cannot_resolve_is_unreachable(cross_realm_fabric):
+    # u1's cache still holds u2's record, but RNx, which resolves anew,
+    # finds none: the drop there and the error raised are unreachable-name.
+    f = cross_realm_fabric
+    api = NodeApi(f, U1)
+    assert api.push(U2, b"hi") == 1
+    f.nrs.withdraw(U2, "cli2.ccnet")
+    with pytest.raises(Unreachable) as caught:
+        api.push(U2, b"again")
+    assert str(caught.value) == "unreachable-name"
+
+
 def test_pubsub_fan_out_across_realms(cross_realm_fabric):
     f = cross_realm_fabric
     NodeApi(f, U2).subscribe("sports/news")
@@ -121,6 +154,16 @@ def test_subscribe_idempotent(cross_realm_fabric):
     NodeApi(f, U3).subscribe("sports/news")
     NodeApi(f, U3).subscribe("sports/news")
     assert NodeApi(f, U1).publish("sports/news", b"x") == 1
+
+
+def test_publish_counts_past_a_subscriber_the_egress_cannot_resolve(cross_realm_fabric):
+    # u2 is still bound, but RNx finds no record for it: the fan-out to u2
+    # is an unreachable-name miss, and u3 is still reached.
+    f = cross_realm_fabric
+    NodeApi(f, U2).subscribe("sports/news")
+    NodeApi(f, U3).subscribe("sports/news")
+    f.nrs.withdraw(U2, "cli2.ccnet")
+    assert NodeApi(f, U1).publish("sports/news", b"score") == 1
 
 
 def test_publish_without_subscribers(cross_realm_fabric):

@@ -43,7 +43,7 @@ from internames.scenario import (
     validate_scenario,
 )
 
-from conftest import CROSS_REALM
+from conftest import CROSS_REALM, UNFIRABLE_OPS, fig3_and, run_checked
 
 ALL_SOURCES = ("fig3", "mobility-return", "reverse-multicast", "disaster", "cdn")
 
@@ -485,24 +485,11 @@ def test_diff_trace_identical_and_perturbed():
     assert status == 1 and "longer" in message
 
 
-@pytest.mark.parametrize("line,name,detail,call", [
-    ("99,pull,n2n://users:nobody,n2n://users:nobody", "n2n://users:nobody", "not-bound",
-     ("pull", "n2n://users:nobody", "n2n://users:nobody")),
-    ("99,fetch,n2n://users:nobody,article  pdf", "n2n://users:nobody", "not-bound",
-     ("fetch", "n2n://users:nobody", "article,pdf")),
-    ("99,unbind,n2n://ccn.com:article.pdf,client1.internet", "n2n://ccn.com:article.pdf",
-     "not-bound", None),
-    ("99,nrs_withdraw,n2n://ccn.com:nothing,FCN9", "n2n://ccn.com:nothing", "no-record", None),
-    # The host record is gone before the unbind, so the unbind changes nothing: no REBIND.
-    ("98,nrs_withdraw,n2n://users:alice,client1.internet\n"
-     "99,unbind,n2n://users:alice,client1.internet", "n2n://users:alice", "no-record", None),
-    ("99,nrs_register,n2n://ccn.com:article.pdf,CCNISH_OVER_UDPISH,FCN1,IPISH,RN1,0,100,-,"
-     "internet,-,-", "n2n://ccn.com:article.pdf", "duplicate-record", None),
-], ids=["unbound-pull", "unbound-fetch", "unbind-unbound", "withdraw-absent",
-        "unbind-withdrawn", "register-again"])
+@pytest.mark.parametrize("line,name,detail,call", UNFIRABLE_OPS, ids=[
+    "unbound-pull", "unbound-fetch", "unbind-unbound", "withdraw-absent", "unbind-withdrawn",
+    "register-again"])
 def test_op_that_cannot_fire_is_a_drop_and_the_run_goes_on(line, name, detail, call):
-    text = save_scenario(load_builtin("fig3")) + line + "\n"
-    result = run_scenario(parse_scenario(text, name="aborted"))
+    result, _ = run_checked(fig3_and(line))
     drop = f"t=99 node=- realm=- event=DROP msg=7 name={name} detail={detail}"
     assert result.trace_text == golden_trace("fig3") + drop
     aborted = [(c.kind, c.caller.uri, c.target, c.error) for c in result.calls[1:]]
