@@ -140,15 +140,26 @@ class EntityKind(Enum):
     SERVICE_ACCESS_POINT = "service_access_point"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NamedEntity:
-    """Binding of a Name to content bytes or a service access point."""
+    """Binding of a Name to content bytes or a service access point;
+    slotted, as set-up builds one per entity, and __init__ sets each slot
+    through its descriptor, past the frozen __setattr__."""
 
     name: Name
     kind: EntityKind
     payload: bytes = b""
     metadata: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.kind is EntityKind.SERVICE_ACCESS_POINT and self.payload:
+    def __init__(self, name: Name, kind: EntityKind, payload: bytes = b"",
+                 metadata: dict | None = None):
+        if kind is EntityKind.SERVICE_ACCESS_POINT and payload:
             raise ValueError("a service access point carries no payload")
+        _set_name(self, name)
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_metadata(self, {} if metadata is None else metadata)
+
+
+_set_name, _set_kind, _set_payload, _set_metadata = (
+    NamedEntity.__dict__[attr].__set__ for attr in ("name", "kind", "payload", "metadata"))

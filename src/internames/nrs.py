@@ -44,9 +44,11 @@ class CallerRole(Enum):
 _WRITER_ROLES = (CallerRole.ADMINISTRATOR, CallerRole.NAME_ROUTER)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ServiceDescriptor:
-    """How to relay a request toward a named-entity: protocol + next hop."""
+    """How to relay a request toward a named-entity: protocol + next hop.
+    Slotted, as set-up builds one per NRS record, and __init__ sets each
+    slot through its descriptor, past the frozen __setattr__."""
 
     protocol: Protocol
     fcn: str
@@ -55,15 +57,31 @@ class ServiceDescriptor:
     priority: int = 0
     ttl_ticks: int = DEFAULT_TTL_TICKS
     scope: str | None = None
-    # canonical_text(), set on its first call and left out of ==, hash and
-    # repr; with no default, construction does not touch it.
+    # canonical_text(), set on its first call and left out of ==, hash,
+    # repr and pickle; construction does not touch it.
     _text: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.protocol is Protocol.CCNISH_OVER_UDPISH and not self.fcn:
+    def __init__(self, protocol: Protocol, fcn: str, next_hop_tech: NextHopTech,
+                 next_hop_address: str, priority: int = 0,
+                 ttl_ticks: int = DEFAULT_TTL_TICKS, scope: str | None = None):
+        if protocol is Protocol.CCNISH_OVER_UDPISH and not fcn:
             raise ValueError("CCNISH_OVER_UDPISH descriptors need a non-empty fcn")
-        if self.priority < 0 or self.ttl_ticks < 0:
+        if priority < 0 or ttl_ticks < 0:
             raise ValueError("priority and ttl_ticks must be >= 0")
+        _set_protocol(self, protocol)
+        _set_fcn(self, fcn)
+        _set_next_hop_tech(self, next_hop_tech)
+        _set_next_hop_address(self, next_hop_address)
+        _set_priority(self, priority)
+        _set_ttl_ticks(self, ttl_ticks)
+        _set_scope(self, scope)
+
+    def __reduce__(self):
+        # Rebuilt from its fields: the frozen-slots pickle state would read
+        # _text, which may be unset.
+        return ServiceDescriptor, (self.protocol, self.fcn, self.next_hop_tech,
+                                   self.next_hop_address, self.priority, self.ttl_ticks,
+                                   self.scope)
 
     def canonical_text(self) -> str:
         try:
@@ -77,8 +95,14 @@ class ServiceDescriptor:
         )
         if self.scope is not None:
             text += f" scope={self.scope}"
-        object.__setattr__(self, "_text", text)
+        _set_text(self, text)
         return text
+
+
+(_set_protocol, _set_fcn, _set_next_hop_tech, _set_next_hop_address, _set_priority,
+ _set_ttl_ticks, _set_scope, _set_text) = (ServiceDescriptor.__dict__[name].__set__ for name in (
+    "protocol", "fcn", "next_hop_tech", "next_hop_address", "priority", "ttl_ticks", "scope",
+    "_text"))
 
 
 def sd_list_text(sds: list[ServiceDescriptor]) -> str:
@@ -147,16 +171,33 @@ _set_now_tick, _set_location_tag, _set_context_tags, _set_requested_service = (
     for name in ("now_tick", "location_tag", "context_tags", "requested_service"))
 
 
-@dataclass(frozen=True)
+# The predicate every record without one holds: it matches every context.
+_ANYWHERE = ContextPredicate()
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class NrsRecord:
+    """One NRS entry; slotted, as set-up builds one per record, and
+    __init__ sets each slot through its descriptor."""
+
     prefix: Name
     sd: ServiceDescriptor
-    predicate: ContextPredicate = ContextPredicate()
+    predicate: ContextPredicate = _ANYWHERE
+
+    def __init__(self, prefix: Name, sd: ServiceDescriptor,
+                 predicate: ContextPredicate = _ANYWHERE):
+        _set_prefix(self, prefix)
+        _set_sd(self, sd)
+        _set_predicate(self, predicate)
 
     def key(self) -> tuple:
         # The protocol by its _value_, as an Enum member's own hash is a
         # Python-level call.
         return (self.prefix, self.sd.protocol._value_, self.sd.next_hop_address, self.predicate)
+
+
+_set_prefix, _set_sd, _set_predicate = (
+    NrsRecord.__dict__[name].__set__ for name in ("prefix", "sd", "predicate"))
 
 
 class NameResolutionService:

@@ -10,8 +10,9 @@ read those two tables, so files round-trip: load(save(load(f))) == load(f).
 
 from __future__ import annotations
 
+import inspect
 import os
-from dataclasses import dataclass, field, fields as spec_fields, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
@@ -46,37 +47,36 @@ from .nrs import (
 )
 
 
-@dataclass(frozen=True)
-class RealmSpec:
+# One spec per line of a section.  They are NamedTuples, as set-up builds
+# one per line: immutable and cheap to build.  Like any tuples they compare
+# by value alone, so specs of two classes with the same fields are equal;
+# change one with _replace.
+class RealmSpec(NamedTuple):
     id: str
     technology: str
     parent: str | None = None
 
 
-@dataclass(frozen=True)
-class NameRealmSpec:
+class NameRealmSpec(NamedTuple):
     id: str
     scheme: str
     description: str = ""
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     id: str
     kind: str
     realms: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     a: str
     b: str
     realm: str
     delay: int = 1
 
 
-@dataclass(frozen=True)
-class EntitySpec:
+class EntitySpec(NamedTuple):
     uri: str
     kind: str
     hosts: tuple[str, ...]
@@ -86,14 +86,12 @@ class EntitySpec:
     description: str
 
 
-@dataclass(frozen=True)
-class BindingSpec:
+class BindingSpec(NamedTuple):
     uri: str
     nap: str
 
 
-@dataclass(frozen=True)
-class RecordSpec:
+class RecordSpec(NamedTuple):
     prefix: str
     protocol: str
     fcn: str
@@ -108,16 +106,14 @@ class RecordSpec:
     scope: str | None = None
 
 
-@dataclass(frozen=True)
-class PolicySpec:
+class PolicySpec(NamedTuple):
     router: str
     prefix: str
     action: str
     operation: str
 
 
-@dataclass(frozen=True)
-class TopicSpec:
+class TopicSpec(NamedTuple):
     fcn: str
     rendezvous: str
 
@@ -210,7 +206,8 @@ class Section:
     """One row of the format: the Scenario attribute a [section] fills, its
     spec class, one codec per spec field and how many fields a line must
     have.  Fields past `least` are optional: a missing one takes the spec's
-    default, and one left at its default is not written."""
+    default, and one left at its default is not written.  The spec's fields
+    and defaults are the parameters of its signature."""
 
     def __init__(self, attr: str, spec: type, codecs: tuple[Codec, ...], least: int,
                  name: str | None = None):
@@ -219,21 +216,25 @@ class Section:
         self.rest = codecs[-1].rest
         self.width = len(codecs)
         self.parsers = tuple(c.parse for c in codecs)
-        self.fields = [f for f in spec_fields(spec) if f.init]
+        self.fields = tuple(inspect.signature(spec).parameters.values())
+
+    def read(self, line_fields):
+        """The spec a line's stripped fields describe; ValueError if they cannot."""
+        n = len(line_fields)
+        if n < self.least or n > self.width and not self.rest:
+            names = [f.name for f in self.fields]
+            usage = ",".join(names[:self.least]) + "".join(
+                f"[,{name}]" for name in names[self.least:])
+            raise ValueError(f"[{self.name}] line needs {usage}, got {n} fields")
+        if self.rest and n >= self.width:
+            line_fields = [*line_fields[:self.width - 1], line_fields[self.width - 1:]]
+        return self.spec(*[f if p is None else p(f) for p, f in zip(self.parsers, line_fields)])
 
     def parse(self, line_fields, where: str):
-        """The spec a line's stripped fields describe; ParseError if they cannot."""
-        n = len(line_fields)
+        """The spec a line's stripped fields describe; ParseError, naming
+        where, if they cannot."""
         try:
-            if n < self.least or n > self.width and not self.rest:
-                names = [f.name for f in self.fields]
-                usage = ",".join(names[:self.least]) + "".join(
-                    f"[,{name}]" for name in names[self.least:])
-                raise ValueError(f"[{self.name}] line needs {usage}, got {n} fields")
-            if self.rest and n >= self.width:
-                line_fields = [*line_fields[:self.width - 1], line_fields[self.width - 1:]]
-            return self.spec(*[f if p is None else p(f)
-                               for p, f in zip(self.parsers, line_fields)])
+            return self.read(line_fields)
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
 
@@ -311,19 +312,24 @@ TIMELINE_OPS = {
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     records: dict[str, list] = {s.attr: [] for s in SECTIONS}
     section = rows = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = _SECTION_OF.get(line[1:-1])
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = _SECTION_OF.get(line[1:-1])
+                if section is None:
+                    raise ParseError(f"line {lineno}: unknown section {line}")
+                rows, read = records[section.attr], section.read
+                continue
             if section is None:
-                raise ParseError(f"line {lineno}: unknown section {line}")
-            rows, parse = records[section.attr], section.parse
-            continue
-        if section is None:
-            raise ParseError(f"line {lineno}: record outside any section")
-        rows.append(parse([f.strip() for f in line.split(",")], f"line {lineno}"))
+                raise ParseError(f"line {lineno}: record outside any section")
+            rows.append(read([f.strip() for f in line.split(",")]))
+    except ValueError as exc:
+        # Only a line's fields raise this: the line's number is worked out
+        # for the one that fails, not for every line.
+        raise ParseError(f"line {lineno}: {exc}") from exc
     return _validated(Scenario(name, **{attr: tuple(found) for attr, found in records.items()}))
 
 
@@ -758,7 +764,7 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
                     hit = True
                     hosts = e.hosts if record.next_hop in e.hosts \
                         else e.hosts + (record.next_hop,)
-                    new_entities.append(replace(e, hosts=hosts, fcn=record.fcn))
+                    new_entities.append(e._replace(hosts=hosts, fcn=record.fcn))
                 else:
                     new_entities.append(e)
             if not hit:

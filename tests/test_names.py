@@ -1,4 +1,6 @@
-from dataclasses import fields
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -161,3 +163,45 @@ def test_service_access_point_has_no_payload():
     with pytest.raises(ValueError):
         NamedEntity(name, EntityKind.SERVICE_ACCESS_POINT, payload=b"x")
     assert NamedEntity(name, EntityKind.CONTENT, payload=b"x").payload == b"x"
+
+
+def test_entity_is_frozen_and_slotted():
+    e = NamedEntity(Name("r", ("doc",)), EntityKind.CONTENT, b"x", {"keywords": "a,b"})
+    for name in ("name", "kind", "payload", "metadata"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(e, name, None)
+    assert not hasattr(e, "__dict__")
+    assert [f.name for f in fields(e)] == ["name", "kind", "payload", "metadata"]
+    assert repr(e) == ("NamedEntity(name=Name(realm_id='r', segments=('doc',)),"
+                       " kind=<EntityKind.CONTENT: 'content'>, payload=b'x',"
+                       " metadata={'keywords': 'a,b'})")
+    moved = replace(e, payload=b"y")
+    assert (moved.name, moved.kind, moved.payload) == (e.name, e.kind, b"y")
+    assert moved.metadata is e.metadata and e.payload == b"x" and moved != e
+    assert e == NamedEntity(name=Name("r", ("doc",)), kind=EntityKind.CONTENT, payload=b"x",
+                            metadata={"keywords": "a,b"})
+    assert e != replace(e, metadata={})
+    # Its metadata is a dict, so an entity has no hash.
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(e)
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert twin == e and repr(twin) == repr(e)
+
+
+def test_entity_metadata_defaults_to_a_fresh_dict():
+    name = Name("r", ("doc",))
+    first, second = NamedEntity(name, EntityKind.CONTENT), NamedEntity(name, EntityKind.CONTENT)
+    assert first.metadata == {} and first.metadata is not second.metadata
+    assert first.payload == b""
+    given_dict = {}  # a dict passed in is kept, not copied, even an empty one
+    assert NamedEntity(name, EntityKind.CONTENT, metadata=given_dict).metadata is given_dict
+
+
+@given(names, st.sampled_from(list(EntityKind)), st.sampled_from([b"", b"x"]))
+def test_entity_checks_then_keeps_every_field(name, kind, payload):
+    if kind is EntityKind.SERVICE_ACCESS_POINT and payload:
+        with pytest.raises(ValueError, match="^a service access point carries no payload$"):
+            NamedEntity(name, kind, payload)
+        return
+    e = NamedEntity(name, kind, payload, {"k": "v"})
+    assert (e.name, e.kind, e.payload, e.metadata) == (name, kind, payload, {"k": "v"})

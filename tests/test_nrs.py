@@ -68,6 +68,60 @@ def test_canonical_text_kept_out_of_equality_hash_and_repr():
     assert replace(built, priority=2).canonical_text() == text.replace("priority=0", "priority=2")
 
 
+SD_FIELDS = ["protocol", "fcn", "next_hop_tech", "next_hop_address", "priority", "ttl_ticks",
+             "scope"]
+SD_REPR = ("ServiceDescriptor(protocol=<Protocol.CCNISH_OVER_UDPISH: 'CCNISH_OVER_UDPISH'>,"
+           " fcn='FCN1', next_hop_tech=<NextHopTech.CCNISH: 'CCNISH'>, next_hop_address='RN1',"
+           " priority=2, ttl_ticks=7, scope='town')")
+
+
+def test_descriptor_and_record_are_frozen_and_slotted():
+    d = sd("RN1", Protocol.CCNISH_OVER_UDPISH, fcn="FCN1", priority=2, ttl=7, scope="town")
+    r = NrsRecord(parse_name("n2n://r:a"), d, ContextPredicate(context_tags={"t"}))
+    for value, names in ((d, SD_FIELDS + ["_text"]), (r, ["prefix", "sd", "predicate"])):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+        assert not hasattr(value, "__dict__")
+        assert [f.name for f in fields(value)] == names
+    assert repr(d) == SD_REPR
+    assert repr(r) == ("NrsRecord(prefix=Name(realm_id='r', segments=('a',)), sd=" + SD_REPR
+                       + ", predicate=ContextPredicate(time_window=None,"
+                       " location_tags=frozenset(), context_tags=frozenset({'t'}), service=None))")
+    assert NrsRecord(r.prefix, d).predicate == ContextPredicate()
+    moved = replace(r, sd=replace(d, priority=5, scope=None))
+    assert (moved.prefix, moved.predicate, moved.sd.priority, moved.sd.scope, moved.sd.fcn) == (
+        r.prefix, r.predicate, 5, None, "FCN1")
+    assert r.sd.priority == 2 and r != moved and r.key() == moved.key()
+    # Twins made before and after canonical_text() keeps the text equal the original.
+    for _ in range(2):
+        for value in (d, r):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                         copy.deepcopy(value)):
+                assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        assert pickle.loads(pickle.dumps(d)).canonical_text() == d.canonical_text()
+
+
+@given(protocol=st.sampled_from(list(Protocol)), fcn=st.sampled_from(["", "FCN1"]),
+       priority=st.integers(-2, 2), ttl=st.integers(-2, 2), scope=st.none() | st.just("town"))
+def test_descriptor_checks_then_keeps_every_field(protocol, fcn, priority, ttl, scope):
+    values = (protocol, fcn, NextHopTech.IPISH, "RN1", priority, ttl, scope)
+    if protocol is Protocol.CCNISH_OVER_UDPISH and not fcn:
+        refusal = "CCNISH_OVER_UDPISH descriptors need a non-empty fcn"
+    elif priority < 0 or ttl < 0:
+        refusal = "priority and ttl_ticks must be >= 0"
+    else:
+        refusal = None
+    if refusal is not None:
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            ServiceDescriptor(*values)
+        return
+    d = ServiceDescriptor(*values)
+    assert tuple(getattr(d, name) for name in SD_FIELDS) == values
+    assert d == ServiceDescriptor(**dict(zip(SD_FIELDS, values)))
+    assert d != replace(d, next_hop_address="RN2")
+
+
 def test_context_is_frozen_and_slotted():
     # One tag: a copied frozenset of several may list them in another order.
     c = ctx(5, "net", ("a",), Service.ANYCAST)

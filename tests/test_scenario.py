@@ -130,12 +130,42 @@ SCENARIOS = st.builds(
 )
 
 
+# One record in every section, each optional field away from its default.
+ONE_OF_EACH = Scenario(
+    realms=(RealmSpec("net", "IPISH", "top"),),
+    name_realms=(NameRealmSpec("users", "flat", "people,all"),),
+    nodes=(NodeSpec("a", "host", ("net", "side")),),
+    links=(LinkSpec("a", "b", "net", 2),),
+    entities=(EntitySpec("n2n://u:x", "content", ("a",), "ccnx://x", b"bytes", ("k1", "k2"),
+                         "a thing"),),
+    bindings=(BindingSpec("n2n://u:x", "a.net"),),
+    nrs_records=(RecordSpec("n2n://u:x", "HTTPISH", "", "IPISH", "a", 1, 50, ("t",), ("loc",),
+                            (0, 9), "anycast", "net"),),
+    policies=(PolicySpec("r", "n2n://u:x", "deny", "pull"),),
+    topics=(TopicSpec("news", "rv"),),
+    timeline=(ActionSpec(1, "pull", ("n2n://u:a", "n2n://u:x")),),
+)
+
+
 @given(SCENARIOS)
 @example(Scenario(name_realms=(NameRealmSpec("users", "flat", "people,"),)))
+@example(ONE_OF_EACH)
 def test_parse_inverts_save_on_every_section_and_op(s):
     # Validation would reject most drawn records; the format does not.
     with mock.patch("internames.scenario.validate_scenario"):
         assert parse_scenario(save_scenario(s), name=s.name) == s
+
+
+@given(SCENARIOS)
+@example(ONE_OF_EACH)
+def test_every_section_reads_back_the_spec_it_formats(s):
+    # Specs compare as tuples, so == alone would pass a record read back
+    # into another section's spec class.
+    for section in SECTIONS:
+        for spec in getattr(s, section.attr):
+            line_fields = [f.strip() for f in section.format(spec).split(",")]
+            back = section.parse(line_fields, f"[{section.name}]")
+            assert type(back) is type(spec) and back == spec
 
 
 HOST_RECORD = "n2n://users:x,HTTPISH,-,IPISH,a.net,0,100,-,-,-,-"
@@ -247,18 +277,18 @@ n2n://shop:item/2,HTTPISH,-,IPISH,b,1,100,lab,-,-,-
 
 def test_set_up_builds_each_name_and_record_once(monkeypatch):
     names, sds = Counter(), Counter()
-    name_init, sd_init = Name.__post_init__, ServiceDescriptor.__post_init__
+    name_init, sd_init = Name.__post_init__, ServiceDescriptor.__init__
 
     def counted_name(name):
         name_init(name)
         names[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
 
-    def counted_sd(sd):
-        sd_init(sd)
+    def counted_sd(sd, *args, **kwargs):
+        sd_init(sd, *args, **kwargs)
         sds[sd.canonical_text()] += 1
 
     monkeypatch.setattr(Name, "__post_init__", counted_name)
-    monkeypatch.setattr(ServiceDescriptor, "__post_init__", counted_sd)
+    monkeypatch.setattr(ServiceDescriptor, "__init__", counted_sd)
     once = Counter(["n2n://users:x", "n2n://shop:item/1", "n2n://shop:item/2"])
     nrs_lines = Counter(f"protocol=HTTPISH fcn=- next_hop=b tech=IPISH priority={p} ttl=100"
                         for p in (0, 1))
@@ -316,14 +346,14 @@ def _run_timeline(fabric, timeline):
 def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
     built = Counter()
     name_init = Name.__post_init__
-    sd_init, predicate_init = ServiceDescriptor.__post_init__, ContextPredicate.__post_init__
+    sd_init, predicate_init = ServiceDescriptor.__init__, ContextPredicate.__post_init__
 
     def counted_name(name):
         name_init(name)
         built[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
 
-    def counted_sd(sd):
-        sd_init(sd)
+    def counted_sd(sd, *args, **kwargs):
+        sd_init(sd, *args, **kwargs)
         built[f"sd {sd.next_hop_address}"] += 1
 
     def counted_predicate(predicate):
@@ -331,7 +361,7 @@ def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
         built["predicate"] += 1
 
     monkeypatch.setattr(Name, "__post_init__", counted_name)
-    monkeypatch.setattr(ServiceDescriptor, "__post_init__", counted_sd)
+    monkeypatch.setattr(ServiceDescriptor, "__init__", counted_sd)
     monkeypatch.setattr(ContextPredicate, "__post_init__", counted_predicate)
     s = parse_scenario(NAMED_OPS, name="named-ops")
     fabric = build_fabric(s)
@@ -456,6 +486,23 @@ def test_invalid_scenarios_rejected(text, error):
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("[realms]\nnet,IPISH\n", "line 2: [realms] line needs id,technology,parent, got 2 fields"),
+    ("[realms]\nnet,IPISH,-\n\n[links]\na,b,net,x\n",
+     "line 5: invalid literal for int() with base 10: 'x'"),
+    ("# ops\n[timeline]\n0,teleport,x\n", "line 3: unknown timeline op 'teleport'"),
+    ("[nrs]\nn2n://u:x,HTTPISH\n",
+     "line 2: [nrs] line needs prefix,protocol,fcn,tech,next_hop,priority,ttl,context_tags,"
+     "location_tags,window,service[,scope], got 2 fields"),
+    ("[timeline]\n5\n", "line 2: [timeline] line needs tick,op[,args], got 1 fields"),
+], ids=["too-few-fields", "bad-int", "unknown-op", "nrs-usage", "timeline-usage"])
+def test_parse_errors_name_the_line_that_fails(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_scenario(text)
+    assert str(info.value) == message
+    assert str(info.value.__cause__) == message.split(": ", 1)[1]
+
+
 def test_topic_rendezvous_must_be_a_rendezvous_node():
     text = CROSS_REALM.replace("sports/news,rvX", "sports/news,host3a")
     with pytest.raises(ValidationError, match="host3a is not a rendezvous node"):
@@ -576,6 +623,13 @@ def test_migration_step_whose_result_fails_validation(step, problem):
         apply_migration(load_builtin("cdn"), parse_plan(step + "\n"))
     assert str(info.value).startswith(f"{step}: ")
     assert problem in str(info.value)
+
+
+def test_migration_replaces_the_entity_its_record_moves():
+    before, after = load_builtin("cdn"), load_builtin("migration")
+    (video,) = [e for e in after.entities if e.uri == "n2n://cp.com:video"]
+    assert type(video) is EntitySpec
+    assert video == before.entities[0]._replace(hosts=("cdn", "repoC"), fcn="ccnx://cp.com/video")
 
 
 def test_migration_keeps_old_path_pullable():
