@@ -16,7 +16,6 @@ import itertools
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -45,7 +44,7 @@ from .name_router import (
     bridge,
     check_access,
 )
-from .names import Name, format_name, parse_name
+from .names import Enum, Name, format_name, parse_name
 from .nrs import (
     CacheStore,
     CallerRole,
@@ -71,11 +70,9 @@ from .wire import (
 # A realm's technology is the next-hop technology of the NAPs in it.
 RealmTech = NextHopTech
 
-# Keyed by the tech's _value_: the engine looks it up per bridged message,
-# and an Enum member's own hash is a Python-level call.
 PROTOCOL_OF_TECH = {
-    RealmTech.IPISH._value_: Protocol.HTTPISH,
-    RealmTech.CCNISH._value_: Protocol.CCNISH_OVER_UDPISH,
+    RealmTech.IPISH: Protocol.HTTPISH,
+    RealmTech.CCNISH: Protocol.CCNISH_OVER_UDPISH,
 }
 
 
@@ -230,10 +227,6 @@ class CallRecord:
     search_result: OrsResult | None = None
 
     @property
-    def delivery_count(self) -> int:
-        return len(self.deliveries)
-
-    @property
     def names_reached(self) -> int:
         return len({format_name(n) for _, n, _ in self.deliveries})
 
@@ -250,21 +243,18 @@ def _body_text(body: bytes) -> str:
     return "hex:" + body.hex()
 
 
-# The tables the engine reads per event are keyed by the member's _value_,
-# whose str hash is C-level and cached.
 _KIND_TO_OP = {
-    MessageKind.HTTP_GET._value_: PolicyOperation.PULL,
-    MessageKind.HTTP_PUSH._value_: PolicyOperation.PUSH,
-    MessageKind.SUB._value_: PolicyOperation.SUBSCRIBE,
-    MessageKind.PUB._value_: PolicyOperation.PUBLISH,
+    MessageKind.HTTP_GET: PolicyOperation.PULL,
+    MessageKind.HTTP_PUSH: PolicyOperation.PUSH,
+    MessageKind.SUB: PolicyOperation.SUBSCRIBE,
+    MessageKind.PUB: PolicyOperation.PUBLISH,
 }
 
-_DELIVERABLE = frozenset(k._value_ for k in (MessageKind.HTTP_RESP, MessageKind.CCN_DATA,
-                                             MessageKind.HTTP_PUSH))
+_DELIVERABLE = frozenset({MessageKind.HTTP_RESP, MessageKind.CCN_DATA, MessageKind.HTTP_PUSH})
 
 # A consult's query and answer events, and its drop reason when no server is reachable.
-_CONSULT_EVENTS = {NodeKind.NRS._value_: (EventKind.NRS_Q, EventKind.NRS_R, "nrs-unreachable"),
-                   NodeKind.ORS._value_: (EventKind.ORS_Q, EventKind.ORS_R, "ors-unreachable")}
+_CONSULT_EVENTS = {NodeKind.NRS: (EventKind.NRS_Q, EventKind.NRS_R, "nrs-unreachable"),
+                   NodeKind.ORS: (EventKind.ORS_Q, EventKind.ORS_R, "ors-unreachable")}
 
 # Each reason a DROP can carry -> the error NodeApi raises for it.  The last
 # three are the scenario runner's, for an op that cannot fire: its error.
@@ -401,14 +391,14 @@ class Fabric:
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self._msg_ids = itertools.count(1)
-        # (realm, the kind's _value_) -> the realm's members of that kind
-        self._members_of_kind: dict[tuple[str, str], list[str]] = {}
+        # (realm, kind) -> the realm's members of that kind
+        self._members_of_kind: dict[tuple[str, NodeKind], list[str]] = {}
         self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
         self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
         self._roots: dict[tuple[str, str], str] = {}
         self._links: dict[tuple[str, str, str], Link | None] = {}
-        # keyed by (node, the kind's _value_)
-        self._servers: dict[tuple[str, str], tuple[str, int, str] | None] = {}
+        # keyed by (node, kind)
+        self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
         # the NRS_Q detail per (location, context tags)
         self._query_text: dict[tuple[str, frozenset[str]], str] = {}
         # (realm in, realm out) -> the rule that bridges between them
@@ -437,7 +427,7 @@ class Fabric:
         for rid in realm_ids:
             realm = self.realms[rid]
             realm.member_nodes.add(node_id)
-            self._members_of_kind.setdefault((rid, kind._value_), []).append(node_id)
+            self._members_of_kind.setdefault((rid, kind), []).append(node_id)
             nap_id = f"{node_id}.{rid}"
             self.naps[nap_id] = NetworkAttachmentPoint(nap_id, node_id, rid)
             if realm.technology is RealmTech.CCNISH:
@@ -630,12 +620,12 @@ class Fabric:
 
         Ties go to the lower realm id, then the lower node id, whatever the
         scan order.  Memoised per (node, kind) beside the route memo."""
-        key = (node_id, kind._value_)
+        key = (node_id, kind)
         if key in self._servers:
             return self._servers[key]
         best = None
         for rid in self.nodes[node_id].realms:
-            for member in self._members_of_kind.get((rid, kind._value_), ()):
+            for member in self._members_of_kind.get((rid, kind), ()):
                 path = self._path(rid, node_id, member)
                 if path is None:
                     continue
@@ -651,7 +641,7 @@ class Fabric:
 
         The first reachable one, by node id, that borders a realm in toward;
         failing that, the first reachable one."""
-        routers = self._members_of_kind.get((realm_id, NodeKind.NAME_ROUTER._value_), ())
+        routers = self._members_of_kind.get((realm_id, NodeKind.NAME_ROUTER), ())
         return min((n for n in routers if self._path(realm_id, node_id, n) is not None),
                    key=lambda n: (toward.isdisjoint(self.nodes[n].realms), n), default=None)
 
@@ -687,7 +677,7 @@ class Fabric:
     def _register_host_record(self, name: Name, nap: NetworkAttachmentPoint) -> None:
         tech = self.realms[nap.realm_id].technology
         sd = ServiceDescriptor(
-            protocol=PROTOCOL_OF_TECH[tech._value_],
+            protocol=PROTOCOL_OF_TECH[tech],
             fcn=format_name(name) if tech is RealmTech.CCNISH else "",
             next_hop_tech=tech,
             next_hop_address=nap.nap_id,
@@ -807,7 +797,7 @@ class Fabric:
         query is the query event's detail; answer() gives the answer event's
         detail and the value cont receives.  With no server reachable the
         consult is dropped and cont receives None."""
-        query_event, answer_event, unreachable = _CONSULT_EVENTS[kind._value_]
+        query_event, answer_event, unreachable = _CONSULT_EVENTS[kind]
         server = self._nearest_server(node_id, kind)
         if server is None:
             self.drop(node_id, realm_id, None, unreachable, call, name=name)
@@ -871,7 +861,7 @@ class Fabric:
             return
         node = self.nodes[node_id]
         kind = msg.kind
-        deliverable = kind._value_ in _DELIVERABLE
+        deliverable = kind in _DELIVERABLE
         if kind is MessageKind.CCN_DATA and realm_id in node.ccn and msg.target_fcn:
             node.ccn[realm_id].content_store.insert(msg.target_fcn, msg.body)
         if deliverable and self._bound_here(msg.target_name, node_id, realm_id):
@@ -1037,8 +1027,8 @@ class Fabric:
         if rule is None:
             # A realm's technology never changes, so neither does its rule.
             rule = self._bridge_rules[key] = BridgeRule(
-                PROTOCOL_OF_TECH[self.realms[realm_in].technology._value_],
-                PROTOCOL_OF_TECH[self.realms[realm_out].technology._value_],
+                PROTOCOL_OF_TECH[self.realms[realm_in].technology],
+                PROTOCOL_OF_TECH[self.realms[realm_out].technology],
                 realm_in, realm_out)
         return self._register_msg(bridge(msg, rule, sd))
 
@@ -1051,7 +1041,7 @@ class Fabric:
         checked as one; responses and other kinds with no policy operation
         pass unchecked."""
         self._recv(msg, node_id, realm_id)
-        op = _KIND_TO_OP.get(msg.kind._value_)
+        op = _KIND_TO_OP.get(msg.kind)
         if msg.kind is MessageKind.CCN_DATA and msg.msg_id not in self.response_of:
             op = PolicyOperation.PUSH
         if op is not None and msg.source_name is not None and check_access(

@@ -9,10 +9,9 @@ UnsupportedPair.  Bridging never touches source_name, body or msg_id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import MissingFcn, UnsupportedPair
-from .names import Name, is_prefix_of
+from .names import Enum, Name, is_prefix_of
 from .nrs import Protocol, ServiceDescriptor
 from .wire import MessageKind, WireMessage
 

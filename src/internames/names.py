@@ -7,10 +7,10 @@ that canonical text stays bit-exact in traces and config files.
 
 from __future__ import annotations
 
+import enum
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import TypeVar
 
 from .errors import MalformedUri
@@ -112,6 +112,17 @@ def longest_prefix_hits(table: Mapping[tuple[str, ...], _V], segments: tuple[str
         hit = table.get(segments[:n])
         if hit is not None:
             yield hit
+
+
+class Enum(enum.Enum):
+    """The base of every enum in the package: a member hashes by identity.
+
+    enum.Enum's own __hash__ hashes the member's name in Python, and the
+    engine keys its per-message tables and store keys by members.  Members
+    are singletons that compare by identity, so the hash agrees with ==; a
+    set of members iterates in an order that can differ between processes."""
+
+    __hash__ = object.__hash__
 
 
 class NamingScheme(Enum):

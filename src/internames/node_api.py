@@ -38,7 +38,7 @@ class NodeApi:
         self.fabric.run_until_idle()
         if not call.deliveries:
             _raise_for(call)
-        return call.delivery_count
+        return len(call.deliveries)
 
     def subscribe(self, topic_fcn: str) -> None:
         call = self.fabric.start_subscribe(self.caller, topic_fcn)

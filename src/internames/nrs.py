@@ -9,10 +9,9 @@ on top; registration is restricted to administrators and name-routers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import DuplicateRecord, NotFound, NotResolvable, Unauthorized
-from .names import Name, format_name, longest_prefix_hits
+from .names import Enum, Name, format_name, longest_prefix_hits
 
 DEFAULT_TTL_TICKS = 100
 
@@ -40,8 +39,7 @@ class CallerRole(Enum):
     END_USER = "end_user"
 
 
-# A tuple: membership tests identity and ==, with no Python-level Enum hash.
-_WRITER_ROLES = (CallerRole.ADMINISTRATOR, CallerRole.NAME_ROUTER)
+_WRITER_ROLES = frozenset({CallerRole.ADMINISTRATOR, CallerRole.NAME_ROUTER})
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -161,9 +159,7 @@ class ResolutionContext:
     def cache_key_part(self) -> tuple:
         # now_tick deliberately excluded: expiry is handled by the TTL,
         # everything else keys the entry so contexts never cross-contaminate.
-        # The service is keyed by its _value_, as an Enum member's own hash
-        # is a Python-level call.
-        return (self.location_tag, self.context_tags, self.requested_service._value_)
+        return (self.location_tag, self.context_tags, self.requested_service)
 
 
 _set_now_tick, _set_location_tag, _set_context_tags, _set_requested_service = (
@@ -191,9 +187,7 @@ class NrsRecord:
         _set_predicate(self, predicate)
 
     def key(self) -> tuple:
-        # The protocol by its _value_, as an Enum member's own hash is a
-        # Python-level call.
-        return (self.prefix, self.sd.protocol._value_, self.sd.next_hop_address, self.predicate)
+        return (self.prefix, self.sd.protocol, self.sd.next_hop_address, self.predicate)
 
 
 _set_prefix, _set_sd, _set_predicate = (

@@ -473,7 +473,7 @@ def validate_scenario(s: Scenario) -> Built:
         name = check_name(b.uri, f"binding {b.uri}")
         if b.nap not in nap_realm:
             raise ValidationError(f"binding {b.uri}: undefined nap {b.nap}")
-        protocol = PROTOCOL_OF_TECH[techs[nap_realm[b.nap]]._value_]._value_
+        protocol = PROTOCOL_OF_TECH[techs[nap_realm[b.nap]]]
         registered.setdefault((name, protocol, b.nap, anywhere), b)
 
     locators = nap_realm.keys() | node_realms.keys()

@@ -12,10 +12,9 @@ import struct
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from enum import Enum
 
 from .errors import MalformedMessage, NoFibMatch
-from .names import Name, longest_prefix_hits, parse_name
+from .names import Enum, Name, longest_prefix_hits, parse_name
 
 HOP_LIMIT = 32
 CONTENT_STORE_CAPACITY = 16
@@ -36,17 +35,14 @@ class MessageKind(Enum):
     PUB = "PUB"
 
 
-REQUEST_KINDS = {
+REQUEST_KINDS = frozenset({
     MessageKind.HTTP_GET,
     MessageKind.CCN_INTEREST,
     MessageKind.ORS_QUERY,
     MessageKind.NRS_QUERY,
     MessageKind.SUB,
     MessageKind.PUB,
-}
-# The same kinds by _value_, for the per-message check: an Enum member's own
-# hash is a Python-level call.
-_REQUEST_VALUES = frozenset(k._value_ for k in REQUEST_KINDS)
+})
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -66,7 +62,7 @@ class WireMessage:
     def __init__(self, msg_id: int, kind: MessageKind, target_fcn: str = "",
                  target_name: Name | None = None, source_name: Name | None = None,
                  body: bytes = b"", hop_count: int = 0):
-        if source_name is None and kind._value_ in _REQUEST_VALUES:
+        if source_name is None and kind in REQUEST_KINDS:
             raise ValueError(f"{kind.value} requires a source_name")
         if hop_count > HOP_LIMIT:
             raise ValueError(f"hop_count exceeds {HOP_LIMIT}")

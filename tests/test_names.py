@@ -1,10 +1,14 @@
 import copy
+import enum
+import importlib
 import pickle
+import pkgutil
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import internames
 from internames.errors import MalformedUri
 from internames.names import (
     MAX_SEGMENT_BYTES,
@@ -205,3 +209,21 @@ def test_entity_checks_then_keeps_every_field(name, kind, payload):
         return
     e = NamedEntity(name, kind, payload, {"k": "v"})
     assert (e.name, e.kind, e.payload, e.metadata) == (name, kind, payload, {"k": "v"})
+
+
+def test_package_enums_hash_by_identity():
+    # Every enum the package defines derives from names.Enum, so its members
+    # key the engine's tables at C cost; a new enum on enum.Enum fails here.
+    for mod in pkgutil.walk_packages(internames.__path__, "internames."):
+        importlib.import_module(mod.name)
+    pending, package_enums = [enum.Enum], []
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            pending.append(sub)
+            if sub.__module__.startswith("internames.") and len(sub):
+                package_enums.append(sub)
+    assert {"NodeKind", "MessageKind", "Protocol", "Service"} <= {k.__name__ for k in package_enums}
+    for kind in package_enums:
+        for member in kind:
+            assert type(member).__hash__ is object.__hash__, kind
+            assert kind(member.value) is member and pickle.loads(pickle.dumps(member)) is member
