@@ -1006,6 +1006,10 @@ class Fabric:
                 if key in seen:
                     continue
                 seen.add(key)
+                # One copy per binding: the sender served those in this realm.
+                if out_realm == realm_id and self._bound_here(
+                        msg.target_name, self.locate(sd.next_hop_address)[0], realm_id):
+                    continue
                 if out_realm not in node.realms:
                     self.drop(node_id, realm_id, msg, "unreachable-name", call)
                     continue

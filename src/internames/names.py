@@ -22,51 +22,53 @@ MAX_SEGMENT_BYTES = 255
 _REALM_RE = re.compile(r"[A-Za-z0-9.\-]+\Z")
 _SEGMENT_RE = re.compile(r"[A-Za-z0-9._\-]+\Z")
 
+# A URI parse_name accepts as it stands: a realm, then segments of 1-255
+# allowed characters, each one byte; MAX_SEGMENTS is checked after the split.
+_URI_RE = re.compile(
+    r"n2n://([A-Za-z0-9.\-]+):([A-Za-z0-9._\-]{1,255}(?:/[A-Za-z0-9._\-]{1,255})*)\Z")
+
 _V = TypeVar("_V")
 
 
-class _CanonicalUri:
-    """Name.uri: the canonical text, worked out on a Name's first read and
-    stored in the instance, where every later read finds it before this
-    descriptor (which has no __set__).  It takes no part in equality, order,
-    hash or repr.  Unlike functools.cached_property it takes no lock and
-    leaves the instance without a materialised __dict__, which keeps Name
-    construction and attribute reads as cheap as before."""
-
-    def __get__(self, name, owner=None):
-        if name is None:
-            return self
-        uri = SCHEME + name.realm_id + ":" + "/".join(name.segments)
-        object.__setattr__(name, "uri", uri)
-        return uri
-
-
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Name:
-    """A realm-qualified hierarchical identifier."""
+    """A realm-qualified hierarchical identifier.  Its canonical URI is a
+    slot but not a field: it keys the hash, as CPython caches a str's hash,
+    and ==, order and repr are those of the fields."""
 
+    __slots__ = ("realm_id", "segments", "uri")
     realm_id: str
     segments: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.realm_id or not _REALM_RE.match(self.realm_id):
-            raise MalformedUri(f"bad realm id: {self.realm_id!r}")
-        if not isinstance(self.segments, tuple):
-            object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+    def __init__(self, realm_id: str, segments: tuple[str, ...]):
+        if not realm_id or not _REALM_RE.match(realm_id):
+            raise MalformedUri(f"bad realm id: {realm_id!r}")
+        if not isinstance(segments, tuple):
+            segments = tuple(segments)
+        if not segments:
             raise MalformedUri("a name needs at least one segment")
-        if len(self.segments) > MAX_SEGMENTS:
-            raise MalformedUri(f"too many segments ({len(self.segments)} > {MAX_SEGMENTS})")
-        for seg in self.segments:
+        if len(segments) > MAX_SEGMENTS:
+            raise MalformedUri(f"too many segments ({len(segments)} > {MAX_SEGMENTS})")
+        for seg in segments:
             if not seg or not _SEGMENT_RE.match(seg):
                 raise MalformedUri(f"bad segment: {seg!r}")
             if len(seg.encode()) > MAX_SEGMENT_BYTES:
                 raise MalformedUri(f"segment longer than {MAX_SEGMENT_BYTES} bytes")
+        _set_realm_id(self, realm_id)
+        _set_segments(self, segments)
+        _set_uri(self, SCHEME + realm_id + ":" + "/".join(segments))
 
-    uri = _CanonicalUri()
+    def __hash__(self) -> int:
+        return hash(self.uri)
+
+    def __reduce__(self):  # a frozen slotted instance cannot take its state back
+        return Name, (self.realm_id, self.segments)
 
     def __str__(self) -> str:
         return self.uri
+
+
+_set_realm_id, _set_segments, _set_uri = (Name.__dict__[slot].__set__ for slot in Name.__slots__)
 
 
 def parse_name(uri: str) -> Name:
@@ -75,6 +77,14 @@ def parse_name(uri: str) -> Name:
     Raises MalformedUri on a bad scheme, empty realm, empty segment,
     illegal character or an exceeded length limit.
     """
+    match = _URI_RE.match(uri) if type(uri) is str else None
+    if match is not None and uri.count("/") - 1 <= MAX_SEGMENTS:  # n2n:// has two '/'
+        name = Name.__new__(Name)
+        _set_realm_id(name, match[1])
+        _set_segments(name, tuple(match[2].split("/")))
+        _set_uri(name, uri)
+        return name
+    # Anything else: these checks, and Name's, accept it or say why not.
     if not isinstance(uri, str):
         raise MalformedUri("uri must be text")
     if not uri.startswith(SCHEME):

@@ -46,6 +46,8 @@ class NodeApi:
         _raise_for(call)
 
     def publish(self, topic_fcn: str, body: bytes) -> int:
+        """The number of subscriber names reached; a fan-out copy dropped as
+        unreachable-name only goes uncounted, and any other drop raises."""
         call = self.fabric.start_publish(self.caller, topic_fcn, body)
         self.fabric.run_until_idle()
         if call.error is not None and call.error != "unreachable-name":

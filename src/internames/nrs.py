@@ -209,10 +209,10 @@ class NameResolutionService:
     def register(self, record: NrsRecord, role: CallerRole) -> None:
         if role not in _WRITER_ROLES:
             raise Unauthorized(f"role {role.value} may not register records")
-        key = record.key()
-        if key in self._records:
+        n = len(self._records)
+        self._records.setdefault(record.key(), record)
+        if len(self._records) == n:
             raise DuplicateRecord(format_name(record.prefix))
-        self._records[key] = record
         realm = self._by_prefix.setdefault(record.prefix.realm_id, {})
         realm.setdefault(record.prefix.segments, []).append(record)
 

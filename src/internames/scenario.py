@@ -217,6 +217,9 @@ class Section:
         self.width = len(codecs)
         self.parsers = tuple(c.parse for c in codecs)
         self.fields = tuple(inspect.signature(spec).parameters.values())
+        self.defaults = tuple(f.default for f in self.fields)
+        # A NamedTuple spec is built past its Python-level __new__.
+        self.new = tuple.__new__ if issubclass(spec, tuple) else lambda spec, values: spec(*values)
 
     def read(self, line_fields):
         """The spec a line's stripped fields describe; ValueError if they cannot."""
@@ -228,7 +231,9 @@ class Section:
             raise ValueError(f"[{self.name}] line needs {usage}, got {n} fields")
         if self.rest and n >= self.width:
             line_fields = [*line_fields[:self.width - 1], line_fields[self.width - 1:]]
-        return self.spec(*[f if p is None else p(f) for p, f in zip(self.parsers, line_fields)])
+        values = [f if p is None else p(f) for p, f in zip(self.parsers, line_fields)]
+        values += self.defaults[len(values):]
+        return self.new(self.spec, values)
 
     def parse(self, line_fields, where: str):
         """The spec a line's stripped fields describe; ParseError, naming
@@ -499,13 +504,12 @@ def validate_scenario(s: Scenario) -> Built:
     records = []
     for r in s.nrs_records:
         record = check_record(r, f"nrs record {r.prefix}")
-        key = record.key()
-        first = registered.get(key)
-        if first is not None:
+        n = len(registered)
+        first = registered.setdefault(record.key(), r)
+        if len(registered) == n:
             repeats = (f"the host record of [bindings] line {_BINDINGS.format(first)}"
                        if isinstance(first, BindingSpec) else f"[nrs] line {_NRS.format(first)}")
             raise ValidationError(f"nrs record {_NRS.format(r)}: repeats {repeats}")
-        registered[key] = r
         records.append(record)
 
     for p in s.policies:

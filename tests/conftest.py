@@ -115,13 +115,15 @@ def watched_drops():
 
 def run_checked(scenario):
     """run_scenario, checking that each call's error is the reason of its
-    first DROP written before it had a result, and that a call with no such
-    DROP has none.  Returns the run and the reason of every DROP, in the
-    order written."""
+    first DROP written before it had a result, that a call with no such
+    DROP has none, and that each (call, NAP) gets at most one DELIVER.
+    Returns the run and the reason of every DROP, in the order written."""
     with watched_drops() as drops:
         result = run_scenario(scenario)
     for call in result.calls:
         first = next((reason for dropped, reason, late in drops
                       if dropped is call and not late), None)
         assert call.error == first, (call.kind, call.target)
+        naps = [nap for nap, _, _ in call.deliveries]
+        assert len(naps) == len(set(naps)), (call.kind, call.target, naps)
     return result, [reason for _, reason, _ in drops]

@@ -1086,6 +1086,9 @@ n2n://side.org:page,HTTPISH,-,IPISH,RNx,0,100,-,internet,-,-
 n2n://side.org:page,HTTPISH,-,IPISH,sideH,0,100,-,side,-,-
 """
 
+# u1 is bound on cli1 and on sideH, in a realm no name-router borders.
+SERVED_BY_SENDER = CROSS_REALM + SIDE_REALM + "[bindings]\nn2n://users:u1,sideH.side\n"
+
 
 RETURN_PATHS = [
     # A name-router in one realm answers a GET itself.
@@ -1123,6 +1126,11 @@ RETURN_PATHS = [
      "[nrs]\nn2n://web.org:page,HTTPISH,-,IPISH,host3a,0,100,-,-,-,-\n",
      ["0,pull,n2n://users:u1,n2n://web.org:page"],
      [(12, "RNx", "internet", "n2n://users:u1", "unreachable-name")], ("pull", None)),
+    # u1 is also bound on sideH: host3a sends cli1 its copy, and RNx, which
+    # re-resolves the copy sent toward sideH, sends cli1 none.
+    (SERVED_BY_SENDER, ["0,push,n2n://users:u3,n2n://users:u1,hi"],
+     [(10, "RNx", "internet", "n2n://users:u1", "unreachable-name")],
+     ("push", "unreachable-name")),
     # No FIB entry of cli2 matches the record's FCN.
     (CROSS_REALM + "[nrs]\nn2n://ccn.com:none,CCNISH_OVER_UDPISH,other.org/none,CCNISH,coreX,"
      "0,100,-,ccnet,-,-\n", ["0,pull,n2n://users:u2,n2n://ccn.com:none"],
@@ -1133,11 +1141,22 @@ RETURN_PATHS = [
 @pytest.mark.parametrize("text, timeline, drops, call", RETURN_PATHS, ids=[
     "router-serves-get", "push-to-unbound-name", "no-gateway", "egress-no-descriptor",
     "egress-scope-outside-router", "ingress-realms-exhausted", "ingress-second-realm-resolves",
-    "drop-after-result", "no-fib-match"])
+    "drop-after-result", "served-by-sender", "no-fib-match"])
 def test_return_path_drops(text, timeline, drops, call):
     found, calls = run_drops(text, timeline)
     assert found == drops
     assert calls == [call]
+
+
+def test_send_to_name_delivers_one_copy_per_binding():
+    # RNx skips the host record of cli1, whose copy host3a sent itself.
+    result, _ = run_checked(drop_scenario(
+        SERVED_BY_SENDER, ["0,push,n2n://users:u3,n2n://users:u1,hi"]))
+    delivers = [(e.tick, e.node) for e in result.fabric.sorted_trace()
+                if e.event is EventKind.DELIVER]
+    assert delivers == [(6, "cli1")]
+    (call,) = result.calls
+    assert [nap for nap, _, _ in call.deliveries] == ["cli1.internet"]
 
 
 def test_name_router_serving_a_get_logs_one_recv():

@@ -95,24 +95,99 @@ def test_round_trip(n):
 
 
 @given(names, names)
-def test_name_identity_ignores_the_cached_uri(a, b):
-    # Equality, order, hash and repr are those of the (realm_id, segments)
-    # fields, whether or not the uri has been worked out and kept.
+def test_name_identity_is_that_of_its_fields(a, b):
+    # Equality, order and repr are those of the (realm_id, segments) fields;
+    # the uri, set at construction, keys only the hash, which agrees with ==.
     assert [f.name for f in fields(Name)] == ["realm_id", "segments"]
-    parsed = parse_name(format_name(a))
+    text = f"n2n://{a.realm_id}:{'/'.join(a.segments)}"
+    parsed = parse_name(text)
     fresh = Name(a.realm_id, list(a.segments))
     key_a, key_b = (a.realm_id, a.segments), (b.realm_id, b.segments)
-    assert "uri" not in vars(parsed) and "uri" not in vars(fresh)
     for n in (a, parsed, fresh):
+        assert not hasattr(n, "__dict__")
         assert repr(n) == f"Name(realm_id={a.realm_id!r}, segments={a.segments!r})"
-        assert hash(n) == hash(key_a)
-        assert n == a and n != key_a
+        assert n.uri == str(n) == format_name(n) == text
+        assert n == a and n != key_a and hash(n) == hash(a) == hash(text)
         assert (n == b) == (key_a == key_b)
+        if n == b:
+            assert hash(n) == hash(b)
         assert (n < b) == (key_a < key_b)
         assert (n <= b) == (key_a <= key_b)
         assert (n > b) == (key_a > key_b)
-        assert str(n) == n.uri == format_name(a)
-    assert vars(parsed)["uri"] == format_name(a)  # worked out once, then kept
+    assert parsed.uri is text  # parse_name keeps the text it accepted
+
+
+@given(names)
+def test_name_is_frozen_and_round_trips(n):
+    for attr in ("realm_id", "segments", "uri"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(n, attr, None)
+    moved = replace(n, segments=n.segments + ("x",))
+    assert moved == Name(n.realm_id, n.segments + ("x",)) and moved.uri == n.uri + "/x"
+    for twin in (pickle.loads(pickle.dumps(n)), copy.copy(n), copy.deepcopy(n), replace(n)):
+        assert twin == n and twin.uri == n.uri and repr(twin) == repr(n)
+        assert hash(twin) == hash(n)
+
+
+def field_by_field_parse_name(uri):
+    """parse_name as it was before its pattern: each field checked in turn,
+    then Name's own checks.  The reference for which texts parse_name
+    accepts and for the message of each MalformedUri it raises."""
+    if not isinstance(uri, str):
+        raise MalformedUri("uri must be text")
+    if not uri.startswith("n2n://"):
+        raise MalformedUri(f"scheme must be n2n: {uri!r}")
+    realm, sep, local = uri[len("n2n://"):].partition(":")
+    if not sep:
+        raise MalformedUri(f"missing ':' between realm and local name: {uri!r}")
+    if not local:
+        raise MalformedUri(f"empty local name: {uri!r}")
+    return Name(realm, tuple(local.split("/")))
+
+
+@st.composite
+def uri_texts(draw):
+    """The URI of a Name from the names strategy, as it is or spoiled in
+    one way, or any text at all."""
+    n = draw(names)
+    scheme, segs = "n2n://", list(n.segments)
+    sep = ":"
+    spoil = draw(st.sampled_from(
+        ["none", "scheme", "colon", "empty", "long", "many", "char", "text"]))
+    if spoil == "scheme":
+        scheme = draw(st.sampled_from(["", "n2n:/", "N2N://", "http://", "n2n//", "n2n:///"]))
+    elif spoil == "colon":
+        sep = draw(st.sampled_from(["", "/", "::"]))
+    elif spoil == "empty":
+        segs.insert(draw(st.integers(0, len(segs))), "")
+    elif spoil == "long":
+        # MAX_SEGMENT_BYTES is still accepted; one byte more is not.
+        at = draw(st.integers(0, len(segs) - 1))
+        segs[at] = "a" * draw(st.sampled_from([MAX_SEGMENT_BYTES, MAX_SEGMENT_BYTES + 1]))
+    elif spoil == "many":
+        segs += ["s"] * (draw(st.sampled_from([MAX_SEGMENTS, MAX_SEGMENTS + 1])) - len(segs))
+    elif spoil == "char":
+        at = draw(st.integers(0, len(segs) - 1))
+        cut = draw(st.integers(0, len(segs[at])))
+        bad = draw(st.sampled_from([":", "\u00e9", "\u540d", "\u00a0", "\n", " ", "%20"]))
+        segs[at] = segs[at][:cut] + bad + segs[at][cut:]
+    elif spoil == "text":
+        return draw(st.sampled_from(["", "n2n://"])) + draw(st.text(max_size=20))
+    return scheme + n.realm_id + sep + "/".join(segs)
+
+
+@given(uri_texts())
+def test_parse_name_agrees_with_the_field_by_field_oracle(text):
+    try:
+        expected = field_by_field_parse_name(text)
+    except MalformedUri as exc:
+        with pytest.raises(MalformedUri) as caught:
+            parse_name(text)
+        assert str(caught.value) == str(exc)
+        return
+    n = parse_name(text)
+    assert n == expected and repr(n) == repr(expected)
+    assert n.uri == expected.uri == text
 
 
 def test_prefix_basic():

@@ -164,6 +164,19 @@ def test_publish_counts_past_a_subscriber_the_egress_cannot_resolve(cross_realm_
     NodeApi(f, U3).subscribe("sports/news")
     f.nrs.withdraw(U2, "cli2.ccnet")
     assert NodeApi(f, U1).publish("sports/news", b"score") == 1
+    drops = [e.detail for e in f.trace if e.event is EventKind.DROP]
+    assert drops == ["unreachable-name"]
+
+
+def test_publish_to_a_sole_subscriber_the_egress_cannot_resolve_reaches_none(cross_realm_fabric):
+    # The one fan-out copy is dropped as unreachable-name: publish counts
+    # no name and does not raise.
+    f = cross_realm_fabric
+    NodeApi(f, U2).subscribe("sports/news")
+    f.nrs.withdraw(U2, "cli2.ccnet")
+    assert NodeApi(f, U1).publish("sports/news", b"score") == 0
+    drops = [e.detail for e in f.trace if e.event is EventKind.DROP]
+    assert drops == ["unreachable-name"]
 
 
 def test_publish_without_subscribers(cross_realm_fabric):

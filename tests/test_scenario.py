@@ -10,6 +10,7 @@ import internames
 from internames.cli import main
 from internames.errors import InvalidStep, ParseError, ValidationError
 from internames import fabric as fabric_module
+from internames import names as names_module
 from internames.fabric import EventKind, Fabric, NodeKind, RealmTech
 from internames.name_router import BridgeRule
 from internames.names import Name, parse_name
@@ -275,19 +276,30 @@ n2n://shop:item/2,HTTPISH,-,IPISH,b,1,100,lab,-,-,-
 """
 
 
-def test_set_up_builds_each_name_and_record_once(monkeypatch):
-    names, sds = Counter(), Counter()
-    name_init, sd_init = Name.__post_init__, ServiceDescriptor.__init__
+def counted_names(monkeypatch):
+    """Patch the setter of Name's uri slot, which both Name() and parse_name
+    call once per Name they make, to keep each Name made; returns the list
+    it appends them to."""
+    made = []
+    set_uri = names_module._set_uri
 
-    def counted_name(name):
-        name_init(name)
-        names[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
+    def counted(name, uri):
+        set_uri(name, uri)
+        made.append(name)
+
+    monkeypatch.setattr(names_module, "_set_uri", counted)
+    return made
+
+
+def test_set_up_builds_each_name_and_record_once(monkeypatch):
+    sds = Counter()
+    sd_init = ServiceDescriptor.__init__
+    made = counted_names(monkeypatch)
 
     def counted_sd(sd, *args, **kwargs):
         sd_init(sd, *args, **kwargs)
         sds[sd.canonical_text()] += 1
 
-    monkeypatch.setattr(Name, "__post_init__", counted_name)
     monkeypatch.setattr(ServiceDescriptor, "__init__", counted_sd)
     once = Counter(["n2n://users:x", "n2n://shop:item/1", "n2n://shop:item/2"])
     nrs_lines = Counter(f"protocol=HTTPISH fcn=- next_hop=b tech=IPISH priority={p} ttl=100"
@@ -297,9 +309,9 @@ def test_set_up_builds_each_name_and_record_once(monkeypatch):
                            " ttl=100 scope=net" for nap in ("a.net", "b.net", "b.net"))
 
     def counts(make):
-        names.clear()
+        made.clear()
         sds.clear()
-        return make(), names.copy(), sds.copy()
+        return make(), Counter(name.uri for name in made), sds.copy()
 
     # The second round must count the same: nothing is memoised across calls.
     for _ in range(2):
@@ -345,12 +357,8 @@ def _run_timeline(fabric, timeline):
 
 def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
     built = Counter()
-    name_init = Name.__post_init__
+    made = counted_names(monkeypatch)
     sd_init, predicate_init = ServiceDescriptor.__init__, ContextPredicate.__post_init__
-
-    def counted_name(name):
-        name_init(name)
-        built[f"n2n://{name.realm_id}:{'/'.join(name.segments)}"] += 1
 
     def counted_sd(sd, *args, **kwargs):
         sd_init(sd, *args, **kwargs)
@@ -360,7 +368,6 @@ def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
         predicate_init(predicate)
         built["predicate"] += 1
 
-    monkeypatch.setattr(Name, "__post_init__", counted_name)
     monkeypatch.setattr(ServiceDescriptor, "__init__", counted_sd)
     monkeypatch.setattr(ContextPredicate, "__post_init__", counted_predicate)
     s = parse_scenario(NAMED_OPS, name="named-ops")
@@ -369,7 +376,9 @@ def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
     register = fabric.nrs.register
     fabric.nrs.register = lambda record, role: registered.append(record) or register(record, role)
     built.clear()
+    made.clear()
     calls = _run_timeline(fabric, s.timeline)
+    built.update(name.uri for name in made)
     # Only the bind builds: the host record of its nap.  The nrs_register op
     # registers the record validation built.
     assert built == Counter({"sd host3b.internet": 1})
