@@ -26,6 +26,7 @@ from .errors import (
     RealmViolation,
     Unauthorized,
     UnknownNap,
+    UnknownNode,
     UnknownRealm,
     Unreachable,
     UnsupportedPair,

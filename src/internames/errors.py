@@ -18,7 +18,11 @@ class Unauthorized(InternamesError):
 
 
 class DuplicateRecord(InternamesError):
-    pass
+    """The NRS already holds a record under the new one's key: `first`."""
+
+    def __init__(self, first):
+        super().__init__(first.prefix.uri)
+        self.first = first
 
 
 class NotFound(InternamesError):
@@ -62,6 +66,10 @@ class RealmViolation(InternamesError):
 
 
 class UnknownRealm(InternamesError):
+    pass
+
+
+class UnknownNode(InternamesError):
     pass
 
 

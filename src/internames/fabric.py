@@ -33,6 +33,7 @@ from .errors import (
     RealmViolation,
     Unreachable,
     UnknownNap,
+    UnknownNode,
     UnknownRealm,
     ValidationError,
 )
@@ -371,7 +372,8 @@ class Fabric:
 
     ``name_of`` gives the Name of a URI: a scenario's timeline ops read
     their names through it when they fire.  build_fabric sets it to the
-    table its validation built; otherwise each URI is parsed anew."""
+    table of Names it built the scenario with; otherwise each URI is parsed
+    anew."""
 
     def __init__(self):
         self.name_of: Callable[[str], Name] = parse_name
@@ -406,21 +408,25 @@ class Fabric:
 
     # ---------------------------------------------------------------- topology
 
+    # The set-up calls below refuse a realm, node, link, hosted content or
+    # binding they cannot install, and say why in a scenario's terms, so
+    # build_fabric passes their text on as the scenario's error.
+
     def add_realm(self, realm_id: str, tech: RealmTech, parent: str | None = None) -> NetworkRealm:
         if realm_id in self.realms:
-            raise ValueError(f"realm {realm_id} already exists")
+            raise ValueError(f"duplicate realm {realm_id}")
         if parent is not None and parent not in self.realms:
-            raise UnknownRealm(parent)
+            raise UnknownRealm(f"realm {realm_id}: undefined parent {parent}")
         realm = NetworkRealm(realm_id, tech, parent)
         self.realms[realm_id] = realm
         return realm
 
     def add_node(self, node_id: str, kind: NodeKind, realm_ids: list[str]) -> Node:
         if node_id in self.nodes:
-            raise ValueError(f"node {node_id} already exists")
+            raise ValueError(f"duplicate node {node_id}")
         for rid in realm_ids:
             if rid not in self.realms:
-                raise UnknownRealm(rid)
+                raise UnknownRealm(f"node {node_id}: undefined realm {rid}")
         node = Node(node_id, kind, list(realm_ids))
         self.nodes[node_id] = node
         self.node_tags[node_id] = frozenset({"normal"})
@@ -437,10 +443,12 @@ class Fabric:
     def add_link(self, a: str, b: str, realm_id: str, delay: int = 1) -> Link:
         realm = self.realms.get(realm_id)
         if realm is None:
-            raise UnknownRealm(realm_id)
+            raise UnknownRealm(f"link {a}-{b}: undefined realm {realm_id}")
         for n in (a, b):
             if n not in realm.member_nodes:
-                raise RealmViolation(f"{n} is not a member of realm {realm_id}")
+                if n not in self.nodes:
+                    raise UnknownNode(f"link references undefined node {n}")
+                raise RealmViolation(f"link {a}-{b}: {n} not in realm {realm_id}")
         if delay < 1:
             # Route search and its stub shortcut assume every hop costs time.
             raise ValueError(f"link {a}-{b}: delay must be >= 1")
@@ -461,7 +469,9 @@ class Fabric:
         self._servers.clear()
 
     def host_content(self, node_id: str, name: Name, payload: bytes, fcn: str = "") -> None:
-        node = self.nodes[node_id]
+        node = self.nodes.get(node_id)
+        if node is None:
+            raise UnknownNode(f"entity {format_name(name)}: undefined host {node_id}")
         node.http_store[format_name(name)] = payload
         if fcn:
             for rid, state in node.ccn.items():
@@ -650,14 +660,14 @@ class Fabric:
     def bind(self, name: Name, nap_id: str) -> None:
         nap = self.naps.get(nap_id)
         if nap is None:
-            raise UnknownNap(nap_id)
+            raise UnknownNap(f"binding {format_name(name)}: undefined nap {nap_id}")
         if name not in self.ors and name not in self.known_names:
             raise ValidationError(f"name {format_name(name)} is neither registered nor declared")
         if nap_id in self.bindings.get(name, ()):
             return
         # The host record goes first, so a record the NRS refuses leaves no
         # binding and no REBIND behind.
-        self._register_host_record(name, nap)
+        self.nrs.register(self._host_record(name, nap), CallerRole.ADMINISTRATOR)
         naps = self.bindings.setdefault(name, [])
         naps.append(nap_id)
         naps.sort()
@@ -668,13 +678,15 @@ class Fabric:
         if nap_id not in naps:
             raise NotBound(f"{format_name(name)} at {nap_id}")
         # The host record goes first, as in bind, so a record already
-        # withdrawn leaves the binding and no REBIND behind.
-        self.nrs.withdraw(name, nap_id)
-        naps.remove(nap_id)
+        # withdrawn leaves the binding and no REBIND behind.  Only the host
+        # record goes: other records for the name at the NAP stay.
         nap = self.naps[nap_id]
+        self.nrs.withdraw_record(self._host_record(name, nap))
+        naps.remove(nap_id)
         self._emit(nap.node_id, nap.realm_id, EventKind.REBIND, 0, name, f"unbind nap={nap_id}")
 
-    def _register_host_record(self, name: Name, nap: NetworkAttachmentPoint) -> None:
+    def _host_record(self, name: Name, nap: NetworkAttachmentPoint) -> NrsRecord:
+        """The NRS record a binding of name at nap holds."""
         tech = self.realms[nap.realm_id].technology
         sd = ServiceDescriptor(
             protocol=PROTOCOL_OF_TECH[tech],
@@ -684,7 +696,7 @@ class Fabric:
             priority=0,
             scope=nap.realm_id,
         )
-        self.nrs.register(NrsRecord(name, sd), CallerRole.ADMINISTRATOR)
+        return NrsRecord(name, sd)
 
     def bindings_of(self, name: Name) -> list[NetworkAttachmentPoint]:
         return [self.naps[n] for n in self.bindings.get(name, [])]

@@ -210,27 +210,32 @@ class NameResolutionService:
         if role not in _WRITER_ROLES:
             raise Unauthorized(f"role {role.value} may not register records")
         n = len(self._records)
-        self._records.setdefault(record.key(), record)
+        first = self._records.setdefault(record.key(), record)
         if len(self._records) == n:
-            raise DuplicateRecord(format_name(record.prefix))
+            raise DuplicateRecord(first)
         realm = self._by_prefix.setdefault(record.prefix.realm_id, {})
         realm.setdefault(record.prefix.segments, []).append(record)
 
     def withdraw(self, prefix: Name, next_hop_address: str, role: CallerRole = CallerRole.ADMINISTRATOR) -> None:
         if role not in _WRITER_ROLES:
             raise Unauthorized(f"role {role.value} may not withdraw records")
-        realm = self._by_prefix.get(prefix.realm_id, {})
-        bucket = realm.get(prefix.segments, [])
-        keep = [r for r in bucket if r.sd.next_hop_address != next_hop_address]
-        if len(keep) == len(bucket):
+        bucket = self._by_prefix.get(prefix.realm_id, {}).get(prefix.segments, ())
+        gone = [r for r in bucket if r.sd.next_hop_address == next_hop_address]
+        if not gone:
             raise NotFound(f"{format_name(prefix)} via {next_hop_address}")
-        for r in bucket:
-            if r.sd.next_hop_address == next_hop_address:
-                del self._records[r.key()]
-        if keep:
-            realm[prefix.segments] = keep
-        else:
-            del realm[prefix.segments]
+        for r in gone:
+            self.withdraw_record(r)
+
+    def withdraw_record(self, record: NrsRecord) -> None:
+        """Withdraw the one record held under record's key; NotFound if none is."""
+        held = self._records.pop(record.key(), None)
+        if held is None:
+            raise NotFound(f"{format_name(record.prefix)} via {record.sd.next_hop_address}")
+        realm = self._by_prefix[held.prefix.realm_id]
+        bucket = realm[held.prefix.segments]
+        bucket.remove(held)
+        if not bucket:
+            del realm[held.prefix.segments]
 
     def resolve(self, name: Name, ctx: ResolutionContext) -> list[ServiceDescriptor]:
         for bucket in longest_prefix_hits(self._by_prefix.get(name.realm_id, {}), name.segments):

@@ -57,7 +57,7 @@ class ObjectResolutionService:
 
     def register(self, entity: NamedEntity) -> None:
         if entity.name in self._entities:
-            raise DuplicateName(format_name(entity.name))
+            raise DuplicateName(f"duplicate entity {format_name(entity.name)}")
         self._entities[entity.name] = entity
         for token in _keyword_tokens(entity):
             self._postings.setdefault(token, []).append(entity.name)

@@ -4,28 +4,37 @@ Sections, in file order: [realms] [name_realms] [nodes] [links] [entities]
 [bindings] [nrs] [policies] [topics] [timeline].  One record per line,
 fields comma-separated; '-' marks an empty field, '+' separates multi-valued
 fields.  `SECTIONS` gives each section's fields and `TIMELINE_OPS` each
-timeline op's arguments; parsing, saving, validation and the runner all
-read those two tables, so files round-trip: load(save(load(f))) == load(f).
+timeline op's arguments; parsing, saving, building and the runner all read
+those two tables, so files round-trip: load(save(load(f))) == load(f).
+
+Parsing reads the format and nothing more.  build_fabric is the one walk
+that checks a scenario: it installs each line, section by section in file
+order, and raises ValidationError naming the first line it cannot build.
 """
 
 from __future__ import annotations
 
 import inspect
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
 from .errors import (
+    DuplicateName,
     DuplicateRecord,
     InvalidStep,
     NotBound,
     NotFound,
     ParseError,
+    RealmViolation,
+    UnknownNap,
+    UnknownNode,
+    UnknownRealm,
     ValidationError,
 )
-from .fabric import PROTOCOL_OF_TECH, CallRecord, Fabric, NodeKind
+from .fabric import CallRecord, Fabric, NodeKind
 from .name_router import AccessPolicy, PolicyAction, PolicyOperation, PolicyRule
 from .names import (
     EntityKind,
@@ -123,9 +132,6 @@ class ActionSpec:
     tick: int
     op: str
     args: tuple[str, ...] = ()
-    # Set by validation to the NrsRecord an nrs_register op describes; left
-    # out of ==, hash and repr, and None on a spec made by hand.
-    record: NrsRecord | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         op = TIMELINE_OPS.get(self.op)
@@ -133,15 +139,6 @@ class ActionSpec:
             raise ValueError(f"unknown timeline op {self.op!r}")
         if op.kinds is not None and len(self.args) != len(op.kinds):
             raise ValueError(f"op {self.op} takes {len(op.kinds)} args, got {len(self.args)}")
-
-
-class Built(NamedTuple):
-    """What validating a scenario builds for build_fabric to install: the
-    Name of each URI it names, which the fabric keeps for its timeline ops,
-    and one NrsRecord per [nrs] line."""
-
-    names: Callable[[str], Name]
-    records: tuple[NrsRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -157,10 +154,6 @@ class Scenario:
     policies: tuple[PolicySpec, ...] = ()
     topics: tuple[TopicSpec, ...] = ()
     timeline: tuple[ActionSpec, ...] = ()
-    # Set by parse_scenario and apply_step, which validate what they return;
-    # left out of ==, hash and repr, and None on a Scenario built by hand or
-    # by replace().
-    built: Built | None = field(default=None, init=False, compare=False, repr=False)
 
 
 # ------------------------------------------------------------------ format
@@ -267,17 +260,15 @@ SECTIONS = (
 )
 _SECTION_OF = {s.name: s for s in SECTIONS}
 _NRS = _SECTION_OF["nrs"]
-_BINDINGS = _SECTION_OF["bindings"]
 
 
 class Op(NamedTuple):
     """One timeline op: the kind of each argument, or None when the
     arguments are one [nrs] record; the step that fires it at the fabric's
-    tick, given the arguments or that record, which returns the call it
-    starts or None; and, for an op that starts a call, the call's target
-    text read from the arguments.  A step reads each name through the
-    fabric's name_of, so a fabric from build_fabric fires with the Names
-    validation built."""
+    tick, given the arguments, which returns the call it starts or None;
+    and, for an op that starts a call, the call's target text read from the
+    arguments.  A step reads each name through the fabric's name_of, so a
+    fabric from build_fabric fires with the Names it was built with."""
 
     kinds: tuple[str, ...] | None
     fire: Callable[[Fabric, Any], Any]
@@ -309,7 +300,8 @@ TIMELINE_OPS = {
     "unbind": Op((NAME, NAP), lambda f, a: f.unbind(f.name_of(a[0]), a[1])),
     "partition": Op((REALM,), lambda f, a: f.partition(a[0])),
     "heal": Op((REALM,), lambda f, a: f.heal(a[0])),
-    "nrs_register": Op(None, lambda f, record: f.nrs.register(record, CallerRole.ADMINISTRATOR)),
+    "nrs_register": Op(None, lambda f, a: f.nrs.register(
+        _record_to_nrs(_NRS.parse(a, "nrs_register"), f.name_of), CallerRole.ADMINISTRATOR)),
     "nrs_withdraw": Op((NAME, FREE), lambda f, a: f.nrs.withdraw(f.name_of(a[0]), a[1])),
 }
 
@@ -335,13 +327,7 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         # Only a line's fields raise this: the line's number is worked out
         # for the one that fails, not for every line.
         raise ParseError(f"line {lineno}: {exc}") from exc
-    return _validated(Scenario(name, **{attr: tuple(found) for attr, found in records.items()}))
-
-
-def _validated(s: Scenario) -> Scenario:
-    """s, carrying the Names and NRS records its validation built."""
-    object.__setattr__(s, "built", validate_scenario(s))
-    return s
+    return Scenario(name, **{attr: tuple(found) for attr, found in records.items()})
 
 
 def _read_file(path: str) -> str:
@@ -366,7 +352,7 @@ def save_scenario(s: Scenario) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
-# --------------------------------------------------------------- validation
+# ----------------------------------------------------------------- building
 
 # Each enum's members by the text a scenario spells them with, read once:
 # Enum's own lookups and __members__ are Python-level, and set-up makes
@@ -374,11 +360,24 @@ def save_scenario(s: Scenario) -> str:
 # is NextHopTech), so one table serves realms and records.
 _PROTOCOLS = dict(Protocol.__members__)
 _NEXT_HOP_TECHS = dict(NextHopTech.__members__)
+_SCHEMES = {s.value: s for s in NamingScheme}
 _NODE_KINDS = {k.value: k for k in NodeKind}
 _ENTITY_KINDS = {k.value: k for k in EntityKind}
 _SERVICES = {sv.value: sv for sv in Service}
 _POLICY_ACTIONS = {a.value: a for a in PolicyAction}
 _POLICY_OPERATIONS = {op.value: op for op in PolicyOperation}
+
+# The errors the fabric's and the ORS's set-up calls raise for a line they
+# cannot install; each one's text names the line.
+_REFUSALS = (ValueError, DuplicateName, RealmViolation, UnknownNap, UnknownNode, UnknownRealm)
+
+
+def _refused(install: Callable, *args) -> None:
+    """install(*args), a set-up call, whose refusal is the scenario's error."""
+    try:
+        install(*args)
+    except _REFUSALS as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 class _Memo(dict):
@@ -400,166 +399,12 @@ class _Memo(dict):
     __call__ = dict.__getitem__
 
 
-def validate_scenario(s: Scenario) -> Built:
-    """The Names and NRS records a valid scenario's set-up installs;
-    ValidationError naming the first line that is not valid.  Each
-    nrs_register op keeps the record it describes, for when it fires."""
-    realm_ids = set()
-    for r in s.realms:
-        if r.id in realm_ids:
-            raise ValidationError(f"duplicate realm {r.id}")
-        if r.technology not in _NEXT_HOP_TECHS:
-            raise ValidationError(f"realm {r.id}: unknown technology {r.technology}")
-        if r.parent is not None and r.parent not in realm_ids:
-            raise ValidationError(f"realm {r.id}: undefined parent {r.parent}")
-        realm_ids.add(r.id)
-
-    name_realms = {}
-    for nr in s.name_realms:
-        if nr.scheme not in ("hierarchical", "flat"):
-            raise ValidationError(f"name realm {nr.id}: unknown scheme {nr.scheme}")
-        name_realms[nr.id] = NameRealm(nr.id, NamingScheme(nr.scheme), nr.description)
-
-    name_of = _Memo(parse_name)
-
-    def check_name(uri, where) -> Name:
-        try:
-            name = name_of(uri)
-        except MalformedUri as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-        realm = name_realms.get(name.realm_id)
-        if realm is not None and not realm.admits(name):
-            raise ValidationError(f"{where}: {uri} not admitted by name realm {name.realm_id}")
-        return name
-
-    node_realms = {}
-    for n in s.nodes:
-        if n.id in node_realms:
-            raise ValidationError(f"duplicate node {n.id}")
-        if n.kind not in _NODE_KINDS:
-            raise ValidationError(f"node {n.id}: unknown kind {n.kind}")
-        for rid in n.realms:
-            if rid not in realm_ids:
-                raise ValidationError(f"node {n.id}: undefined realm {rid}")
-        node_realms[n.id] = set(n.realms)
-
-    nap_realm = {f"{n.id}.{rid}": rid for n in s.nodes for rid in n.realms}
-
-    for l in s.links:
-        if l.realm not in realm_ids:
-            raise ValidationError(f"link {l.a}-{l.b}: undefined realm {l.realm}")
-        for endpoint in (l.a, l.b):
-            if endpoint not in node_realms:
-                raise ValidationError(f"link references undefined node {endpoint}")
-            if l.realm not in node_realms[endpoint]:
-                raise ValidationError(f"link {l.a}-{l.b}: {endpoint} not in realm {l.realm}")
-        if l.delay < 1:
-            raise ValidationError(f"link {l.a}-{l.b}: delay must be >= 1")
-
-    seen_entities = set()
-    for e in s.entities:
-        name = check_name(e.uri, f"entity {e.uri}")
-        if name in seen_entities:
-            raise ValidationError(f"duplicate entity {e.uri}")
-        seen_entities.add(name)
-        if e.kind not in _ENTITY_KINDS:
-            raise ValidationError(f"entity {e.uri}: unknown kind {e.kind}")
-        for host in e.hosts:
-            if host not in node_realms:
-                raise ValidationError(f"entity {e.uri}: undefined host {host}")
-
-    # The line that first registers each NRS store key (NrsRecord.key: the
-    # store refuses a second record under it); every binding registers a
-    # host record for its NAP, with the empty predicate.
-    techs = {r.id: _NEXT_HOP_TECHS[r.technology] for r in s.realms}
-    anywhere = ContextPredicate()
-    registered = {}
-    for b in s.bindings:
-        name = check_name(b.uri, f"binding {b.uri}")
-        if b.nap not in nap_realm:
-            raise ValidationError(f"binding {b.uri}: undefined nap {b.nap}")
-        protocol = PROTOCOL_OF_TECH[techs[nap_realm[b.nap]]]
-        registered.setdefault((name, protocol, b.nap, anywhere), b)
-
-    locators = nap_realm.keys() | node_realms.keys()
-    predicate_of = _Memo(_predicate)
-
-    def check_record(r: RecordSpec, where: str) -> NrsRecord:
-        """The record an [nrs] line or the arguments of an nrs_register op
-        describe; ValidationError if the NRS could not hold it."""
-        check_name(r.prefix, where)
-        if r.protocol not in _PROTOCOLS:
-            raise ValidationError(f"{where}: unknown protocol {r.protocol}")
-        if r.tech not in _NEXT_HOP_TECHS:
-            raise ValidationError(f"{where}: unknown tech {r.tech}")
-        if r.next_hop not in locators:
-            raise ValidationError(f"{where}: undefined next hop {r.next_hop}")
-        if r.service is not None and r.service not in _SERVICES:
-            raise ValidationError(f"{where}: unknown service {r.service}")
-        try:
-            return _record_to_nrs(r, name_of, predicate_of)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc} in line {_NRS.format(r)}") from exc
-
-    records = []
-    for r in s.nrs_records:
-        record = check_record(r, f"nrs record {r.prefix}")
-        n = len(registered)
-        first = registered.setdefault(record.key(), r)
-        if len(registered) == n:
-            repeats = (f"the host record of [bindings] line {_BINDINGS.format(first)}"
-                       if isinstance(first, BindingSpec) else f"[nrs] line {_NRS.format(first)}")
-            raise ValidationError(f"nrs record {_NRS.format(r)}: repeats {repeats}")
-        records.append(record)
-
-    for p in s.policies:
-        if p.router not in node_realms:
-            raise ValidationError(f"policy: undefined router {p.router}")
-        check_name(p.prefix, f"policy {p.prefix}")
-        if p.action not in _POLICY_ACTIONS:
-            raise ValidationError(f"policy: unknown action {p.action}")
-        if p.operation not in _POLICY_OPERATIONS:
-            raise ValidationError(f"policy: unknown operation {p.operation}")
-
-    rendezvous = {n.id for n in s.nodes if n.kind == NodeKind.RENDEZVOUS.value}
-    for t in s.topics:
-        if t.rendezvous not in node_realms:
-            raise ValidationError(f"topic {t.fcn}: undefined rendezvous {t.rendezvous}")
-        if t.rendezvous not in rendezvous:
-            raise ValidationError(f"topic {t.fcn}: {t.rendezvous} is not a rendezvous node")
-
-    defined = {NAP: nap_realm, REALM: realm_ids}
-    last_tick = None
-    for a in s.timeline:
-        if last_tick is not None and a.tick < last_tick:
-            raise ValidationError("timeline must be sorted by tick")
-        last_tick = a.tick
-        where = f"timeline t={a.tick} {a.op}"
-        kinds = TIMELINE_OPS[a.op].kinds
-        if kinds is None:
-            object.__setattr__(a, "record", check_record(_NRS.parse(a.args, where), where))
-            continue
-        for kind, arg in zip(kinds, a.args):
-            if kind == NAME:
-                check_name(arg, where)
-            elif kind in defined and arg not in defined[kind]:
-                raise ValidationError(f"{where}: undefined {kind} {arg}")
-    return Built(name_of, tuple(records))
-
-
-# ----------------------------------------------------------------- building
-
-
-def _descriptor(r: RecordSpec) -> ServiceDescriptor:
-    return ServiceDescriptor(
-        protocol=_PROTOCOLS[r.protocol],
-        fcn=r.fcn,
-        next_hop_tech=_NEXT_HOP_TECHS[r.tech],
-        next_hop_address=r.next_hop,
-        priority=r.priority,
-        ttl_ticks=r.ttl,
-        scope=r.scope,
-    )
+def _spelled(members: dict, text: str, where: str, what: str):
+    """The member a scenario spells as text; ValidationError if there is none."""
+    member = members.get(text)
+    if member is None:
+        raise ValidationError(f"{where}: unknown {what} {text}")
+    return member
 
 
 def _predicate(key: tuple) -> ContextPredicate:
@@ -571,58 +416,133 @@ def _predicate(key: tuple) -> ContextPredicate:
 
 def _record_to_nrs(r: RecordSpec, name_of: Callable[[str], Name],
                    predicate_of: Callable[[tuple], ContextPredicate] = _predicate) -> NrsRecord:
-    return NrsRecord(name_of(r.prefix), _descriptor(r),
+    sd = ServiceDescriptor(_PROTOCOLS[r.protocol], r.fcn, _NEXT_HOP_TECHS[r.tech], r.next_hop,
+                           r.priority, r.ttl, r.scope)
+    return NrsRecord(name_of(r.prefix), sd,
                      predicate_of((r.window, r.location_tags, r.context_tags, r.service)))
 
 
 def build_fabric(s: Scenario) -> Fabric:
-    """The fabric a scenario describes, holding the Names and NRS records
-    its validation built; a Scenario that carries none is validated here."""
-    built = validate_scenario(s) if s.built is None else s.built
-    name_of = built.names
+    """The fabric a scenario describes; ValidationError naming the first
+    line, in file order, that it cannot build."""
+    # Set-up calls refuse what they cannot install; the checks here are the
+    # ones no set-up call makes: spellings, name-realm admission, record next
+    # hops, rendezvous kinds, timeline references and tick order.
     fabric = Fabric()
-    fabric.name_of = name_of
+    name_of = fabric.name_of = _Memo(parse_name)
     for r in s.realms:
-        fabric.add_realm(r.id, _NEXT_HOP_TECHS[r.technology], r.parent)
+        tech = _spelled(_NEXT_HOP_TECHS, r.technology, f"realm {r.id}", "technology")
+        _refused(fabric.add_realm, r.id, tech, r.parent)
+
+    name_realms = {}
+    for nr in s.name_realms:
+        scheme = _spelled(_SCHEMES, nr.scheme, f"name realm {nr.id}", "scheme")
+        name_realms[nr.id] = NameRealm(nr.id, scheme, nr.description)
+
+    def check_name(uri, where) -> Name:
+        try:
+            name = name_of(uri)
+        except MalformedUri as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
+        realm = name_realms.get(name.realm_id)
+        if realm is not None and not realm.admits(name):
+            raise ValidationError(f"{where}: {uri} not admitted by name realm {name.realm_id}")
+        return name
+
     for n in s.nodes:
-        fabric.add_node(n.id, _NODE_KINDS[n.kind], list(n.realms))
+        kind = _spelled(_NODE_KINDS, n.kind, f"node {n.id}", "kind")
+        _refused(fabric.add_node, n.id, kind, n.realms)
     for l in s.links:
-        fabric.add_link(l.a, l.b, l.realm, l.delay)
-    for t in s.topics:
-        fabric.topic_home[t.fcn] = t.rendezvous
+        _refused(fabric.add_link, l.a, l.b, l.realm, l.delay)
+
     for e in s.entities:
-        name = name_of(e.uri)
-        entity = NamedEntity(
-            name=name,
-            kind=_ENTITY_KINDS[e.kind],
-            payload=e.payload if e.kind == "content" else b"",
-            metadata={
-                "keywords": ",".join(e.keywords),
-                "description": e.description,
-            },
-        )
-        fabric.ors.register(entity)
+        name = check_name(e.uri, f"entity {e.uri}")
+        kind = _spelled(_ENTITY_KINDS, e.kind, f"entity {e.uri}", "kind")
+        _refused(fabric.ors.register, NamedEntity(
+            name, kind, e.payload if kind is EntityKind.CONTENT else b"",
+            {"keywords": ",".join(e.keywords), "description": e.description}))
         for host in e.hosts:
-            fabric.host_content(host, name, e.payload, e.fcn)
-    fabric.build_fibs()
-    for record in built.records:
-        fabric.nrs.register(record, CallerRole.ADMINISTRATOR)
+            _refused(fabric.host_content, host, name, e.payload, e.fcn)
+
+    for b in s.bindings:
+        name = check_name(b.uri, f"binding {b.uri}")
+        # Declared, so bind accepts a name the ORS does not hold.
+        fabric.known_names.add(name)
+        _refused(fabric.bind, name, b.nap)
+
+    predicate_of = _Memo(_predicate)
+
+    def check_record(r: RecordSpec, where: str) -> NrsRecord:
+        """The record an [nrs] line or the arguments of an nrs_register op
+        describe; ValidationError if the NRS could not hold it."""
+        check_name(r.prefix, where)
+        _spelled(_PROTOCOLS, r.protocol, where, "protocol")
+        _spelled(_NEXT_HOP_TECHS, r.tech, where, "tech")
+        if r.next_hop not in fabric.naps and r.next_hop not in fabric.nodes:
+            raise ValidationError(f"{where}: undefined next hop {r.next_hop}")
+        if r.service is not None:
+            _spelled(_SERVICES, r.service, where, "service")
+        try:
+            return _record_to_nrs(r, name_of, predicate_of)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc} in line {_NRS.format(r)}") from exc
+
+    records = []
+    for r in s.nrs_records:
+        record = check_record(r, f"nrs record {r.prefix}")
+        try:
+            fabric.nrs.register(record, CallerRole.ADMINISTRATOR)
+        except DuplicateRecord as exc:
+            # The record this one repeats: an earlier line's, or a binding's.
+            first = exc.first
+            earlier = next((spec for spec, held in zip(s.nrs_records, records)
+                            if held is first), None)
+            repeats = (f"[nrs] line {_NRS.format(earlier)}" if earlier is not None else
+                       "the host record of [bindings] line "
+                       f"{first.prefix.uri},{first.sd.next_hop_address}")
+            raise ValidationError(f"nrs record {_NRS.format(r)}: repeats {repeats}") from exc
+        records.append(record)
+
     rules: dict[str, list[PolicyRule]] = {}
     for p in s.policies:
+        if p.router not in fabric.nodes:
+            raise ValidationError(f"policy: undefined router {p.router}")
+        prefix = check_name(p.prefix, f"policy {p.prefix}")
         rules.setdefault(p.router, []).append(PolicyRule(
-            name_of(p.prefix),
-            _POLICY_ACTIONS[p.action],
-            _POLICY_OPERATIONS[p.operation],
+            prefix,
+            _spelled(_POLICY_ACTIONS, p.action, "policy", "action"),
+            _spelled(_POLICY_OPERATIONS, p.operation, "policy", "operation"),
         ))
     for router, rule_list in rules.items():
         fabric.nodes[router].policy = AccessPolicy(tuple(rule_list))
-    # Declare every name the scenario binds, so bind accepts the ones the
-    # ORS does not hold.
-    fabric.known_names.update(name_of(a.args[0]) for a in s.timeline if a.op == "bind")
-    for b in s.bindings:
-        name = name_of(b.uri)
-        fabric.known_names.add(name)
-        fabric.bind(name, b.nap)
+
+    for t in s.topics:
+        home = fabric.nodes.get(t.rendezvous)
+        if home is None:
+            raise ValidationError(f"topic {t.fcn}: undefined rendezvous {t.rendezvous}")
+        if home.kind is not NodeKind.RENDEZVOUS:
+            raise ValidationError(f"topic {t.fcn}: {t.rendezvous} is not a rendezvous node")
+        fabric.topic_home[t.fcn] = t.rendezvous
+    fabric.build_fibs()
+
+    defined = {NAP: fabric.naps, REALM: fabric.realms}
+    last_tick = None
+    for a in s.timeline:
+        if last_tick is not None and a.tick < last_tick:
+            raise ValidationError("timeline must be sorted by tick")
+        last_tick = a.tick
+        where = f"timeline t={a.tick} {a.op}"
+        kinds = TIMELINE_OPS[a.op].kinds
+        if kinds is None:
+            check_record(_NRS.parse(a.args, where), where)
+            continue
+        for kind, arg in zip(kinds, a.args):
+            if kind == NAME:
+                check_name(arg, where)
+            elif kind in defined and arg not in defined[kind]:
+                raise ValidationError(f"{where}: undefined {kind} {arg}")
+        if a.op == "bind":
+            fabric.known_names.add(name_of(a.args[0]))
     return fabric
 
 
@@ -648,11 +568,7 @@ def _schedule_action(fabric: Fabric, a: ActionSpec, calls: list) -> None:
 
     def step():
         try:
-            args = a.args
-            if op.kinds is None:
-                # The record validation built, or one parsed from a hand-made spec.
-                args = a.record or _record_to_nrs(_NRS.parse(args, a.op), fabric.name_of)
-            call = op.fire(fabric, args)
+            call = op.fire(fabric, a.args)
         except tuple(_ABORTS) as exc:
             # Every op that can raise these takes its name (or, for
             # nrs_register, its prefix) first.
@@ -735,7 +651,7 @@ def load_plan(path: str) -> MigrationPlan:
 
 def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
     """The scenario after one step; InvalidStep, naming the step, if the
-    step cannot apply or its result does not validate."""
+    step cannot apply or its result cannot be built."""
     if step.op == "replace_authoritative_resolver":
         if not any(n.kind == "nrs" for n in s.nodes):
             raise InvalidStep("no resolver node exists to take over")
@@ -761,26 +677,22 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
         if record.tech == "CCNISH" and record.fcn:
             # Content entering a CCN realm gets replicated onto the realm's
             # repository and keyed by the record's FCN.
-            hit = False
-            new_entities = []
-            for e in entities:
-                if e.uri == record.prefix:
-                    hit = True
-                    hosts = e.hosts if record.next_hop in e.hosts \
-                        else e.hosts + (record.next_hop,)
-                    new_entities.append(e._replace(hosts=hosts, fcn=record.fcn))
-                else:
-                    new_entities.append(e)
-            if not hit:
+            if not any(e.uri == record.prefix for e in entities):
                 raise InvalidStep(f"update_nrs: no entity named {record.prefix}")
-            entities = tuple(new_entities)
+
+            def moved(e: EntitySpec) -> EntitySpec:
+                hosts = e.hosts if record.next_hop in e.hosts else e.hosts + (record.next_hop,)
+                return e._replace(hosts=hosts, fcn=record.fcn)
+
+            entities = tuple(moved(e) if e.uri == record.prefix else e for e in entities)
         new = replace(s, entities=entities, nrs_records=s.nrs_records + (record,))
     else:
         raise InvalidStep(step.op)
     try:
-        return _validated(new)
+        build_fabric(new)
     except ValidationError as exc:
         raise InvalidStep(f"{','.join((step.op, *step.args))}: {exc}") from exc
+    return new
 
 
 def apply_migration(s: Scenario, plan: MigrationPlan) -> Scenario:

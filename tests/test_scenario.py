@@ -1,7 +1,5 @@
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -41,7 +39,6 @@ from internames.scenario import (
     parse_scenario,
     run_scenario,
     save_scenario,
-    validate_scenario,
 )
 
 from conftest import CROSS_REALM, UNFIRABLE_OPS, fig3_and, run_checked
@@ -152,9 +149,8 @@ ONE_OF_EACH = Scenario(
 @example(Scenario(name_realms=(NameRealmSpec("users", "flat", "people,"),)))
 @example(ONE_OF_EACH)
 def test_parse_inverts_save_on_every_section_and_op(s):
-    # Validation would reject most drawn records; the format does not.
-    with mock.patch("internames.scenario.validate_scenario"):
-        assert parse_scenario(save_scenario(s), name=s.name) == s
+    # build_fabric would refuse most drawn records; the format does not.
+    assert parse_scenario(save_scenario(s), name=s.name) == s
 
 
 @given(SCENARIOS)
@@ -183,13 +179,13 @@ HOST_RECORD = "n2n://users:x,HTTPISH,-,IPISH,a.net,0,100,-,-,-,-"
 ])
 def test_duplicate_nrs_records_rejected(nrs_lines, repeats):
     with pytest.raises(ValidationError) as info:
-        parse_scenario(MINIMAL + "[nrs]\n" + "\n".join(nrs_lines) + "\n")
+        build_fabric(parse_scenario(MINIMAL + "[nrs]\n" + "\n".join(nrs_lines) + "\n"))
     assert str(info.value).endswith(f": repeats {repeats}")
     assert str(info.value).startswith(f"nrs record {nrs_lines[-1]}")
 
 
-# The rule validation applied before it keyed records by NrsRecord.key(),
-# kept as the reference: an [nrs] line repeats the first earlier [nrs] line,
+# The rule scenario validation applied before records were keyed by
+# NrsRecord.key(), kept as the reference: an [nrs] line repeats the first earlier [nrs] line,
 # or host record of a binding, with the same prefix, protocol, next hop,
 # window, location tags, context tags and service.
 FORMAT = {s.name: s.format for s in SECTIONS}
@@ -243,16 +239,35 @@ def test_repeated_records_refused_as_the_seven_field_rule_finds(bindings, record
     s = Scenario(**TWO_REALMS, bindings=tuple(bindings), nrs_records=tuple(records))
     refusal = oracle_repeat(s)
     if refusal is None:
-        assert len(validate_scenario(s).records) == len(records)
+        # One host record per distinct binding, then every [nrs] record.
+        assert len(build_fabric(s).nrs.records()) == len(set(bindings)) + len(records)
     else:
         with pytest.raises(ValidationError) as info:
-            validate_scenario(s)
+            build_fabric(s)
         assert str(info.value) == refusal
 
 
 def test_nrs_record_beside_host_record_builds():
     text = MINIMAL + "[nrs]\n" + HOST_RECORD.replace(",-,-,-,-", ",lab,-,-,-") + "\n"
     assert len(build_fabric(parse_scenario(text)).nrs.records()) == 2
+
+
+def test_unbind_withdraws_only_the_host_record():
+    text = MINIMAL + "[nrs]\n" + HOST_RECORD.replace(",-,-,-,-", ",lab,-,-,-") + "\n"
+    fabric = build_fabric(parse_scenario(text))
+    x = parse_name("n2n://users:x")
+    (lab,) = [r for r in fabric.nrs.records() if r.predicate.context_tags]
+    fabric.unbind(x, "a.net")
+    assert fabric.nrs.records() == (lab,)
+    fabric.bind(x, "a.net")
+    assert len(fabric.nrs.records()) == 2
+
+
+def test_parsing_reads_the_format_and_building_refuses():
+    s = parse_scenario("[nodes]\nn1,host,nowhere\n")
+    assert s.nodes == (NodeSpec("n1", "host", ("nowhere",)),)
+    with pytest.raises(ValidationError, match="^node n1: undefined realm nowhere$"):
+        build_fabric(s)
 
 
 # Each object's URI appears in an entity, an [nrs] record, a binding and
@@ -313,19 +328,16 @@ def test_set_up_builds_each_name_and_record_once(monkeypatch):
         sds.clear()
         return make(), Counter(name.uri for name in made), sds.copy()
 
-    # The second round must count the same: nothing is memoised across calls.
+    # Parsing builds no Name and no record; the second round must count the
+    # same, as nothing is memoised across calls.
     for _ in range(2):
         s, built_names, built_sds = counts(lambda: parse_scenario(NAMED_OFTEN))
-        assert (built_names, built_sds) == (once, nrs_lines)
+        assert (built_names, built_sds) == (Counter(), Counter())
         fabric, built_names, built_sds = counts(lambda: build_fabric(s))
-        assert (built_names, built_sds) == (Counter(), host_records)
-        # replace() drops what validation built, so build_fabric validates.
-        copy, built_names, built_sds = counts(lambda: build_fabric(replace(s, name="copy")))
         assert (built_names, built_sds) == (once, nrs_lines + host_records)
-        for f in (fabric, copy):
-            item1, item2 = [r for r in f.nrs.records() if r.prefix.realm_id == "shop"
-                            and r.sd.next_hop_address == "b"]
-            assert item1.predicate is item2.predicate
+        item1, item2 = [r for r in fabric.nrs.records() if r.prefix.realm_id == "shop"
+                        and r.sd.next_hop_address == "b"]
+        assert item1.predicate is item2.predicate
 
 
 # Every op that takes a name fires on CROSS_REALM; the last pull's caller
@@ -355,7 +367,7 @@ def _run_timeline(fabric, timeline):
     return calls
 
 
-def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
+def test_timeline_ops_fire_with_the_names_set_up_built(monkeypatch):
     built = Counter()
     made = counted_names(monkeypatch)
     sd_init, predicate_init = ServiceDescriptor.__init__, ContextPredicate.__post_init__
@@ -379,11 +391,10 @@ def test_timeline_ops_fire_with_the_names_validation_built(monkeypatch):
     made.clear()
     calls = _run_timeline(fabric, s.timeline)
     built.update(name.uri for name in made)
-    # Only the bind builds: the host record of its nap.  The nrs_register op
-    # registers the record validation built.
-    assert built == Counter({"sd host3b.internet": 1})
-    (op,) = [a for a in s.timeline if a.op == "nrs_register"]
-    assert op.record is not None and registered[-1] is op.record
+    # The bind and the unbind build the host record of their nap, and the
+    # nrs_register op builds its record when it fires; no op makes a Name.
+    assert built == Counter({"sd host3b.internet": 2, "sd host3a": 1, "predicate": 1})
+    assert registered[-1].prefix is fabric.name_of("n2n://ccn.com:more")
     outcomes = [(c.kind, c.caller.uri, c.result, c.error) for c in calls]
     assert outcomes == [
         ("pull", "n2n://users:u1", b"doc-bytes", None),
@@ -430,7 +441,6 @@ def test_timeline_ops_fire_on_a_fabric_built_by_hand():
         ActionSpec(21, "pull", ("n2n://users:x", "n2n://shop:item")),
     ]
     calls = _run_timeline(fabric, timeline)
-    assert timeline[1].record is None  # made by hand: the op parses its arguments
     assert [(c.kind, c.caller, c.result, c.error) for c in calls] == [
         ("pull", parse_name("n2n://users:x"), b"item-bytes", None),
         ("pull", parse_name("n2n://users:x"), None, "not-bound"),
@@ -474,7 +484,7 @@ def test_a_run_builds_one_bridge_rule_per_realm_pair(monkeypatch):
 def test_records_the_nrs_cannot_hold_are_rejected(section, line, message):
     # An [nrs] line and an nrs_register op pass the same record checks.
     with pytest.raises(ValidationError) as info:
-        parse_scenario(MINIMAL + f"[{section}]\n{line}\n")
+        build_fabric(parse_scenario(MINIMAL + f"[{section}]\n{line}\n"))
     assert str(info.value) == message
 
 
@@ -492,7 +502,7 @@ def test_records_the_nrs_cannot_hold_are_rejected(section, line, message):
 ])
 def test_invalid_scenarios_rejected(text, error):
     with pytest.raises(error):
-        parse_scenario(text)
+        build_fabric(parse_scenario(text))
 
 
 @pytest.mark.parametrize("text,message", [
@@ -515,7 +525,7 @@ def test_parse_errors_name_the_line_that_fails(text, message):
 def test_topic_rendezvous_must_be_a_rendezvous_node():
     text = CROSS_REALM.replace("sports/news,rvX", "sports/news,host3a")
     with pytest.raises(ValidationError, match="host3a is not a rendezvous node"):
-        parse_scenario(text)
+        build_fabric(parse_scenario(text))
 
 
 def test_empty_timeline_trace_has_only_rebinds():
@@ -696,10 +706,16 @@ def test_cli_diff_match_and_mismatch(tmp_path, capsys):
 def test_cli_parse_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.scn"
     assert main(["run", str(missing)]) == 2
+    capsys.readouterr()
     broken = tmp_path / "broken.scn"
     broken.write_text("[nodes]\nn1,host,nowhere\n")
-    assert main(["run", str(broken)]) == 2
-    capsys.readouterr()
+    empty_plan = tmp_path / "empty.plan"
+    empty_plan.write_text("")
+    for argv in (["run", str(broken)], ["diff", str(broken), "fig3"],
+                 ["migrate", str(broken), str(empty_plan)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: node n1: undefined realm nowhere\n")
 
 
 def test_cli_migrate(tmp_path, capsys):
