@@ -14,7 +14,6 @@ from .scenario import (
     BUILTIN_NAMES,
     LOADABLE_NAMES,
     apply_migration,
-    build_fabric,
     diff_trace,
     golden_trace,
     load_builtin,
@@ -81,9 +80,6 @@ def _cmd_diff(args) -> int:
 
 def _cmd_migrate(args) -> int:
     scenario = _resolve_scenario(args.scenario)
-    # Each step builds its result; this refuses an invalid scenario before
-    # the first step, and under an empty plan, as run and diff do.
-    build_fabric(scenario)
     plan = load_plan(args.plan)
     migrated = apply_migration(scenario, plan)
     text = save_scenario(migrated)

@@ -7,9 +7,13 @@ fields.  `SECTIONS` gives each section's fields and `TIMELINE_OPS` each
 timeline op's arguments; parsing, saving, building and the runner all read
 those two tables, so files round-trip: load(save(load(f))) == load(f).
 
-Parsing reads the format and nothing more.  build_fabric is the one walk
-that checks a scenario: it installs each line, section by section in file
-order, and raises ValidationError naming the first line it cannot build.
+Parsing reads the format and nothing more.  It reads each run of a
+section's lines as one block, a column at a time: one map per field, not
+one call per line.  A block that cannot be read is read again a line at a
+time, so a ParseError still names the first faulty line in file order.
+build_fabric is the one walk that checks a scenario: it installs each line,
+section by section in file order, and raises ValidationError naming the
+first line it cannot build.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
+from itertools import groupby, repeat, starmap
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
@@ -162,7 +168,7 @@ class Scenario:
 class Codec(NamedTuple):
     """Reads one field of a line and writes it back; a `parse` of None keeps
     the field's text.  A `rest` codec reads every remaining field of the
-    line, so it can only come last."""
+    line, as a tuple of texts, so it can only come last."""
 
     parse: Callable[[Any], Any] | None
     format: Callable[[Any], str]
@@ -192,7 +198,7 @@ WORDS = Codec(lambda f: () if f == "-" else tuple(f.split()), lambda v: " ".join
 BYTES = Codec(lambda f: b"" if f == "-" else f.encode(), lambda v: v.decode() or "-")
 WINDOW = Codec(_parse_window, lambda v: "-" if v is None else f"{v[0]}:{v[1]}")
 REST = Codec(",".join, str, rest=True)
-ARGS = Codec(tuple, ",".join, rest=True)
+ARGS = Codec(None, ",".join, rest=True)
 
 
 class Section:
@@ -211,28 +217,47 @@ class Section:
         self.parsers = tuple(c.parse for c in codecs)
         self.fields = tuple(inspect.signature(spec).parameters.values())
         self.defaults = tuple(f.default for f in self.fields)
-        # A NamedTuple spec is built past its Python-level __new__.
-        self.new = tuple.__new__ if issubclass(spec, tuple) else lambda spec, values: spec(*values)
+        # Specs from rows of values; a NamedTuple spec is built past its
+        # Python-level __new__.
+        self.build = (partial(map, partial(tuple.__new__, spec)) if issubclass(spec, tuple)
+                      else partial(starmap, spec))
 
-    def read(self, line_fields):
-        """The spec a line's stripped fields describe; ValueError if they cannot."""
-        n = len(line_fields)
+    def read_rows(self, rows) -> list:
+        """The specs that rows, each a line's fields, describe; ValueError if
+        one cannot.  Rows are read a column at a time, one group per field
+        count."""
+        if not rows:
+            return []
+        counts = [*map(len, rows)]
+        if counts.count(counts[0]) == len(counts):
+            return self._read_columns(rows, counts[0])
+        # Grouped by field count, in a stable order, then put back in place.
+        order = sorted(range(len(rows)), key=counts.__getitem__)
+        specs = []
+        for n, group in groupby(map(rows.__getitem__, order), len):
+            specs += self._read_columns([*group], n)
+        return [*map(specs.__getitem__, sorted(range(len(rows)), key=order.__getitem__))]
+
+    def _read_columns(self, rows, n: int) -> list:
+        """The specs of rows of n fields each."""
         if n < self.least or n > self.width and not self.rest:
             names = [f.name for f in self.fields]
             usage = ",".join(names[:self.least]) + "".join(
                 f"[,{name}]" for name in names[self.least:])
             raise ValueError(f"[{self.name}] line needs {usage}, got {n} fields")
+        cols = [map(str.strip, col) for col in zip(*rows)]
         if self.rest and n >= self.width:
-            line_fields = [*line_fields[:self.width - 1], line_fields[self.width - 1:]]
-        values = [f if p is None else p(f) for p, f in zip(self.parsers, line_fields)]
-        values += self.defaults[len(values):]
-        return self.new(self.spec, values)
+            # The line's trailing fields are one field, read as a tuple.
+            cols[self.width - 1:] = [zip(*cols[self.width - 1:])]
+        cols = [col if p is None else map(p, col) for p, col in zip(self.parsers, cols)]
+        cols += map(repeat, self.defaults[len(cols):])
+        return [*self.build(zip(*cols))]
 
     def parse(self, line_fields, where: str):
-        """The spec a line's stripped fields describe; ParseError, naming
-        where, if they cannot."""
+        """The spec a line's fields describe; ParseError, naming where, if
+        they cannot."""
         try:
-            return self.read(line_fields)
+            return self.read_rows([line_fields])[0]
         except ValueError as exc:
             raise ParseError(f"{where}: {exc}") from exc
 
@@ -306,27 +331,43 @@ TIMELINE_OPS = {
 }
 
 
+def _blocks(text: str):
+    """Each run of a section's lines, in file order, as (section, the lines,
+    their line numbers); ParseError, once the blocks before it are taken,
+    for an unknown header or a line outside any section."""
+    section, lines, numbers = None, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            if lines:
+                yield section, lines, numbers
+            section = _SECTION_OF.get(line[1:-1])
+            if section is None:
+                raise ParseError(f"line {lineno}: unknown section {line}")
+            lines, numbers = [], []
+        elif section is None:
+            raise ParseError(f"line {lineno}: record outside any section")
+        else:
+            lines.append(line)
+            numbers.append(lineno)
+    if lines:
+        yield section, lines, numbers
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     records: dict[str, list] = {s.attr: [] for s in SECTIONS}
-    section = rows = None
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                section = _SECTION_OF.get(line[1:-1])
-                if section is None:
-                    raise ParseError(f"line {lineno}: unknown section {line}")
-                rows, read = records[section.attr], section.read
-                continue
-            if section is None:
-                raise ParseError(f"line {lineno}: record outside any section")
-            rows.append(read([f.strip() for f in line.split(",")]))
-    except ValueError as exc:
-        # Only a line's fields raise this: the line's number is worked out
-        # for the one that fails, not for every line.
-        raise ParseError(f"line {lineno}: {exc}") from exc
+    for section, lines, numbers in _blocks(text):
+        rows = [*map(str.split, lines, repeat(","))]
+        try:
+            records[section.attr] += section.read_rows(rows)
+        except ValueError:
+            # Only a line's fields raise this: the block is read again a
+            # line at a time, to name the first line that fails.
+            for lineno, row in zip(numbers, rows):
+                section.parse(row, f"line {lineno}")
+            raise
     return Scenario(name, **{attr: tuple(found) for attr, found in records.items()})
 
 
@@ -696,6 +737,10 @@ def apply_step(s: Scenario, step: MigrationStep) -> Scenario:
 
 
 def apply_migration(s: Scenario, plan: MigrationPlan) -> Scenario:
+    """The scenario after every step of plan; the input's own
+    ValidationError if it cannot be built, then InvalidStep, naming the
+    step, for the first step that cannot apply."""
+    build_fabric(s)
     for step in plan.steps:
         s = apply_step(s, step)
     return s

@@ -514,7 +514,17 @@ def test_invalid_scenarios_rejected(text, error):
      "line 2: [nrs] line needs prefix,protocol,fcn,tech,next_hop,priority,ttl,context_tags,"
      "location_tags,window,service[,scope], got 2 fields"),
     ("[timeline]\n5\n", "line 2: [timeline] line needs tick,op[,args], got 1 fields"),
-], ids=["too-few-fields", "bad-int", "unknown-op", "nrs-usage", "timeline-usage"])
+    # A block is read a column at a time; the first line in file order that
+    # fails is the one named, whichever fault the columns meet first.
+    ("[links]\na,b,net,1\na,b,net,x\na,b\n",
+     "line 3: invalid literal for int() with base 10: 'x'"),
+    ("[links]\na,b,net,1\na,b\na,b,net,x\n",
+     "line 3: [links] line needs a,b,realm,delay, got 2 fields"),
+    (f"[nrs]\n{HOST_RECORD}\n\n[realms]\nnet,IPISH,-\n# again\n[nrs]\n{HOST_RECORD},net\n"
+     f"{HOST_RECORD.replace(',0,', ',x,')},net\n{HOST_RECORD.replace(',100,', ',y,')}\n"
+     "[whatever]\n", "line 9: invalid literal for int() with base 10: 'x'"),
+], ids=["too-few-fields", "bad-int", "unknown-op", "nrs-usage", "timeline-usage",
+        "bad-int-before-short-line", "short-line-before-bad-int", "second-nrs-block"])
 def test_parse_errors_name_the_line_that_fails(text, message):
     with pytest.raises(ParseError) as info:
         parse_scenario(text)
@@ -642,6 +652,18 @@ def test_migration_step_whose_result_fails_validation(step, problem):
         apply_migration(load_builtin("cdn"), parse_plan(step + "\n"))
     assert str(info.value).startswith(f"{step}: ")
     assert problem in str(info.value)
+
+
+@pytest.mark.parametrize("plan", ["", "replace_authoritative_resolver\n"],
+                         ids=["empty-plan", "one-step"])
+def test_migration_of_a_scenario_that_cannot_be_built_raises_its_own_error(plan):
+    # The input's fault, not an InvalidStep under the first step's name.
+    base = parse_scenario(save_scenario(load_builtin("cdn"))
+                          + "[nrs]\nn2n://users:y,HTTPISH,-,IPISH,nowhere,0,100,-,-,-,-\n")
+    with pytest.raises(ValidationError) as info:
+        apply_migration(base, parse_plan(plan))
+    assert type(info.value) is ValidationError
+    assert str(info.value) == "nrs record n2n://users:y: undefined next hop nowhere"
 
 
 def test_migration_replaces_the_entity_its_record_moves():
