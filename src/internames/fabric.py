@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -153,6 +154,12 @@ class Link:
 
     def other(self, node: str) -> str:
         return self.b if node == self.a else self.a
+
+
+def _neighbour_and_delay(pair: tuple[str, Link]) -> tuple[str, int]:
+    """The order of a node's adjacency list: (neighbour, link) pairs by
+    neighbour, then by delay, so parallel links are cheapest first."""
+    return pair[0], pair[1].delay
 
 
 @dataclass
@@ -373,10 +380,13 @@ class Fabric:
     ``name_of`` gives the Name of a URI: a scenario's timeline ops read
     their names through it when they fire.  build_fabric sets it to the
     table of Names it built the scenario with; otherwise each URI is parsed
-    anew."""
+    anew.  Likewise ``record_specs`` holds the record spec build_fabric read
+    for each nrs_register op's arguments; an op whose arguments it lacks
+    reads them when it fires."""
 
     def __init__(self):
         self.name_of: Callable[[str], Name] = parse_name
+        self.record_specs: dict[tuple[str, ...], tuple] = {}
         self.realms: dict[str, NetworkRealm] = {}
         self.nodes: dict[str, Node] = {}
         self.naps: dict[str, NetworkAttachmentPoint] = {}
@@ -455,10 +465,10 @@ class Fabric:
         link = Link(a, b, realm_id, delay)
         self.links.append(link)
         for end in {a, b}:
-            adjacent = self._adjacency.setdefault((realm_id, end), [])
-            adjacent.append((link.other(end), link))
-            # stable: parallel links are cheapest first, equal delays in the order added
-            adjacent.sort(key=lambda pair: (pair[0], pair[1].delay))
+            # By neighbour, then delay; insort goes right of equal keys, so
+            # parallel links of equal delay stay in the order added.
+            insort(self._adjacency.setdefault((realm_id, end), []), (link.other(end), link),
+                   key=_neighbour_and_delay)
         self._topology_changed()
         return link
 

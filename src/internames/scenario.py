@@ -133,18 +133,33 @@ class TopicSpec(NamedTuple):
     rendezvous: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ActionSpec:
+    """One timeline op.  Slotted, as set-up builds one per [timeline] line,
+    and __init__ checks the op and its argument count, then sets each slot
+    through its descriptor, past the frozen __setattr__.  An op formats as
+    where it sits, `timeline t=<tick> <op>`, the text its errors begin with."""
+
     tick: int
     op: str
     args: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        op = TIMELINE_OPS.get(self.op)
-        if op is None:
-            raise ValueError(f"unknown timeline op {self.op!r}")
-        if op.kinds is not None and len(self.args) != len(op.kinds):
-            raise ValueError(f"op {self.op} takes {len(op.kinds)} args, got {len(self.args)}")
+    def __init__(self, tick: int, op: str, args: tuple[str, ...] = ()):
+        entry = TIMELINE_OPS.get(op)
+        if entry is None:
+            raise ValueError(f"unknown timeline op {op!r}")
+        if entry.kinds is not None and len(args) != len(entry.kinds):
+            raise ValueError(f"op {op} takes {len(entry.kinds)} args, got {len(args)}")
+        _set_tick(self, tick)
+        _set_op(self, op)
+        _set_args(self, args)
+
+    def __str__(self) -> str:
+        return f"timeline t={self.tick} {self.op}"
+
+
+_set_tick, _set_op, _set_args = (ActionSpec.__dict__[name].__set__
+                                 for name in ("tick", "op", "args"))
 
 
 @dataclass(frozen=True)
@@ -253,9 +268,10 @@ class Section:
         cols += map(repeat, self.defaults[len(cols):])
         return [*self.build(zip(*cols))]
 
-    def parse(self, line_fields, where: str):
-        """The spec a line's fields describe; ParseError, naming where, if
-        they cannot."""
+    def parse(self, line_fields, where: object):
+        """The spec a line's fields describe; ParseError, beginning with
+        where (a text, or an op, which formats as its place), if they
+        cannot."""
         try:
             return self.read_rows([line_fields])[0]
         except ValueError as exc:
@@ -292,8 +308,9 @@ class Op(NamedTuple):
     arguments are one [nrs] record; the step that fires it at the fabric's
     tick, given the arguments, which returns the call it starts or None;
     and, for an op that starts a call, the call's target text read from the
-    arguments.  A step reads each name through the fabric's name_of, so a
-    fabric from build_fabric fires with the Names it was built with."""
+    arguments.  A step reads each name through the fabric's name_of, and
+    nrs_register its record through record_specs, so a fabric from
+    build_fabric fires with the Names and specs it was built with."""
 
     kinds: tuple[str, ...] | None
     fire: Callable[[Fabric, Any], Any]
@@ -325,8 +342,9 @@ TIMELINE_OPS = {
     "unbind": Op((NAME, NAP), lambda f, a: f.unbind(f.name_of(a[0]), a[1])),
     "partition": Op((REALM,), lambda f, a: f.partition(a[0])),
     "heal": Op((REALM,), lambda f, a: f.heal(a[0])),
-    "nrs_register": Op(None, lambda f, a: f.nrs.register(
-        _record_to_nrs(_NRS.parse(a, "nrs_register"), f.name_of), CallerRole.ADMINISTRATOR)),
+    "nrs_register": Op(None, lambda f, a: f.nrs.register(_record_to_nrs(
+        f.record_specs.get(a) or _NRS.parse(a, "nrs_register"), f.name_of),
+        CallerRole.ADMINISTRATOR)),
     "nrs_withdraw": Op((NAME, FREE), lambda f, a: f.nrs.withdraw(f.name_of(a[0]), a[1])),
 }
 
@@ -480,7 +498,9 @@ def build_fabric(s: Scenario) -> Fabric:
         scheme = _spelled(_SCHEMES, nr.scheme, f"name realm {nr.id}", "scheme")
         name_realms[nr.id] = NameRealm(nr.id, scheme, nr.description)
 
-    def check_name(uri, where) -> Name:
+    def check_name(uri: str, where: object) -> Name:
+        """The Name of uri; ValidationError, beginning with where, if it is
+        malformed or its name realm does not admit it."""
         try:
             name = name_of(uri)
         except MalformedUri as exc:
@@ -513,7 +533,7 @@ def build_fabric(s: Scenario) -> Fabric:
 
     predicate_of = _Memo(_predicate)
 
-    def check_record(r: RecordSpec, where: str) -> NrsRecord:
+    def check_record(r: RecordSpec, where: object) -> NrsRecord:
         """The record an [nrs] line or the arguments of an nrs_register op
         describe; ValidationError if the NRS could not hold it."""
         check_name(r.prefix, where)
@@ -566,22 +586,35 @@ def build_fabric(s: Scenario) -> Fabric:
         fabric.topic_home[t.fcn] = t.rendezvous
     fabric.build_fibs()
 
-    defined = {NAP: fabric.naps, REALM: fabric.realms}
+    # Each distinct (kind, argument) pair is checked once, at its first op
+    # in file order, so an error names the first op that fails: a name
+    # through check_name, a NAP or realm against its table, which holds
+    # exactly those that pass.  An op is its own `where`, formatted only
+    # into an error's text.
+    passed = {NAME: set(), NAP: fabric.naps, REALM: fabric.realms}
+    record_specs = fabric.record_specs
     last_tick = None
     for a in s.timeline:
-        if last_tick is not None and a.tick < last_tick:
+        tick = a.tick
+        if last_tick is not None and tick < last_tick:
             raise ValidationError("timeline must be sorted by tick")
-        last_tick = a.tick
-        where = f"timeline t={a.tick} {a.op}"
+        if tick < 0:
+            raise ValidationError(f"{a}: tick must be >= 0")
+        last_tick = tick
         kinds = TIMELINE_OPS[a.op].kinds
         if kinds is None:
-            check_record(_NRS.parse(a.args, where), where)
+            # The spec is kept for the op to build its record from.
+            if a.args not in record_specs:
+                spec = _NRS.parse(a.args, a)
+                check_record(spec, a)
+                record_specs[a.args] = spec
             continue
         for kind, arg in zip(kinds, a.args):
-            if kind == NAME:
-                check_name(arg, where)
-            elif kind in defined and arg not in defined[kind]:
-                raise ValidationError(f"{where}: undefined {kind} {arg}")
+            if kind != FREE and arg not in passed[kind]:
+                if kind != NAME:
+                    raise ValidationError(f"{a}: undefined {kind} {arg}")
+                check_name(arg, a)
+                passed[NAME].add(arg)
         if a.op == "bind":
             fabric.known_names.add(name_of(a.args[0]))
     return fabric

@@ -1,10 +1,11 @@
 """build_fabric refuses a scenario as the former two-walk validation did.
 
 Scenarios were once checked by validate_scenario, a walk of its own before
-set-up; build_fabric now checks each line as it installs it.  The former
-walk is kept below as the reference: on the builtins and the drop runs,
-each with one or two lines mutated, build_fabric raises exactly its error,
-or builds when it accepts."""
+set-up; build_fabric now checks each line as it installs it, and each
+distinct timeline argument once.  The former walk is kept below as the
+reference, checking every argument of every op: on the builtins and the
+drop runs, each with one or two lines mutated, build_fabric raises exactly
+its error, or builds when it accepts."""
 
 from dataclasses import replace
 
@@ -48,9 +49,10 @@ from test_scenario import NAMED_OPS
 _BINDINGS = _SECTION_OF["bindings"]
 
 
-# The former validate_scenario, verbatim but for two lines: it returned the
-# Names and records it built, and kept each nrs_register op's record on the
-# op's spec; it now returns the records and keeps nothing.
+# The former validate_scenario, verbatim but for three changes: it returned
+# the Names and records it built, and kept each nrs_register op's record on
+# the op's spec; it now returns the records and keeps nothing.  And it now
+# refuses a negative tick, after the tick-order check, as build_fabric does.
 def validate_scenario(s: Scenario) -> tuple[NrsRecord, ...]:
     """The Names and NRS records a valid scenario's set-up installs;
     ValidationError naming the first line that is not valid.  Each
@@ -186,6 +188,8 @@ def validate_scenario(s: Scenario) -> tuple[NrsRecord, ...]:
             raise ValidationError("timeline must be sorted by tick")
         last_tick = a.tick
         where = f"timeline t={a.tick} {a.op}"
+        if a.tick < 0:
+            raise ValidationError(f"{where}: tick must be >= 0")
         kinds = TIMELINE_OPS[a.op].kinds
         if kinds is None:
             check_record(_NRS.parse(a.args, where), where)
@@ -263,20 +267,60 @@ def set_field(attr, field, values):
     return mutate
 
 
+def with_arg(timeline, i, p, value):
+    """timeline with argument p of op i set to value."""
+    a = timeline[i]
+    args = a.args[:p] + (value,) + a.args[p + 1:]
+    return timeline[:i] + (ActionSpec(a.tick, a.op, args),) + timeline[i + 1:]
+
+
+def arg_sites(s, kind):
+    return [(i, p) for i, a in enumerate(s.timeline) for p in arg_positions(a, kind)]
+
+
 def set_arg(kind, values):
     """Set one timeline argument of the given kind."""
 
     def mutate(draw, s):
-        sites = [(i, p) for i, a in enumerate(s.timeline) for p in arg_positions(a, kind)]
+        sites = arg_sites(s, kind)
         if not sites:
             return None
         i, p = draw(st.sampled_from(sites))
-        a = s.timeline[i]
-        args = a.args[:p] + (draw(values(s)),) + a.args[p + 1:]
-        return {"timeline": s.timeline[:i] + (ActionSpec(a.tick, a.op, args),)
-                + s.timeline[i + 1:]}
+        return {"timeline": with_arg(s.timeline, i, p, draw(values(s)))}
 
     return mutate
+
+
+def shared_arg(kind, values):
+    """Set two or more timeline arguments of the given kind to one value; an
+    op with the only such argument is first repeated right after itself."""
+
+    def mutate(draw, s):
+        sites, timeline = arg_sites(s, kind), s.timeline
+        if not sites:
+            return None
+        if len(sites) == 1:
+            (i, p), = sites
+            timeline = timeline[:i + 1] + timeline[i:]
+            sites = [(i, p), (i + 1, p)]
+        value = draw(values(s))
+        for i, p in draw(st.lists(st.sampled_from(sites), min_size=2, unique=True)):
+            timeline = with_arg(timeline, i, p, value)
+        return {"timeline": timeline}
+
+    return mutate
+
+
+def arg_of_another_kind(draw, s):
+    """One timeline argument set to the text of an argument of another kind
+    elsewhere in the timeline: a NAP as a realm or a name, a name as a NAP,
+    and so on.  The text stays where it was, valid for its own kind."""
+    sites = [(i, p, kind) for kind in (NAME, NAP, REALM) for i, p in arg_sites(s, kind)]
+    pairs = [(src, dst) for src in sites for dst in sites if src[2] != dst[2]]
+    if not pairs:
+        return None
+    (i, p, _), (j, q, _) = draw(st.sampled_from(pairs))
+    return {"timeline": with_arg(s.timeline, j, q, s.timeline[i].args[p])}
 
 
 def duplicate_line(attr):
@@ -332,6 +376,17 @@ def tick_out_of_order(draw, s):
             + s.timeline[i + 1:]}
 
 
+def negative_tick(draw, s):
+    """One op's tick made negative; past the first op, it is also out of
+    order."""
+    if not s.timeline:
+        return None
+    i = one_line(draw, s.timeline)
+    a = s.timeline[i]
+    return {"timeline": s.timeline[:i] + (replace(a, tick=draw(st.integers(-3, -1))),)
+            + s.timeline[i + 1:]}
+
+
 BAD_URI = just(*BAD_URIS)
 MUTATIONS = {
     "spelling": [
@@ -369,7 +424,11 @@ MUTATIONS = {
     "malformed uri": [*(set_field(attr, field, BAD_URI) for attr, field in URI_FIELDS),
                       set_arg(NAME, BAD_URI)],
     "name not admitted": [not_admitted],
-    "tick order": [tick_out_of_order],
+    "tick order": [tick_out_of_order, negative_tick],
+    # Each distinct timeline argument is checked once, per kind.
+    "argument shared by ops": [shared_arg(NAP, any_of("nap")), shared_arg(REALM, any_of("realm")),
+                               shared_arg(NAME, BAD_URI)],
+    "argument of another kind": [arg_of_another_kind],
 }
 ALL_MUTATIONS = [m for ms in MUTATIONS.values() for m in ms]
 
@@ -406,6 +465,14 @@ def outcome(check, s):
                                           "3,bind,n2n://users:u4,ghost.internet")))
 @example(parse_scenario(NAMED_OPS.replace(",IPISH,host3a,", ",IPISH,ghost,")))
 @example(parse_scenario(NAMED_OPS + "50,partition,ghost\n"))
+# An undefined NAP, an undefined realm and a malformed name each used by
+# two or more ops, and a NAP, a realm and a NAP used where another kind is due.
+@example(parse_scenario(NAMED_OPS.replace("u4,host3b.internet", "u4,ghost.internet")))
+@example(parse_scenario(NAMED_OPS + "50,partition,ghost\n51,heal,ghost\n"))
+@example(parse_scenario(NAMED_OPS.replace("n2n://users:u4", "users:u4")))
+@example(parse_scenario(NAMED_OPS + "50,partition,host3b.internet\n"))
+@example(parse_scenario(NAMED_OPS + "50,unbind,n2n://users:u1,internet\n"))
+@example(parse_scenario(NAMED_OPS + "50,pull,n2n://users:u1,host3a.internet\n"))
 def test_build_refuses_what_the_validation_oracle_refused(s):
     assert outcome(build_fabric, s) == outcome(validate_scenario, s)
 

@@ -432,6 +432,25 @@ def test_routes_match_link_scan_oracle(initial, steps):
         check()
 
 
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
+                max_size=24))
+def test_adjacency_lists_keep_the_stable_sorted_order(links):
+    # Few nodes and delays, so many links are parallel with equal delays;
+    # a node's list is its links' stable sort, compared link by link.
+    f = Fabric()
+    f.add_realm("net", RealmTech.IPISH)
+    nodes = [f"n{i}" for i in range(4)]
+    for node in nodes:
+        f.add_node(node, NodeKind.ROUTER, ["net"])
+    for a, b, delay in links:
+        if a != b:
+            f.add_link(nodes[a], nodes[b], "net", delay)
+    for node in nodes:
+        got = f._adjacency.get(("net", node), [])
+        want = oracle_adjacent(f, "net", node)
+        assert [(nbr, id(link)) for nbr, link in got] == [(nbr, id(link)) for nbr, link in want]
+
+
 @pytest.mark.parametrize("delay", [0, -1])
 def test_add_link_refuses_a_delay_below_one(delay):
     f = tiny_ip_fabric()

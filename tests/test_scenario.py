@@ -29,6 +29,7 @@ from internames.scenario import (
     RecordSpec,
     Scenario,
     TopicSpec,
+    _NRS,
     _schedule_action,
     apply_migration,
     build_fabric,
@@ -421,6 +422,29 @@ def test_timeline_ops_fire_with_the_names_set_up_built(monkeypatch):
     assert [n.uri for n in calls[-2].search_result.names] == ["n2n://ccn.com:doc"]
 
 
+def test_each_nrs_register_op_is_read_once_per_round(monkeypatch):
+    # build_fabric reads each distinct op's record once and keeps the spec;
+    # the op fires with that spec, so the run reads none.
+    reads = []
+    read_rows = _NRS.read_rows
+    monkeypatch.setattr(_NRS, "read_rows", lambda rows: reads.append(rows) or read_rows(rows))
+    again = "43,nrs_register,n2n://ccn.com:more,HTTPISH,-,IPISH,host3a,0,100,-,-,-,-\n"
+    s = parse_scenario(NAMED_OPS + again)
+    reads.clear()
+    fabric = build_fabric(s)
+    (args, spec), = fabric.record_specs.items()
+    assert reads == [[args]]
+    assert spec == _NRS.parse(args, "op")
+    reads.clear()
+    registered = []
+    register = fabric.nrs.register
+    fabric.nrs.register = lambda record, role: registered.append(record) or register(record, role)
+    _run_timeline(fabric, s.timeline)
+    assert reads == []
+    assert [r.prefix.uri for r in registered] == ["n2n://users:u4", "n2n://ccn.com:more",
+                                                  "n2n://ccn.com:more"]
+
+
 def test_timeline_ops_fire_on_a_fabric_built_by_hand():
     fabric = Fabric()
     fabric.add_realm("net", RealmTech.IPISH)
@@ -485,6 +509,20 @@ def test_records_the_nrs_cannot_hold_are_rejected(section, line, message):
     # An [nrs] line and an nrs_register op pass the same record checks.
     with pytest.raises(ValidationError) as info:
         build_fabric(parse_scenario(MINIMAL + f"[{section}]\n{line}\n"))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("timeline,message", [
+    ("-1,partition,net\n", "timeline t=-1 partition: tick must be >= 0"),
+    ("-2,partition,net\n-1,heal,net\n", "timeline t=-2 partition: tick must be >= 0"),
+    # Tick order is checked first, so an op below its predecessor is out of
+    # order even when its tick is negative.
+    ("0,partition,net\n-1,heal,net\n", "timeline must be sorted by tick"),
+    ("-1,partition,ghost\n", "timeline t=-1 partition: tick must be >= 0"),
+], ids=["negative", "negative-first", "negative-after-zero", "before-its-arguments"])
+def test_timeline_ticks_are_sorted_and_not_negative(timeline, message):
+    with pytest.raises(ValidationError) as info:
+        build_fabric(parse_scenario(MINIMAL + "[timeline]\n" + timeline))
     assert str(info.value) == message
 
 
@@ -729,15 +767,18 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.scn"
     assert main(["run", str(missing)]) == 2
     capsys.readouterr()
-    broken = tmp_path / "broken.scn"
-    broken.write_text("[nodes]\nn1,host,nowhere\n")
     empty_plan = tmp_path / "empty.plan"
     empty_plan.write_text("")
-    for argv in (["run", str(broken)], ["diff", str(broken), "fig3"],
-                 ["migrate", str(broken), str(empty_plan)]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: node n1: undefined realm nowhere\n")
+    for text, error in (("[nodes]\nn1,host,nowhere\n", "node n1: undefined realm nowhere"),
+                        (MINIMAL + "[timeline]\n-1,partition,net\n",
+                         "timeline t=-1 partition: tick must be >= 0")):
+        broken = tmp_path / "broken.scn"
+        broken.write_text(text)
+        for argv in (["run", str(broken)], ["diff", str(broken), "fig3"],
+                     ["migrate", str(broken), str(empty_plan)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {error}\n")
 
 
 def test_cli_migrate(tmp_path, capsys):
