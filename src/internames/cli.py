@@ -1,6 +1,7 @@
 """Command line front end: run scenarios, diff traces, apply migrations.
 
-Exit status: 0 success, 1 trace mismatch, 2 parse or validation error.
+Exit status: 0 success, 1 trace mismatch, 2 parse or validation error, or
+a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from .errors import InternamesError
 from .scenario import (
     BUILTIN_NAMES,
     LOADABLE_NAMES,
+    _read_file,
     apply_migration,
     diff_trace,
     golden_trace,
@@ -68,11 +70,10 @@ def _cmd_run(args) -> int:
 def _cmd_diff(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     result = run_scenario(scenario)
-    if os.path.exists(args.golden):
-        with open(args.golden, encoding="utf-8") as fh:
-            golden = fh.read()
-    else:
+    if _is_builtin(args.golden) and not os.path.exists(args.golden):
         golden = golden_trace(args.golden)
+    else:
+        golden = _read_file(args.golden)
     status, message = diff_trace(result.trace_text + "\n", golden)
     print(message)
     return EXIT_OK if status == 0 else EXIT_MISMATCH
@@ -133,7 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InternamesError as exc:
+    except (InternamesError, OSError) as exc:
+        # An OSError here is from a file the command writes; a file it
+        # reads raises ParseError.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -252,29 +252,16 @@ class NameResolutionService:
         raise NotResolvable(format_name(name))
 
 
-@dataclass
-class CacheEntry:
-    sds: list[ServiceDescriptor]
-    inserted_tick: int
-    ttl_ticks: int
-
-    @property
-    def expires_tick(self) -> int:
-        return self.inserted_tick + self.ttl_ticks
-
-    def live_at(self, now_tick: int) -> bool:
-        return now_tick < self.expires_tick
-
-
 class CacheStore:
     """Per-consumer cache of resolved descriptor lists, keyed by name + context.
 
+    Each entry is a (descriptors, expiry tick) pair, live before that tick.
     No expired entry outlives the next store: an expired entry is evicted
     when it is looked up, and a store sweeps out every expired entry once
     the earliest expiry has passed."""
 
     def __init__(self):
-        self._entries: dict[tuple, CacheEntry] = {}
+        self._entries: dict[tuple, tuple[list[ServiceDescriptor], int]] = {}
         self._next_expiry: float = float("inf")  # no entry expires before this tick
         self.hits = 0
         self.misses = 0
@@ -288,9 +275,10 @@ class CacheStore:
         key = self._key(name, ctx)
         entry = self._entries.get(key)
         if entry is not None:
-            if entry.live_at(ctx.now_tick):
+            sds, expiry = entry
+            if ctx.now_tick < expiry:
                 self.hits += 1
-                return list(entry.sds)
+                return list(sds)
             del self._entries[key]
         self.misses += 1
         return None
@@ -300,14 +288,13 @@ class CacheStore:
         replace what the key held."""
         now = ctx.now_tick
         if now >= self._next_expiry:
-            self._entries = {k: e for k, e in self._entries.items() if e.live_at(now)}
-            self._next_expiry = min((e.expires_tick for e in self._entries.values()),
+            self._entries = {k: e for k, e in self._entries.items() if now < e[1]}
+            self._next_expiry = min((e[1] for e in self._entries.values()),
                                     default=float("inf"))
         key = self._key(name, ctx)
-        ttl = min((sd.ttl_ticks for sd in sds), default=DEFAULT_TTL_TICKS)
-        entry = CacheEntry(list(sds), now, ttl)
-        if entry.live_at(now):
-            self._entries[key] = entry
-            self._next_expiry = min(self._next_expiry, entry.expires_tick)
+        expiry = now + min((sd.ttl_ticks for sd in sds), default=DEFAULT_TTL_TICKS)
+        if now < expiry:
+            self._entries[key] = (list(sds), expiry)
+            self._next_expiry = min(self._next_expiry, expiry)
         else:
             self._entries.pop(key, None)

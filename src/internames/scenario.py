@@ -13,7 +13,8 @@ one call per line.  A block that cannot be read is read again a line at a
 time, so a ParseError still names the first faulty line in file order.
 build_fabric is the one walk that checks a scenario: it installs each line,
 section by section in file order, and raises ValidationError naming the
-first line it cannot build.
+first line it cannot build, a timeline op with an unknown name or the wrong
+number of arguments included.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 import inspect
 import os
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
-from itertools import groupby, repeat, starmap
+from itertools import groupby, repeat
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple
 
@@ -133,33 +134,16 @@ class TopicSpec(NamedTuple):
     rendezvous: str
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ActionSpec:
-    """One timeline op.  Slotted, as set-up builds one per [timeline] line,
-    and __init__ checks the op and its argument count, then sets each slot
-    through its descriptor, past the frozen __setattr__.  An op formats as
-    where it sits, `timeline t=<tick> <op>`, the text its errors begin with."""
+class ActionSpec(NamedTuple):
+    """One timeline op.  It formats as where it sits, `timeline t=<tick>
+    <op>`, the text its errors begin with."""
 
     tick: int
     op: str
     args: tuple[str, ...] = ()
 
-    def __init__(self, tick: int, op: str, args: tuple[str, ...] = ()):
-        entry = TIMELINE_OPS.get(op)
-        if entry is None:
-            raise ValueError(f"unknown timeline op {op!r}")
-        if entry.kinds is not None and len(args) != len(entry.kinds):
-            raise ValueError(f"op {op} takes {len(entry.kinds)} args, got {len(args)}")
-        _set_tick(self, tick)
-        _set_op(self, op)
-        _set_args(self, args)
-
     def __str__(self) -> str:
         return f"timeline t={self.tick} {self.op}"
-
-
-_set_tick, _set_op, _set_args = (ActionSpec.__dict__[name].__set__
-                                 for name in ("tick", "op", "args"))
 
 
 @dataclass(frozen=True)
@@ -232,10 +216,8 @@ class Section:
         self.parsers = tuple(c.parse for c in codecs)
         self.fields = tuple(inspect.signature(spec).parameters.values())
         self.defaults = tuple(f.default for f in self.fields)
-        # Specs from rows of values; a NamedTuple spec is built past its
-        # Python-level __new__.
-        self.build = (partial(map, partial(tuple.__new__, spec)) if issubclass(spec, tuple)
-                      else partial(starmap, spec))
+        # Specs from rows of values, built past the spec's Python-level __new__.
+        self.build = partial(map, partial(tuple.__new__, spec))
 
     def read_rows(self, rows) -> list:
         """The specs that rows, each a line's fields, describe; ValueError if
@@ -308,9 +290,11 @@ class Op(NamedTuple):
     arguments are one [nrs] record; the step that fires it at the fabric's
     tick, given the arguments, which returns the call it starts or None;
     and, for an op that starts a call, the call's target text read from the
-    arguments.  A step reads each name through the fabric's name_of, and
-    nrs_register its record through record_specs, so a fabric from
-    build_fabric fires with the Names and specs it was built with."""
+    arguments.  build_fabric refuses an op TIMELINE_OPS does not name, and
+    one with other than one argument per kind.  A step reads each name
+    through the fabric's name_of, and nrs_register its record through
+    record_specs, so a fabric from build_fabric fires with the Names and
+    specs it was built with."""
 
     kinds: tuple[str, ...] | None
     fire: Callable[[Fabric, Any], Any]
@@ -439,25 +423,6 @@ def _refused(install: Callable, *args) -> None:
         raise ValidationError(str(exc)) from exc
 
 
-class _Memo(dict):
-    """key -> make(key), made on the key's first lookup; calling the table
-    looks a key up.  Set-up makes one per call, so each distinct URI or
-    predicate is made once per call and shared (both are immutable), and
-    no two calls share a table."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[Any], Any]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-    __call__ = dict.__getitem__
-
-
 def _spelled(members: dict, text: str, where: str, what: str):
     """The member a scenario spells as text; ValidationError if there is none."""
     member = members.get(text)
@@ -486,9 +451,12 @@ def build_fabric(s: Scenario) -> Fabric:
     line, in file order, that it cannot build."""
     # Set-up calls refuse what they cannot install; the checks here are the
     # ones no set-up call makes: spellings, name-realm admission, record next
-    # hops, rendezvous kinds, timeline references and tick order.
+    # hops, rendezvous kinds, tick order, timeline ops and their argument
+    # counts, and timeline references.  Each call caches its own Names and
+    # predicates, so each distinct URI or predicate is made once and shared
+    # (both are immutable), and no two calls share one.
     fabric = Fabric()
-    name_of = fabric.name_of = _Memo(parse_name)
+    name_of = fabric.name_of = cache(parse_name)
     for r in s.realms:
         tech = _spelled(_NEXT_HOP_TECHS, r.technology, f"realm {r.id}", "technology")
         _refused(fabric.add_realm, r.id, tech, r.parent)
@@ -531,7 +499,7 @@ def build_fabric(s: Scenario) -> Fabric:
         fabric.known_names.add(name)
         _refused(fabric.bind, name, b.nap)
 
-    predicate_of = _Memo(_predicate)
+    predicate_of = cache(_predicate)
 
     def check_record(r: RecordSpec, where: object) -> NrsRecord:
         """The record an [nrs] line or the arguments of an nrs_register op
@@ -601,7 +569,10 @@ def build_fabric(s: Scenario) -> Fabric:
         if tick < 0:
             raise ValidationError(f"{a}: tick must be >= 0")
         last_tick = tick
-        kinds = TIMELINE_OPS[a.op].kinds
+        op = TIMELINE_OPS.get(a.op)
+        if op is None:
+            raise ValidationError(f"{a}: unknown timeline op {a.op!r}")
+        kinds = op.kinds
         if kinds is None:
             # The spec is kept for the op to build its record from.
             if a.args not in record_specs:
@@ -609,6 +580,8 @@ def build_fabric(s: Scenario) -> Fabric:
                 check_record(spec, a)
                 record_specs[a.args] = spec
             continue
+        if len(a.args) != len(kinds):
+            raise ValidationError(f"{a}: op {a.op} takes {len(kinds)} args, got {len(a.args)}")
         for kind, arg in zip(kinds, a.args):
             if kind != FREE and arg not in passed[kind]:
                 if kind != NAME:

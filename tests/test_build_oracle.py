@@ -1,13 +1,14 @@
 """build_fabric refuses a scenario as the former two-walk validation did.
 
 Scenarios were once checked by validate_scenario, a walk of its own before
-set-up; build_fabric now checks each line as it installs it, and each
-distinct timeline argument once.  The former walk is kept below as the
-reference, checking every argument of every op: on the builtins and the
-drop runs, each with one or two lines mutated, build_fabric raises exactly
-its error, or builds when it accepts."""
+set-up; build_fabric now checks each line as it installs it, each op's name
+and argument count, and each distinct timeline argument once.  The former
+walk is kept below as the reference, checking every argument of every op:
+on the builtins and the drop runs, each with one or two lines mutated,
+build_fabric raises exactly its error, or builds when it accepts."""
 
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -35,7 +36,6 @@ from internames.scenario import (
     BindingSpec,
     RecordSpec,
     Scenario,
-    _Memo,
     _predicate,
     _record_to_nrs,
     build_fabric,
@@ -49,10 +49,13 @@ from test_scenario import NAMED_OPS
 _BINDINGS = _SECTION_OF["bindings"]
 
 
-# The former validate_scenario, verbatim but for three changes: it returned
+# The former validate_scenario, verbatim but for four changes: it returned
 # the Names and records it built, and kept each nrs_register op's record on
-# the op's spec; it now returns the records and keeps nothing.  And it now
+# the op's spec; it now returns the records and keeps nothing.  It now
 # refuses a negative tick, after the tick-order check, as build_fabric does.
+# And it now refuses an unknown op or a wrong argument count right after the
+# tick checks, as build_fabric does; an ActionSpec once refused both when
+# made, before the walk began.
 def validate_scenario(s: Scenario) -> tuple[NrsRecord, ...]:
     """The Names and NRS records a valid scenario's set-up installs;
     ValidationError naming the first line that is not valid.  Each
@@ -73,7 +76,7 @@ def validate_scenario(s: Scenario) -> tuple[NrsRecord, ...]:
             raise ValidationError(f"name realm {nr.id}: unknown scheme {nr.scheme}")
         name_realms[nr.id] = NameRealm(nr.id, NamingScheme(nr.scheme), nr.description)
 
-    name_of = _Memo(parse_name)
+    name_of = cache(parse_name)
 
     def check_name(uri, where) -> Name:
         try:
@@ -135,7 +138,7 @@ def validate_scenario(s: Scenario) -> tuple[NrsRecord, ...]:
         registered.setdefault((name, protocol, b.nap, anywhere), b)
 
     locators = nap_realm.keys() | node_realms.keys()
-    predicate_of = _Memo(_predicate)
+    predicate_of = cache(_predicate)
 
     def check_record(r: RecordSpec, where: str) -> NrsRecord:
         """The record an [nrs] line or the arguments of an nrs_register op
@@ -190,10 +193,15 @@ def validate_scenario(s: Scenario) -> tuple[NrsRecord, ...]:
         where = f"timeline t={a.tick} {a.op}"
         if a.tick < 0:
             raise ValidationError(f"{where}: tick must be >= 0")
+        if a.op not in TIMELINE_OPS:
+            raise ValidationError(f"{where}: unknown timeline op {a.op!r}")
         kinds = TIMELINE_OPS[a.op].kinds
         if kinds is None:
             check_record(_NRS.parse(a.args, where), where)
             continue
+        if len(a.args) != len(kinds):
+            raise ValidationError(f"{where}: op {a.op} takes {len(kinds)} args, "
+                                  f"got {len(a.args)}")
         for kind, arg in zip(kinds, a.args):
             if kind == NAME:
                 check_name(arg, where)
@@ -220,8 +228,15 @@ URI_FIELDS = [("entities", "uri"), ("bindings", "uri"), ("nrs_records", "prefix"
 RECORD_ARGS = {NAME: (0,), NAP: (4,)}
 
 
+def kinds_of(a: ActionSpec) -> tuple[str, ...] | None:
+    """The kind of each of a's arguments; None for an nrs_register op, and
+    none for an op TIMELINE_OPS does not hold, as a mutation may leave."""
+    op = TIMELINE_OPS.get(a.op)
+    return () if op is None else op.kinds
+
+
 def arg_positions(a: ActionSpec, kind: str) -> tuple[int, ...]:
-    kinds = TIMELINE_OPS[a.op].kinds
+    kinds = kinds_of(a)
     if kinds is None:
         return RECORD_ARGS.get(kind, ())
     return tuple(i for i, k in enumerate(kinds) if k == kind)
@@ -271,7 +286,7 @@ def with_arg(timeline, i, p, value):
     """timeline with argument p of op i set to value."""
     a = timeline[i]
     args = a.args[:p] + (value,) + a.args[p + 1:]
-    return timeline[:i] + (ActionSpec(a.tick, a.op, args),) + timeline[i + 1:]
+    return timeline[:i] + (a._replace(args=args),) + timeline[i + 1:]
 
 
 def arg_sites(s, kind):
@@ -372,7 +387,7 @@ def tick_out_of_order(draw, s):
         return None
     i = draw(st.integers(1, len(s.timeline) - 1))
     a, before = s.timeline[i], s.timeline[i - 1]
-    return {"timeline": s.timeline[:i] + (replace(a, tick=before.tick - 1),)
+    return {"timeline": s.timeline[:i] + (a._replace(tick=before.tick - 1),)
             + s.timeline[i + 1:]}
 
 
@@ -383,8 +398,32 @@ def negative_tick(draw, s):
         return None
     i = one_line(draw, s.timeline)
     a = s.timeline[i]
-    return {"timeline": s.timeline[:i] + (replace(a, tick=draw(st.integers(-3, -1))),)
+    return {"timeline": s.timeline[:i] + (a._replace(tick=draw(st.integers(-3, -1))),)
             + s.timeline[i + 1:]}
+
+
+def unknown_op(draw, s):
+    """One op renamed to a name TIMELINE_OPS does not hold."""
+    if not s.timeline:
+        return None
+    i = one_line(draw, s.timeline)
+    a = s.timeline[i]._replace(op=draw(st.sampled_from(["teleport", "PULL", ""])))
+    return {"timeline": s.timeline[:i] + (a,) + s.timeline[i + 1:]}
+
+
+def argument_count(draw, s):
+    """One op, other than nrs_register, with its last argument dropped or
+    one more added: a copy of one of its own, or an undefined id."""
+    sites = [i for i, a in enumerate(s.timeline) if kinds_of(a)]
+    if not sites:
+        return None
+    i = draw(st.sampled_from(sites))
+    a = s.timeline[i]
+    if draw(st.booleans()):
+        args = a.args[:-1]
+    else:
+        args = a.args + (draw(st.sampled_from(["ghost", *a.args])),)
+    return {"timeline": s.timeline[:i] + (a._replace(args=args),) + s.timeline[i + 1:]}
 
 
 BAD_URI = just(*BAD_URIS)
@@ -425,6 +464,8 @@ MUTATIONS = {
                       set_arg(NAME, BAD_URI)],
     "name not admitted": [not_admitted],
     "tick order": [tick_out_of_order, negative_tick],
+    "unknown op": [unknown_op],
+    "argument count": [argument_count],
     # Each distinct timeline argument is checked once, per kind.
     "argument shared by ops": [shared_arg(NAP, any_of("nap")), shared_arg(REALM, any_of("realm")),
                                shared_arg(NAME, BAD_URI)],
@@ -473,6 +514,11 @@ def outcome(check, s):
 @example(parse_scenario(NAMED_OPS + "50,partition,host3b.internet\n"))
 @example(parse_scenario(NAMED_OPS + "50,unbind,n2n://users:u1,internet\n"))
 @example(parse_scenario(NAMED_OPS + "50,pull,n2n://users:u1,host3a.internet\n"))
+# An unknown op, and ops with one argument too few and one too many, the
+# last after an undefined realm that is named first.
+@example(parse_scenario(NAMED_OPS + "50,teleport,n2n://users:u1\n"))
+@example(parse_scenario(NAMED_OPS + "50,pull,n2n://users:u1\n"))
+@example(parse_scenario(NAMED_OPS + "50,partition,ghost\n51,heal,internet,internet\n"))
 def test_build_refuses_what_the_validation_oracle_refused(s):
     assert outcome(build_fabric, s) == outcome(validate_scenario, s)
 

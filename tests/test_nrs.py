@@ -449,7 +449,7 @@ def test_cache_sweep_keeps_hits_and_misses(steps):
         if is_store:
             cache.store(name, ctx(now), [sd("h1", ttl=ttl)])
             stored[name] = (now + ttl, ttl)
-            assert all(e.live_at(now) for e in cache._entries.values())
+            assert all(now < expiry for _, expiry in cache._entries.values())
         elif now < stored.get(name, (now, 0))[0]:
             hits += 1
             assert cache.lookup(name, ctx(now)) == [sd("h1", ttl=stored[name][1])]

@@ -129,8 +129,9 @@ BAD = st.sampled_from(["x", "", "1.5", "1:", ":", "x:1", "1:2:3"])
 def line_of(draw, section):
     """A line that section reads, or, one time in twenty, one that it may
     not: one field too few, one too many (past a rest field, still one it
-    reads), a numeric field it cannot read or an unknown timeline op.  An
-    [nrs] line has its scope or not, and a rest field none to three parts."""
+    reads) or a numeric field it cannot read; or an unknown timeline op,
+    which it reads and build_fabric refuses.  An [nrs] line has its scope
+    or not, and a rest field none to three parts."""
     parsers = PARSERS[section.name]
     if section.name == "timeline":
         op = draw(st.sampled_from(sorted(TIMELINE_OPS)))

@@ -535,7 +535,8 @@ def test_timeline_ticks_are_sorted_and_not_negative(timeline, message):
     ("stray line\n", ParseError),
     ("[realms]\nnet,IPISH\n", ParseError),
     ("[timeline]\n5,pull,n2n://u:a,n2n://u:b\n1,pull,n2n://u:a,n2n://u:b\n", ValidationError),
-    ("[timeline]\n0,teleport,x\n", ParseError),
+    ("[timeline]\n0,teleport,x\n", ValidationError),
+    ("[timeline]\n5,pull,n2n://u:a\n", ValidationError),
     ("[bindings]\nn2n://u:x,ghost.net\n", ValidationError),
 ])
 def test_invalid_scenarios_rejected(text, error):
@@ -547,7 +548,6 @@ def test_invalid_scenarios_rejected(text, error):
     ("[realms]\nnet,IPISH\n", "line 2: [realms] line needs id,technology,parent, got 2 fields"),
     ("[realms]\nnet,IPISH,-\n\n[links]\na,b,net,x\n",
      "line 5: invalid literal for int() with base 10: 'x'"),
-    ("# ops\n[timeline]\n0,teleport,x\n", "line 3: unknown timeline op 'teleport'"),
     ("[nrs]\nn2n://u:x,HTTPISH\n",
      "line 2: [nrs] line needs prefix,protocol,fcn,tech,next_hop,priority,ttl,context_tags,"
      "location_tags,window,service[,scope], got 2 fields"),
@@ -561,13 +561,32 @@ def test_invalid_scenarios_rejected(text, error):
     (f"[nrs]\n{HOST_RECORD}\n\n[realms]\nnet,IPISH,-\n# again\n[nrs]\n{HOST_RECORD},net\n"
      f"{HOST_RECORD.replace(',0,', ',x,')},net\n{HOST_RECORD.replace(',100,', ',y,')}\n"
      "[whatever]\n", "line 9: invalid literal for int() with base 10: 'x'"),
-], ids=["too-few-fields", "bad-int", "unknown-op", "nrs-usage", "timeline-usage",
+], ids=["too-few-fields", "bad-int", "nrs-usage", "timeline-usage",
         "bad-int-before-short-line", "short-line-before-bad-int", "second-nrs-block"])
 def test_parse_errors_name_the_line_that_fails(text, message):
     with pytest.raises(ParseError) as info:
         parse_scenario(text)
     assert str(info.value) == message
     assert str(info.value.__cause__) == message.split(": ", 1)[1]
+
+
+# The format does not know the ops: a line naming an unknown op, or with
+# the wrong number of arguments, parses, and build_fabric refuses it in file
+# order with the timeline's other checks.
+@pytest.mark.parametrize("timeline,message", [
+    ("0,teleport,x\n", "timeline t=0 teleport: unknown timeline op 'teleport'"),
+    ("5,pull,n2n://u:a\n", "timeline t=5 pull: op pull takes 2 args, got 1"),
+    ("5,heal,net,net\n", "timeline t=5 heal: op heal takes 1 args, got 2"),
+    ("0,partition,ghost\n1,teleport\n", "timeline t=0 partition: undefined realm ghost"),
+    ("2,teleport\n1,partition,ghost\n", "timeline t=2 teleport: unknown timeline op 'teleport'"),
+    ("2,partition,net\n1,teleport\n", "timeline must be sorted by tick"),
+], ids=["unknown-op", "too-few-args", "too-many-args", "after-a-bad-reference",
+        "before-a-bad-reference", "after-the-tick-order"])
+def test_timeline_ops_and_argument_counts_are_build_errors(timeline, message):
+    s = parse_scenario(MINIMAL + "[timeline]\n" + timeline)
+    with pytest.raises(ValidationError) as info:
+        build_fabric(s)
+    assert str(info.value) == message
 
 
 def test_topic_rendezvous_must_be_a_rendezvous_node():
@@ -771,7 +790,11 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
     empty_plan.write_text("")
     for text, error in (("[nodes]\nn1,host,nowhere\n", "node n1: undefined realm nowhere"),
                         (MINIMAL + "[timeline]\n-1,partition,net\n",
-                         "timeline t=-1 partition: tick must be >= 0")):
+                         "timeline t=-1 partition: tick must be >= 0"),
+                        (MINIMAL + "[timeline]\n0,teleport,net\n",
+                         "timeline t=0 teleport: unknown timeline op 'teleport'"),
+                        (MINIMAL + "[timeline]\n0,partition\n",
+                         "timeline t=0 partition: op partition takes 1 args, got 0")):
         broken = tmp_path / "broken.scn"
         broken.write_text(text)
         for argv in (["run", str(broken)], ["diff", str(broken), "fig3"],
@@ -779,6 +802,25 @@ def test_cli_parse_errors_exit_2(tmp_path, capsys):
             assert main(argv) == 2
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+def test_cli_unreadable_golden_and_unwritable_output_exit_2(tmp_path, capsys):
+    plan = tmp_path / "empty.plan"
+    plan.write_text("")
+    missing = tmp_path / "none.golden"
+    nowhere = tmp_path / "no-such-dir" / "out"
+    # A golden that is neither a file nor a builtin cannot be read, as a
+    # missing scenario cannot; an output path that cannot be written is
+    # named in the error.
+    for argv, error in (
+            (["diff", "fig3", str(missing)], f"error: cannot read {missing}: "),
+            (["diff", "fig3", "no-such-name"], "error: cannot read no-such-name: "),
+            (["run", "fig3", "--trace", str(nowhere)], "error: "),
+            (["migrate", "cdn", str(plan), "--out", str(nowhere)], "error: ")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(error)
+        assert str(argv[-1]) in captured.err and captured.err.count("\n") == 1
 
 
 def test_cli_migrate(tmp_path, capsys):
