@@ -17,8 +17,8 @@ import re
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, NamedTuple
+from operator import attrgetter, itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     AccessDenied,
@@ -156,10 +156,136 @@ class Link:
         return self.b if node == self.a else self.a
 
 
-def _neighbour_and_delay(pair: tuple[str, Link]) -> tuple[str, int]:
-    """The order of a node's adjacency list: (neighbour, link) pairs by
-    neighbour, then by delay, so parallel links are cheapest first."""
-    return pair[0], pair[1].delay
+_NO_NEIGHBOURS: dict[str, list[Link]] = {}  # those of a node with no links; never written
+_DELAY = attrgetter("delay")
+
+
+class Topology:
+    """Links, their liveness and the routes over them: the locator layer.
+
+    A link is alive iff it crosses the edge of no cut (partitioned) realm.
+    forget() clears every memo; adding a link or cutting or restoring an
+    edge calls it.  Adding a node changes no memo: it has no links yet."""
+
+    def __init__(self):
+        self.links: list[Link] = []
+        self.cut: dict[str, set[str]] = {}  # each cut realm -> its members
+        # (realm, node) -> {neighbour: the links to it, cheapest first}
+        self._adjacency: dict[tuple[str, str], dict[str, list[Link]]] = {}
+        self._members_of_kind: dict[tuple[str, NodeKind], list[str]] = {}
+        self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
+        self._roots: dict[tuple[str, str], str] = {}
+        self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
+
+    def forget(self) -> None:
+        self._routes.clear()
+        self._roots.clear()
+        self._servers.clear()
+
+    def add_node(self, node_id: str, kind: NodeKind, realm_ids: list[str]) -> None:
+        for rid in realm_ids:
+            self._members_of_kind.setdefault((rid, kind), []).append(node_id)
+
+    def members(self, realm_id: str, kind: NodeKind) -> Sequence[str]:
+        return self._members_of_kind.get((realm_id, kind), ())
+
+    def add_link(self, a: str, b: str, realm_id: str, delay: int) -> Link:
+        link = Link(a, b, realm_id, delay, not (self.cut and self._crosses_cut(a, b)))
+        self.links.append(link)
+        for end in {a, b}:
+            # insort goes right of equal delays: parallel links keep their order.
+            nbrs = self._adjacency.setdefault((realm_id, end), {})
+            insort(nbrs.setdefault(link.other(end), []), link, key=_DELAY)
+        self.forget()
+        return link
+
+    def _crosses_cut(self, a: str, b: str) -> bool:
+        return any((a in members) != (b in members) for members in self.cut.values())
+
+    def set_cut(self, realm_id: str, members: set[str], cut: bool) -> None:
+        """Cut or restore the realm's edge: a link across it comes back only
+        when it crosses the edge of no other cut realm."""
+        self.cut.pop(realm_id, None)
+        if cut:
+            self.cut[realm_id] = members
+        for link in self.links:
+            if (link.a in members) != (link.b in members):
+                link.alive = not self._crosses_cut(link.a, link.b)
+        self.forget()
+
+    def severed(self, realm_id: str) -> bool:
+        return any(not link.alive and link.realm == realm_id for link in self.links)
+
+    def link_between(self, realm_id: str, a: str, b: str) -> Link | None:
+        """The cheapest alive link from a to b: the one the route search prices."""
+        for link in self._adjacency.get((realm_id, a), _NO_NEIGHBOURS).get(b, ()):
+            if link.alive:
+                return link
+        return None
+
+    def path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
+        """Shortest path by total delay, ties broken by node-id order.
+
+        Each search runs from its root to completion; its tree (each settled
+        node's path) is kept per (realm, root).  A stub, a node whose alive
+        links all lead to one neighbour, is not a root: no shortest path from
+        the neighbour comes back through the stub, so the stub's route to dst
+        is itself followed by the neighbour's, ties included."""
+        if src == dst:
+            return [src]
+        key = (realm_id, src)
+        root = self._roots.get(key)
+        if root is None:
+            nbrs = [nbr for nbr, links in self._adjacency.get(key, _NO_NEIGHBOURS).items()
+                    if any(link.alive for link in links)]
+            root = self._roots[key] = nbrs[0] if len(nbrs) == 1 else src
+        tree = self._routes.get((realm_id, root))
+        if tree is None:
+            tree = self._routes[(realm_id, root)] = self.search(realm_id, root)
+        route = tree.get(dst)
+        if route is None:
+            return None
+        return list(route) if root == src else [src, *route]
+
+    def search(self, realm_id: str, root: str) -> dict[str, tuple[str, ...]]:
+        """Every node reachable from root in the realm -> its path from root."""
+        # (delay, path) is unique per push, so pops follow a total order and
+        # equal delays fall to the lexicographically smaller node-id path;
+        # a node's first pop is its path, as in a search stopped there.
+        adjacency = self._adjacency
+        settled: dict[str, tuple[str, ...]] = {}
+        best: dict[str, tuple[int, tuple[str, ...]]] = {root: (0, (root,))}
+        frontier = [(0, (root,))]
+        while frontier:
+            dist, path = heapq.heappop(frontier)
+            node = path[-1]
+            if node in settled:
+                continue
+            settled[node] = path
+            for nbr, links in adjacency.get((realm_id, node), _NO_NEIGHBOURS).items():
+                if nbr in settled:
+                    continue
+                for link in links:
+                    if link.alive:
+                        cand = (dist + link.delay, path + (nbr,))
+                        if nbr not in best or cand < best[nbr]:
+                            best[nbr] = cand
+                            heapq.heappush(frontier, cand)
+                        break
+        return settled
+
+    def nearest(self, node_id: str, realm_ids: list[str],
+                kind: NodeKind) -> tuple[str, int, str] | None:
+        """(server, delay, realm) of the closest server of kind that node_id
+        reaches in realm_ids, ties to the lower realm id, then node id."""
+        key = (node_id, kind)
+        if key not in self._servers:
+            routes = ((rid, member, self.path(rid, node_id, member))
+                      for rid in realm_ids for member in self.members(rid, kind))
+            best = min(((sum(self.link_between(rid, a, b).delay for a, b in zip(p, p[1:])), rid, m)
+                        for rid, m, p in routes if p is not None), default=None)
+            self._servers[key] = None if best is None else (best[2], best[0], best[1])
+        return self._servers[key]
 
 
 @dataclass
@@ -316,7 +442,7 @@ class _Flight:
     def hop(self) -> None:
         """Send msg from path[i - 1] to path[i]."""
         fabric, path, i = self.fabric, self.path, self.i
-        link = fabric._link_between(self.realm, path[i - 1], path[i])
+        link = fabric.topology.link_between(self.realm, path[i - 1], path[i])
         if link is None:
             # Link died after the path was computed; recompute from path[i - 1].
             fresh = fabric._path(self.realm, path[i - 1], path[-1])
@@ -390,7 +516,7 @@ class Fabric:
         self.realms: dict[str, NetworkRealm] = {}
         self.nodes: dict[str, Node] = {}
         self.naps: dict[str, NetworkAttachmentPoint] = {}
-        self.links: list[Link] = []
+        self.topology = Topology()
         self.nrs = NameResolutionService()
         self.ors = ObjectResolutionService()
         self.bindings: dict[Name, list[str]] = {}
@@ -403,14 +529,6 @@ class Fabric:
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self._msg_ids = itertools.count(1)
-        # (realm, kind) -> the realm's members of that kind
-        self._members_of_kind: dict[tuple[str, NodeKind], list[str]] = {}
-        self._adjacency: dict[tuple[str, str], list[tuple[str, Link]]] = {}
-        self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
-        self._roots: dict[tuple[str, str], str] = {}
-        self._links: dict[tuple[str, str, str], Link | None] = {}
-        # keyed by (node, kind)
-        self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
         # the NRS_Q detail per (location, context tags)
         self._query_text: dict[tuple[str, frozenset[str]], str] = {}
         # (realm in, realm out) -> the rule that bridges between them
@@ -439,11 +557,11 @@ class Fabric:
                 raise UnknownRealm(f"node {node_id}: undefined realm {rid}")
         node = Node(node_id, kind, list(realm_ids))
         self.nodes[node_id] = node
-        self.node_tags[node_id] = frozenset({"normal"})
+        self.node_tags[node_id] = self._tags(node_id)
+        self.topology.add_node(node_id, kind, realm_ids)
         for rid in realm_ids:
             realm = self.realms[rid]
             realm.member_nodes.add(node_id)
-            self._members_of_kind.setdefault((rid, kind), []).append(node_id)
             nap_id = f"{node_id}.{rid}"
             self.naps[nap_id] = NetworkAttachmentPoint(nap_id, node_id, rid)
             if realm.technology is RealmTech.CCNISH:
@@ -462,21 +580,7 @@ class Fabric:
         if delay < 1:
             # Route search and its stub shortcut assume every hop costs time.
             raise ValueError(f"link {a}-{b}: delay must be >= 1")
-        link = Link(a, b, realm_id, delay)
-        self.links.append(link)
-        for end in {a, b}:
-            # By neighbour, then delay; insort goes right of equal keys, so
-            # parallel links of equal delay stay in the order added.
-            insort(self._adjacency.setdefault((realm_id, end), []), (link.other(end), link),
-                   key=_neighbour_and_delay)
-        self._topology_changed()
-        return link
-
-    def _topology_changed(self) -> None:
-        self._routes.clear()
-        self._roots.clear()
-        self._links.clear()
-        self._servers.clear()
+        return self.topology.add_link(a, b, realm_id, delay)
 
     def host_content(self, node_id: str, name: Name, payload: bytes, fcn: str = "") -> None:
         node = self.nodes.get(node_id)
@@ -549,79 +653,12 @@ class Fabric:
     def trace_text(self) -> str:
         return "\n".join(map(TraceEvent.line, self.sorted_trace()))
 
-    def _link_between(self, realm_id: str, a: str, b: str) -> Link | None:
-        """The cheapest alive link from a to b: the one the route search prices.
-
-        Memoised per (realm, a, b) beside the route memos; liveness only
-        changes in _set_edge, which clears them."""
-        key = (realm_id, a, b)
-        try:
-            return self._links[key]
-        except KeyError:
-            pass
-        found = None
-        for nbr, link in self._adjacency.get((realm_id, a), ()):
-            if nbr == b and link.alive:
-                found = link
-                break
-        self._links[key] = found
-        return found
-
+    # The route entry points: perfbench wraps both as Fabric attributes.
     def _path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
-        """Shortest path by total delay, ties broken by node-id order.
+        return self.topology.path(realm_id, src, dst)
 
-        Every search runs from its root to completion, and its tree (each
-        settled node's path) is kept per (realm, root).  A stub, a node whose
-        alive links all lead to one neighbour, is not a root: every path out
-        of it starts with that neighbour, and no shortest path from the
-        neighbour comes back through it, so its route to dst is itself
-        followed by the neighbour's route to dst, ties included.  The trees
-        and the stub test are memoised until add_link, partition or heal;
-        add_node need not clear them, as a new node has no links."""
-        if src == dst:
-            return [src]
-        key = (realm_id, src)
-        root = self._roots.get(key)
-        if root is None:
-            nbrs = {nbr for nbr, link in self._adjacency.get(key, ()) if link.alive}
-            root = self._roots[key] = nbrs.pop() if len(nbrs) == 1 else src
-        tree = self._routes.get((realm_id, root))
-        if tree is None:
-            tree = self._routes[(realm_id, root)] = self._dijkstra(realm_id, root)
-        route = tree.get(dst)
-        if route is None:
-            return None
-        return list(route) if root == src else [src, *route]
-
-    def _dijkstra(self, realm_id: str, root: str) -> dict[str, tuple[str, ...]]:
-        """Every node reachable from root in the realm -> its path from root."""
-        # (delay, path) is unique per push, so pops follow a total order and
-        # equal delays fall to the lexicographically smaller node-id path;
-        # a node's first pop is its path, as in a search stopped there.
-        adjacency = self._adjacency
-        settled: dict[str, tuple[str, ...]] = {}
-        best: dict[str, tuple[int, tuple[str, ...]]] = {root: (0, (root,))}
-        frontier = [(0, (root,))]
-        while frontier:
-            dist, path = heapq.heappop(frontier)
-            node = path[-1]
-            if node in settled:
-                continue
-            settled[node] = path
-            for nbr, link in adjacency.get((realm_id, node), ()):
-                if not link.alive or nbr in settled:
-                    continue
-                cand = (dist + link.delay, path + (nbr,))
-                if nbr not in best or cand < best[nbr]:
-                    best[nbr] = cand
-                    heapq.heappush(frontier, cand)
-        return settled
-
-    def _path_delay(self, path: list[str], realm_id: str) -> int:
-        total = 0
-        for a, b in zip(path, path[1:]):
-            total += self._link_between(realm_id, a, b).delay
-        return total
+    def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
+        return self.topology.nearest(node_id, self.nodes[node_id].realms, kind)
 
     def locate(self, locator: str) -> tuple[str, str | None]:
         """Map a locator to (node, realm-or-None)."""
@@ -635,33 +672,12 @@ class Fabric:
     def node_ctx(self, node_id: str, location: str) -> ResolutionContext:
         return ResolutionContext(self.clock.now_tick, location, self.node_tags[node_id])
 
-    def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
-        """Closest reachable server of the given kind: (server, delay, realm).
-
-        Ties go to the lower realm id, then the lower node id, whatever the
-        scan order.  Memoised per (node, kind) beside the route memo."""
-        key = (node_id, kind)
-        if key in self._servers:
-            return self._servers[key]
-        best = None
-        for rid in self.nodes[node_id].realms:
-            for member in self._members_of_kind.get((rid, kind), ()):
-                path = self._path(rid, node_id, member)
-                if path is None:
-                    continue
-                cand = (self._path_delay(path, rid), rid, member)
-                if best is None or cand < best:
-                    best = cand
-        found = None if best is None else (best[2], best[0], best[1])
-        self._servers[key] = found
-        return found
-
     def _gateway(self, realm_id: str, node_id: str, toward: set[str]) -> str | None:
         """The name-router that carries traffic from node_id out of realm_id.
 
         The first reachable one, by node id, that borders a realm in toward;
         failing that, the first reachable one."""
-        routers = self._members_of_kind.get((realm_id, NodeKind.NAME_ROUTER), ())
+        routers = self.topology.members(realm_id, NodeKind.NAME_ROUTER)
         return min((n for n in routers if self._path(realm_id, node_id, n) is not None),
                    key=lambda n: (toward.isdisjoint(self.nodes[n].realms), n), default=None)
 
@@ -720,24 +736,21 @@ class Fabric:
     # ---------------------------------------------------------------- partition
 
     def partition(self, realm_id: str) -> None:
-        self._set_edge(realm_id, False, "disaster")
+        self._set_edge(realm_id, True)
 
     def heal(self, realm_id: str) -> None:
-        self._set_edge(realm_id, True, "normal")
+        self._set_edge(realm_id, False)
 
-    def _set_edge(self, realm_id: str, alive: bool, tag: str) -> None:
-        """Set every link that crosses the realm's boundary alive or dead and
-        give its members the context tag."""
+    def _set_edge(self, realm_id: str, cut: bool) -> None:
         realm = self.realms.get(realm_id)
         if realm is None:
             raise UnknownRealm(realm_id)
-        for link in self.links:
-            crosses = (link.a in realm.member_nodes) != (link.b in realm.member_nodes)
-            if link.realm != realm_id and crosses:
-                link.alive = alive
-        for node in realm.member_nodes:
-            self.node_tags[node] = frozenset({tag})
-        self._topology_changed()
+        self.topology.set_cut(realm_id, realm.member_nodes, cut)
+        self.node_tags.update((node, self._tags(node)) for node in realm.member_nodes)
+
+    def _tags(self, node_id: str) -> frozenset[str]:
+        down = not self.topology.cut.keys().isdisjoint(self.nodes[node_id].realms)
+        return frozenset({"disaster" if down else "normal"})
 
     # ---------------------------------------------------------------- engine
 
@@ -783,13 +796,9 @@ class Fabric:
         if call is not None and call.error is None and call.result is None:
             call.error = reason
 
-    def _no_path_detail(self, realm_id: str) -> str:
-        severed = any(not l.alive and l.realm == realm_id for l in self.links)
-        return "partitioned" if severed else "no-route"
-
     def _lost(self, node, realm_id, msg, call, on_lost) -> None:
         """No path is left from node: drop msg there, and pass on_lost the reason."""
-        reason = self._no_path_detail(realm_id)
+        reason = "partitioned" if self.topology.severed(realm_id) else "no-route"
         self.drop(node, realm_id, msg, reason, call)
         if on_lost is not None:
             on_lost(reason)

@@ -21,7 +21,15 @@ from internames.errors import (
     UnknownRealm,
     ValidationError,
 )
-from internames.fabric import DROP_REASONS, EventKind, Fabric, NodeKind, RealmTech, SimClock
+from internames.fabric import (
+    DROP_REASONS,
+    EventKind,
+    Fabric,
+    NodeKind,
+    RealmTech,
+    SimClock,
+    Topology,
+)
 from internames.names import parse_name
 from internames.node_api import NodeApi
 from internames.scenario import (
@@ -222,6 +230,32 @@ def test_partition_injects_disaster_tag_and_heal_removes_it():
     assert f.node_tags["pageS"] == frozenset({"normal"})
 
 
+@pytest.mark.parametrize("realms_of_x", [["net", "A"], ["net", "A", "B"]])
+def test_heal_of_one_realm_keeps_another_realms_partition(realms_of_x):
+    # x is in A (and in B too, in the second case), z is in B; the links
+    # are in net.  Healing A must leave B's partition standing: each link
+    # stays down while it crosses B's edge, and each node of B disaster.
+    f = Fabric()
+    for realm in ("net", "A", "B"):
+        f.add_realm(realm, RealmTech.IPISH)
+    f.add_node("x", NodeKind.HOST, realms_of_x)
+    f.add_node("z", NodeKind.HOST, ["net", "B"])
+    f.add_node("y", NodeKind.HOST, ["net"])
+    f.add_link("x", "z", "net")
+    f.add_link("x", "y", "net")
+    f.partition("B")
+    f.partition("A")
+    f.heal("A")
+    x_in_b = "B" in realms_of_x
+    assert f.node_tags["z"] == frozenset({"disaster"})
+    assert f.node_tags["x"] == frozenset({"disaster" if x_in_b else "normal"})
+    assert f._path("net", "x", "z") == (["x", "z"] if x_in_b else None)
+    assert f._path("net", "x", "y") == (None if x_in_b else ["x", "y"])
+    f.heal("B")
+    assert f._path("net", "x", "z") == ["x", "z"] and f._path("net", "x", "y") == ["x", "y"]
+    assert set(f.node_tags.values()) == {frozenset({"normal"})}
+
+
 def test_empty_fabric_empty_trace():
     f = Fabric()
     f.run_until_idle()
@@ -283,20 +317,34 @@ def test_name_to_name_symmetry_over_builtins():
 # ------------------------------------------------------------------ memos
 # The engine's memos, and the Names table set-up hands it, only save work:
 # a run that forgets them all around every clock callback logs the same
-# trace.  A private Fabric attribute added later fails the first test below
-# until it is listed, as a memo in MEMOS or as set-up state.
+# trace.  A private attribute added later to Fabric or Topology fails the
+# first tests below until it is listed, as a memo or as set-up state, and a
+# Topology memo that forget() leaves filled fails the second.
 
-MEMOS = ("_routes", "_roots", "_links", "_servers", "_query_text", "_bridge_rules")
+MEMOS = ("_query_text", "_bridge_rules")
+TOPOLOGY_INDEXES = {"_adjacency", "_members_of_kind"}
+TOPOLOGY_MEMOS = {"_routes", "_roots", "_servers"}
 
 
 def test_fabric_private_state_is_its_memos_and_set_up_indexes():
     private = {attr for attr in vars(Fabric()) if attr.startswith("_")}
-    assert private == {*MEMOS, "_msg_ids", "_members_of_kind", "_adjacency"}
+    assert private == {*MEMOS, "_msg_ids"}
+
+
+def test_topology_private_state_is_its_set_up_indexes_and_memos_and_forget_clears_them():
+    topology = run_scenario(load_builtin("fig3")).fabric.topology
+    memos = {attr for attr in vars(topology) if attr.startswith("_")} - TOPOLOGY_INDEXES
+    assert memos == TOPOLOGY_MEMOS
+    assert all(getattr(topology, memo) for memo in memos)
+    topology.forget()
+    assert not any(getattr(topology, memo) for memo in memos)
+    assert all(getattr(topology, index) for index in TOPOLOGY_INDEXES)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_a_run_that_forgets_every_memo_gives_the_same_trace(name, monkeypatch):
     def forget(fabric):
+        fabric.topology.forget()
         for memo in MEMOS:
             getattr(fabric, memo).clear()
         fabric.name_of = parse_name
@@ -321,7 +369,7 @@ def test_a_run_that_forgets_every_memo_gives_the_same_trace(name, monkeypatch):
 
 def oracle_adjacent(f, realm_id, node):
     out = []
-    for link in f.links:
+    for link in f.topology.links:
         if link.realm != realm_id or not link.alive:
             continue
         if node in (link.a, link.b):
@@ -382,43 +430,49 @@ def oracle_gateway(f, realm_id, node_id, toward):
 
 ROUTE_KINDS = st.sampled_from([NodeKind.HOST, NodeKind.ROUTER, NodeKind.NRS, NodeKind.ORS,
                                NodeKind.NAME_ROUTER])
-ROUTE_NODE = st.tuples(ROUTE_KINDS, st.booleans())  # (kind, member of the cell)
+CELLS = ("cell0", "cell1")
+ROUTE_NODE = st.tuples(ROUTE_KINDS, st.booleans(), st.booleans())  # (kind, in cell0, in cell1)
 ROUTE_STEP = st.one_of(
     # delays 1 and 2 make equal-delay ties; repeated endpoints make parallel links
     st.tuples(st.just("link"), st.integers(0, 7), st.integers(0, 7), st.integers(1, 2)),
     st.tuples(st.just("node"), ROUTE_NODE),
-    st.just(("partition",)),
-    st.just(("heal",)),
+    st.tuples(st.sampled_from(["partition", "heal"]), st.sampled_from(CELLS)),
 )
 
 
 @settings(deadline=None)
 @given(st.lists(ROUTE_NODE, min_size=2, max_size=5), st.lists(ROUTE_STEP, max_size=10))
 def test_routes_match_link_scan_oracle(initial, steps):
-    # One routing realm, "net"; links of it that cross the edge of "cell"
-    # die on partition("cell") and come back on heal("cell").
+    # One routing realm, "net", and two cells that may overlap.  A link of
+    # net is down while it crosses the edge of a cell that is partitioned,
+    # and a node is tagged disaster while a cell it is in is partitioned.
     f = Fabric()
-    f.add_realm("net", RealmTech.IPISH)
-    f.add_realm("cell", RealmTech.IPISH)
-    nodes = []
+    for realm in ("net", *CELLS):
+        f.add_realm(realm, RealmTech.IPISH)
+    nodes, down = [], set()
 
-    def add(kind, in_cell):
+    def add(kind, *in_cells):
         node = f"n{len(nodes)}"
-        f.add_node(node, kind, ["net", "cell"] if in_cell else ["net"])
+        f.add_node(node, kind, ["net"] + [c for c, inside in zip(CELLS, in_cells) if inside])
         nodes.append(node)
 
     def check():
+        for link in f.topology.links:
+            ends = [set(f.nodes[n].realms) for n in (link.a, link.b)]
+            assert link.alive == all((c in ends[0]) == (c in ends[1]) for c in down)
         for a in nodes:
+            tag = "disaster" if down.intersection(f.nodes[a].realms) else "normal"
+            assert f.node_tags[a] == frozenset({tag})
             for b in nodes:
                 assert f._path("net", a, b) == oracle_path(f, "net", a, b)
-                assert f._link_between("net", a, b) is oracle_link_between(f, "net", a, b)
+                assert f.topology.link_between("net", a, b) is oracle_link_between(f, "net", a, b)
             for kind in (NodeKind.NRS, NodeKind.ORS):
                 assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
-            for toward in ({"cell"}, set()):
+            for toward in ({"cell0"}, {"cell1"}, set()):
                 assert f._gateway("net", a, toward) == oracle_gateway(f, "net", a, toward)
 
-    for kind, in_cell in initial:
-        add(kind, in_cell)
+    for node in initial:
+        add(*node)
     check()
     for step in steps:
         if step[0] == "link":
@@ -428,7 +482,9 @@ def test_routes_match_link_scan_oracle(initial, steps):
         elif step[0] == "node":
             add(*step[1])
         else:
-            getattr(f, step[0])("cell")
+            op, cell = step
+            getattr(f, op)(cell)
+            (down.add if op == "partition" else down.discard)(cell)
         check()
 
 
@@ -436,7 +492,7 @@ def test_routes_match_link_scan_oracle(initial, steps):
                 max_size=24))
 def test_adjacency_lists_keep_the_stable_sorted_order(links):
     # Few nodes and delays, so many links are parallel with equal delays;
-    # a node's list is its links' stable sort, compared link by link.
+    # each neighbour's list is the links to it in the oracle's stable sort.
     f = Fabric()
     f.add_realm("net", RealmTech.IPISH)
     nodes = [f"n{i}" for i in range(4)]
@@ -446,9 +502,11 @@ def test_adjacency_lists_keep_the_stable_sorted_order(links):
         if a != b:
             f.add_link(nodes[a], nodes[b], "net", delay)
     for node in nodes:
-        got = f._adjacency.get(("net", node), [])
-        want = oracle_adjacent(f, "net", node)
-        assert [(nbr, id(link)) for nbr, link in got] == [(nbr, id(link)) for nbr, link in want]
+        got = f.topology._adjacency.get(("net", node), {})
+        want = {}
+        for nbr, link in oracle_adjacent(f, "net", node):
+            want.setdefault(nbr, []).append(id(link))
+        assert {nbr: list(map(id, links)) for nbr, links in got.items()} == want
 
 
 @pytest.mark.parametrize("delay", [0, -1])
@@ -456,7 +514,7 @@ def test_add_link_refuses_a_delay_below_one(delay):
     f = tiny_ip_fabric()
     with pytest.raises(ValueError, match="delay must be >= 1"):
         f.add_link("a", "b", "net", delay)
-    assert len(f.links) == 1
+    assert len(f.topology.links) == 1
     assert f._path("net", "a", "b") == ["a", "b"]
 
 
@@ -675,7 +733,7 @@ def test_parallel_links_take_the_cheapest():
     for a, b, delay in (("a", "b", 3), ("a", "b", 1), ("a", "c", 1), ("c", "b", 1), ("b", "s", 1)):
         f.add_link(a, b, "r", delay)
     assert f._path("r", "a", "b") == ["a", "b"]
-    assert f._link_between("r", "a", "b").delay == 1
+    assert f.topology.link_between("r", "a", "b").delay == 1
     assert f._nearest_server("a", NodeKind.NRS) == ("s", 2, "r")
     bob = parse_name("n2n://users:bob")
     f.known_names.add(bob)
@@ -693,13 +751,13 @@ def test_cheaper_link_healed_between_hops_takes_the_next_hop():
     f.add_link("b", "c", "net", 5)
     cheap = f.add_link("b", "c", "net", 1)
     cheap.alive = False
-    f._topology_changed()
+    f.topology.forget()
     tgt = bound(f, "c", "carol")
     assert f._path("net", "a", "c") == ["a", "b", "c"]
 
     def heal():
         cheap.alive = True
-        f._topology_changed()
+        f.topology.forget()
 
     f.at(1, heal)  # runs before the message leaves b
     f.send("a.net", "c", resp(f, tgt))
@@ -813,10 +871,10 @@ def test_lost_tunnelled_hop_drops_its_inner_message(net_links, cut, rest):
     f.bind(tgt, "c.sub")
 
     def kill():
-        for link in f.links:
+        for link in f.topology.links:
             if link.realm == "net" and {link.a, link.b} == set(cut):
                 link.alive = False
-        f._topology_changed()
+        f.topology.forget()
 
     f.at(len(net_links) - 1, kill)
     call = fabric_module.CallRecord("push", None, "n2n://users:carol")
@@ -864,7 +922,7 @@ def assert_routes_match_oracle(f, realm_id="net"):
     for a in nodes:
         for b in nodes:
             assert f._path(realm_id, a, b) == oracle_path(f, realm_id, a, b)
-            assert f._link_between(realm_id, a, b) is oracle_link_between(f, realm_id, a, b)
+            assert f.topology.link_between(realm_id, a, b) is oracle_link_between(f, realm_id, a, b)
         for kind in (NodeKind.NRS, NodeKind.ORS):
             assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
 
@@ -893,7 +951,7 @@ def test_stub_two_node_component():
 def test_stub_with_parallel_links_to_its_router():
     f = stub_fabric([("h", "r", 2), ("h", "r", 1), ("r", "x", 1), ("x", "s", 1), ("r", "s", 3)])
     assert f._path("net", "h", "s") == ["h", "r", "x", "s"]
-    assert f._link_between("net", "h", "r").delay == 1
+    assert f.topology.link_between("net", "h", "r").delay == 1
     assert f._nearest_server("h", NodeKind.NRS) == ("s", 3, "net")
     assert_routes_match_oracle(f)
 
@@ -944,8 +1002,8 @@ def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
         f.add_node(h, NodeKind.HOST, ["net"])
         f.add_link(h, routers[i % 4], "net", 1)
     searches = []
-    search = Fabric._dijkstra
-    monkeypatch.setattr(Fabric, "_dijkstra",
+    search = Topology.search
+    monkeypatch.setattr(Topology, "search",
                         lambda self, realm_id, root: searches.append(root) or search(self, realm_id, root))
     for i, h in enumerate(hosts):
         router = routers[i % 4]
@@ -1013,7 +1071,7 @@ def test_no_path_reason_ignores_dead_links_of_other_realms():
     f.add_node("d", NodeKind.HOST, ["far", "cell"])
     f.add_link("c", "d", "far")
     f.partition("cell")
-    assert [l.alive for l in f.links] == [False]
+    assert [l.alive for l in f.topology.links] == [False]
     tgt = bound(f, "b", "bob")
     f.deliver_to_name(resp(f, tgt), "a", "net", None)
     drops = [e.detail for e in f.trace if e.event is EventKind.DROP]
