@@ -418,23 +418,23 @@ class _Flight:
 
     Each hop is scheduled when the previous one lands, over the cheapest
     link alive at that moment; if none is, the flight re-routes from where
-    it is, or is dropped there.  The text every hop shares is built once:
-    ``detail`` for each FWD, and in a nested realm, whose hops are tunnelled
-    through the parent realm as HTTP pushes, the message's encoding and the
-    tunnel text."""
+    it is, or is dropped there.  In a nested realm each hop is tunnelled: an
+    HTTP push flies in the parent realm with this flight as its ``carried``,
+    and lands it when it lands, or drops it when it is lost.  The text every
+    hop shares is built once: ``detail`` for each FWD, and the message's
+    encoding and tunnel text for each tunnelled hop."""
 
-    __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "on_arrive", "on_lost",
-                 "detail", "parent", "encoded", "tunnel", "outer_id")
+    __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "carried",
+                 "detail", "parent", "encoded", "tunnel")
 
-    def __init__(self, fabric, msg, realm, path, call, on_arrive, on_lost, detail):
+    def __init__(self, fabric, msg, realm, path, call, carried, detail):
         self.fabric = fabric
         self.msg = msg
         self.realm = realm
         self.path = path
         self.i = 1  # the hop under way ends at path[i]
         self.call = call
-        self.on_arrive = on_arrive
-        self.on_lost = on_lost
+        self.carried = carried
         self.detail = detail
         self.parent = fabric.realms[realm].parent_realm
         self.encoded = None
@@ -461,7 +461,13 @@ class _Flight:
         """msg reached path[i]: arrive if it is the last hop, else forward."""
         fabric, path, i, msg = self.fabric, self.path, self.i, self.msg
         if i == len(path) - 1:
-            fabric._arrive(msg, path[i], self.realm, self.call, self.on_arrive)
+            carried = self.carried
+            if carried is None:
+                fabric._arrive(msg, path[i], self.realm, self.call)
+            else:
+                fabric._emit(path[i], self.realm, EventKind.RECV, msg.msg_id, "-",
+                             carried.tunnel)
+                carried.land()
             return
         fabric._emit(path[i], self.realm, EventKind.FWD, msg.msg_id, msg.target_name,
                      self.detail)
@@ -470,7 +476,7 @@ class _Flight:
 
     def lost(self) -> None:
         """No path is left from path[i - 1]: drop msg there."""
-        self.fabric._lost(self.path[self.i - 1], self.realm, self.msg, self.call, self.on_lost)
+        self.fabric._lost(self.path[self.i - 1], self.realm, self.msg, self.call, self.carried)
 
     def tunnel_hop(self) -> None:
         """Carry the hop as a payload message in the parent realm."""
@@ -479,21 +485,8 @@ class _Flight:
             self.encoded = encode(msg)
             self.tunnel = f"tunnel realm={self.realm} inner={msg.msg_id}"
         outer = fabric._new_msg(MessageKind.HTTP_PUSH, "", None, None, self.encoded)
-        self.outer_id = outer.msg_id
         fabric._transmit(outer, self.path[self.i - 1], self.parent, self.path[self.i],
-                         EventKind.SEND, self.call, on_arrive=self.resume,
-                         on_lost=self.outer_lost, detail_extra=self.tunnel)
-
-    def resume(self) -> None:
-        """The tunnelled hop reached path[i] in the parent realm."""
-        self.fabric._emit(self.path[self.i], self.parent, EventKind.RECV, self.outer_id, "-",
-                          self.tunnel)
-        self.land()
-
-    def outer_lost(self, reason: str) -> None:
-        """The tunnelled hop was lost in the parent realm: drop msg where it began."""
-        self.fabric.drop(self.path[self.i - 1], self.realm, self.msg, reason, self.call,
-                         extra=f"outer={self.outer_id}")
+                         EventKind.SEND, self.call, carried=self)
 
 
 class Fabric:
@@ -796,22 +789,24 @@ class Fabric:
         if call is not None and call.error is None and call.result is None:
             call.error = reason
 
-    def _lost(self, node, realm_id, msg, call, on_lost) -> None:
-        """No path is left from node: drop msg there, and pass on_lost the reason."""
+    def _lost(self, node, realm_id, msg, call, carried) -> None:
+        """No path is left from node: drop msg there, then each message down
+        the chain it carries where that message's hop began, naming its carrier."""
         reason = "partitioned" if self.topology.severed(realm_id) else "no-route"
         self.drop(node, realm_id, msg, reason, call)
-        if on_lost is not None:
-            on_lost(reason)
+        while carried is not None:
+            self.drop(carried.path[carried.i - 1], carried.realm, carried.msg, reason, call,
+                      extra=f"outer={msg.msg_id}")
+            msg, carried = carried.msg, carried.carried
 
-    def _transmit(self, msg, src, realm_id, dst_node, first_event, call,
-                  on_arrive=None, on_lost=None, detail_extra="") -> None:
+    def _transmit(self, msg, src, realm_id, dst_node, first_event, call, carried=None) -> None:
         path = self._path(realm_id, src, dst_node)
         if path is None:
-            self._lost(src, realm_id, msg, call, on_lost)
+            self._lost(src, realm_id, msg, call, carried)
             return
-        flight = _Flight(self, msg, realm_id, path, call, on_arrive, on_lost,
+        flight = _Flight(self, msg, realm_id, path, call, carried,
                          f"to={dst_node} kind={msg.kind._value_}")
-        detail = f"{flight.detail} {detail_extra}" if detail_extra else flight.detail
+        detail = flight.detail if carried is None else f"{flight.detail} {carried.tunnel}"
         self._emit(src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
         if len(path) == 1:
             flight.i = 0
@@ -886,10 +881,7 @@ class Fabric:
 
     # ---------------------------------------------------------------- arrivals
 
-    def _arrive(self, msg, node_id, realm_id, call, on_arrive) -> None:
-        if on_arrive is not None:
-            on_arrive()
-            return
+    def _arrive(self, msg, node_id, realm_id, call) -> None:
         node = self.nodes[node_id]
         kind = msg.kind
         deliverable = kind in _DELIVERABLE

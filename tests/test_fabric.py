@@ -3,11 +3,13 @@ import heapq
 import itertools
 import random
 import re
+import sys
 import weakref
 from functools import partial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import internames.fabric as fabric_module
@@ -51,6 +53,9 @@ from internames.wire import (
 )
 
 from conftest import CROSS_REALM, UNFIRABLE_OPS, fig3_and, run_checked, watched_drops
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # perfbench's generator; perfbench is not a package
 
 
 def tiny_ip_fabric(hosts=("a", "b"), delay=1):
@@ -341,8 +346,17 @@ def test_topology_private_state_is_its_set_up_indexes_and_memos_and_forget_clear
     assert all(getattr(topology, index) for index in TOPOLOGY_INDEXES)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "churn", "bridge-pull"])
 def test_a_run_that_forgets_every_memo_gives_the_same_trace(name, monkeypatch):
+    # Two perfbench workloads, at smoke size, are checked against their own
+    # plain run.  churn tunnels its vault realm's hops through core, and its
+    # stub partition cuts nr-b's vault link while they are under way.
+    if name in BUILTIN_NAMES:
+        scenario, expected = load_builtin(name), golden_trace(name)
+    else:
+        scenario = parse_scenario(workloads.generate(name, 1, "smoke").scenario_text, name=name)
+        expected = run_scenario(scenario).trace_text + "\n"
+
     def forget(fabric):
         fabric.topology.forget()
         for memo in MEMOS:
@@ -359,7 +373,7 @@ def test_a_run_that_forgets_every_memo_gives_the_same_trace(name, monkeypatch):
         real_at(fabric, tick, callback)
 
     monkeypatch.setattr(Fabric, "at", forgetful_at)
-    assert run_scenario(load_builtin(name)).trace_text + "\n" == golden_trace(name)
+    assert run_scenario(scenario).trace_text + "\n" == expected
 
 
 # ------------------------------------------------------------ route oracle
@@ -835,40 +849,86 @@ def test_partition_mid_path_in_a_nested_realm(detour, cut_at, rest):
     assert lines == NESTED_SEND + rest
 
 
-@pytest.mark.parametrize("net_links, cut, rest", [
+def tunnel_fabric(realms, net_links):
+    """Each realm after the first, "net", nests in the one before it and has
+    the links a-b-c; net has net_links and the router d.  carol is bound at
+    c.sub."""
+    f = Fabric()
+    for parent, rid in zip([None, *realms], realms):
+        f.add_realm(rid, RealmTech.IPISH, parent=parent)
+    for node in "abc":
+        f.add_node(node, NodeKind.HOST, list(realms))
+    f.add_node("d", NodeKind.ROUTER, ["net"])
+    for a, b in net_links:
+        f.add_link(a, b, "net")
+    for rid in realms[1:]:
+        for a, b in (("a", "b"), ("b", "c")):
+            f.add_link(a, b, rid)
+    tgt = parse_name("n2n://users:carol")
+    f.known_names.add(tgt)
+    f.bind(tgt, "c.sub")
+    return f, tgt
+
+
+TWICE_NESTED_SEND = [
+    "t=0 node=a realm=sub event=SEND msg=1 name=n2n://users:carol detail=to=c kind=HTTP_RESP",
+    "t=0 node=a realm=mid event=SEND msg=2 name=- detail=to=b kind=HTTP_PUSH tunnel realm=sub inner=1",
+    "t=0 node=a realm=net event=SEND msg=3 name=- detail=to=b kind=HTTP_PUSH tunnel realm=mid inner=2",
+    "t=1 node=b realm=sub event=FWD msg=1 name=n2n://users:carol detail=to=c kind=HTTP_RESP",
+]
+TWICE_NESTED_AT_B = [
+    "t=1 node=b realm=mid event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
+    "t=1 node=b realm=net event=RECV msg=3 name=- detail=tunnel realm=mid inner=2",
+    "t=1 node=b realm=mid event=SEND msg=4 name=- detail=to=c kind=HTTP_PUSH tunnel realm=sub inner=1",
+]
+
+
+def test_a_twice_nested_hop_is_tunnelled_through_each_parent():
+    # sub nests in mid, which nests in net: each hop of sub is a push in
+    # mid, and each hop of that push is a push in net.
+    f, tgt = tunnel_fabric(("net", "mid", "sub"), [("a", "b"), ("b", "c")])
+    f.send("a.sub", "c", resp(f, tgt, b"hi"))
+    f.run_until_idle()
+    lines = [line for line in f.trace_text().splitlines() if "event=REBIND" not in line]
+    assert lines == TWICE_NESTED_SEND + TWICE_NESTED_AT_B + [
+        "t=1 node=b realm=net event=SEND msg=5 name=- detail=to=c kind=HTTP_PUSH tunnel realm=mid inner=4",
+        "t=2 node=c realm=sub event=RECV msg=1 name=n2n://users:carol detail=kind=HTTP_RESP",
+        "t=2 node=c realm=sub event=DELIVER msg=1 name=n2n://users:carol detail=nap=c.sub body=hi",
+        "t=2 node=c realm=mid event=RECV msg=4 name=- detail=tunnel realm=sub inner=1",
+        "t=2 node=c realm=net event=RECV msg=5 name=- detail=tunnel realm=mid inner=4",
+    ]
+
+
+@pytest.mark.parametrize("realms, net_links, cut, lines", [
     # The parent realm's b-c is cut before the second hop: its outer push
     # has no route from b, and the inner message is dropped at b too.
-    ([("a", "b"), ("b", "c")], ("b", "c"), [
+    (("net", "sub"), [("a", "b"), ("b", "c")], ("b", "c"), NESTED_SEND + [
         "t=1 node=b realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned outer=3",
         "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
         "t=1 node=b realm=net event=DROP msg=3 name=- detail=partitioned",
     ]),
     # The parent realm carries b-c by d, and d-c dies as the outer push
     # reaches d: it is dropped at d, and the inner message at b.
-    ([("a", "b"), ("b", "d"), ("d", "c")], ("d", "c"), [
+    (("net", "sub"), [("a", "b"), ("b", "d"), ("d", "c")], ("d", "c"), NESTED_SEND + [
         "t=1 node=b realm=net event=RECV msg=2 name=- detail=tunnel realm=sub inner=1",
         "t=1 node=b realm=net event=SEND msg=3 name=- detail=to=c kind=HTTP_PUSH tunnel realm=sub inner=1",
         "t=2 node=b realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned outer=3",
         "t=2 node=d realm=net event=FWD msg=3 name=- detail=to=c kind=HTTP_PUSH",
         "t=2 node=d realm=net event=DROP msg=3 name=- detail=partitioned",
     ]),
-], ids=["unrouted", "lost-in-flight"])
-def test_lost_tunnelled_hop_drops_its_inner_message(net_links, cut, rest):
-    # Realm "sub", nested in "net", has the links a-b-c; an HTTP response
-    # goes a -> c in sub, and the net link cut dies at tick 1 or 2.
-    f = Fabric()
-    f.add_realm("net", RealmTech.IPISH)
-    f.add_realm("sub", RealmTech.IPISH, parent="net")
-    for node in "abc":
-        f.add_node(node, NodeKind.HOST, ["net", "sub"])
-    f.add_node("d", NodeKind.ROUTER, ["net"])
-    for a, b in net_links:
-        f.add_link(a, b, "net")
-    for a, b in (("a", "b"), ("b", "c")):
-        f.add_link(a, b, "sub")
-    tgt = parse_name("n2n://users:carol")
-    f.known_names.add(tgt)
-    f.bind(tgt, "c.sub")
+    # Two levels: net's push 5 has no route from b, so mid's push 4, which
+    # it carries, and sub's message 1, which that carries, are dropped at b.
+    (("net", "mid", "sub"), [("a", "b"), ("b", "c")], ("b", "c"), TWICE_NESTED_SEND + [
+        "t=1 node=b realm=sub event=DROP msg=1 name=n2n://users:carol detail=partitioned outer=4",
+    ] + TWICE_NESTED_AT_B + [
+        "t=1 node=b realm=mid event=DROP msg=4 name=- detail=partitioned outer=5",
+        "t=1 node=b realm=net event=DROP msg=5 name=- detail=partitioned",
+    ]),
+], ids=["unrouted", "lost-in-flight", "unrouted-twice-nested"])
+def test_lost_tunnelled_hop_drops_its_inner_message(realms, net_links, cut, lines):
+    # An HTTP response goes a -> c in sub, and the net link cut dies at
+    # tick 1 or 2.
+    f, tgt = tunnel_fabric(realms, net_links)
 
     def kill():
         for link in f.topology.links:
@@ -880,9 +940,68 @@ def test_lost_tunnelled_hop_drops_its_inner_message(net_links, cut, rest):
     call = fabric_module.CallRecord("push", None, "n2n://users:carol")
     f._transmit(resp(f, tgt, b"hi"), "a", "sub", "c", EventKind.SEND, call)
     f.run_until_idle()
-    lines = [line for line in f.trace_text().splitlines() if "event=REBIND" not in line]
-    assert lines == NESTED_SEND[:3] + rest
+    assert [line for line in f.trace_text().splitlines() if "event=REBIND" not in line] == lines
     assert call.error == "partitioned"
+
+
+CONSERVED_NODES = "abcd"
+
+
+@st.composite
+def nested_runs(draw):
+    """A random nested fabric as plain data: its depth (1-3 realms r0, r1,
+    r2, each nested in the one before), its nodes, each realm's links with
+    their delays, the node of the one-node realm "cell" with the ticks it is
+    partitioned and maybe healed, and sends of (tick, from, to) in the
+    innermost realm."""
+    depth = draw(st.integers(1, 3))
+    nodes = CONSERVED_NODES[:draw(st.integers(2, len(CONSERVED_NODES)))]
+    pairs = list(itertools.combinations(nodes, 2))
+    delays = st.lists(st.none() | st.integers(1, 3), min_size=len(pairs), max_size=len(pairs))
+    links = [[(pair, delay) for pair, delay in zip(pairs, draw(delays)) if delay]
+             for _ in range(depth)]
+    cut_at = draw(st.integers(0, 8))
+    heal_at = draw(st.none() | st.integers(cut_at, cut_at + 6))
+    node = st.sampled_from(nodes)
+    sends = draw(st.lists(st.tuples(st.integers(0, 4), node, node), min_size=1, max_size=3))
+    return depth, nodes, links, draw(node), cut_at, heal_at, sends
+
+
+@settings(deadline=None)
+@given(nested_runs())
+# r0 has no link, so r1's push from a to b, carrying r2's message, has no route.
+@example((3, "ab", [[], [(("a", "b"), 1)], [(("a", "b"), 1)]], "a", 9, None, [(0, "a", "b")]))
+def test_every_sent_message_is_received_at_its_destination_or_dropped_once(run):
+    depth, nodes, links, cell, cut_at, heal_at, sends = run
+    realms = [f"r{level}" for level in range(depth)]
+    f = Fabric()
+    for parent, rid in zip([None, *realms], realms):
+        f.add_realm(rid, RealmTech.IPISH, parent=parent)
+    f.add_realm("cell", RealmTech.IPISH)
+    for node in nodes:
+        f.add_node(node, NodeKind.HOST, realms + ["cell"] * (node == cell))
+    for rid, realm_links in zip(realms, links):
+        for (a, b), delay in realm_links:
+            f.add_link(a, b, rid, delay)
+    f.at(cut_at, partial(f.partition, "cell"))
+    if heal_at is not None:
+        f.at(heal_at, partial(f.heal, "cell"))
+    for k, (tick, src, dst) in enumerate(sends):
+        name = parse_name(f"n2n://users:u{k}")
+        f.known_names.add(name)
+        f.bind(name, f"{dst}.{realms[-1]}")
+        f.at(tick, partial(f._transmit, resp(f, name), src, realms[-1], dst, EventKind.SEND, None))
+    f.run_until_idle()
+    to, ends = {}, {}
+    for e in f.trace:
+        if e.event is EventKind.SEND:
+            to[e.msg_id] = e.detail.split()[0].removeprefix("to=")
+        elif e.event in (EventKind.RECV, EventKind.DROP):
+            ends.setdefault(e.msg_id, []).append((e.event, e.node))
+    for msg_id, dst in to.items():
+        end = ends.get(msg_id, [])
+        assert end == [(EventKind.RECV, dst)] or [e for e, _ in end] == [EventKind.DROP], \
+            f.trace_text()
 
 
 def test_tunnelled_bodies_decode_to_their_inner_message(monkeypatch):
