@@ -6,7 +6,9 @@ byte-identical output.  Trace lines look like::
 
     t=<int> node=<id> realm=<id> event=<ENUM> msg=<int> name=<uri|-> detail=<text>
 
-and the emitted list is totally ordered by (tick, node id, msg id).
+and the rendered trace is sorted by (tick, node id, msg id).  Events that
+tie on all three keys, as a RECV and the DELIVER it leads to do, keep the
+order they were emitted in: the sort is stable.
 """
 
 from __future__ import annotations
@@ -115,17 +117,9 @@ class TraceEvent(NamedTuple):
     name: str  # canonical URI or "-"
     detail: str
 
-    def line(self) -> str:
-        tick, node, realm, event, msg_id, name, detail = self
-        # _value_ skips Enum's Python-level value property; the text is the same.
-        return (f"t={tick} node={node} realm={realm} event={event._value_}"
-                f" msg={msg_id} name={name} detail={detail}")
-
 
 # The trace order: (tick, node, msg_id), fetched in C.
 _TRACE_ORDER = itemgetter(0, 1, 4)
-# Builds a TraceEvent from a ready tuple, skipping NamedTuple's Python __new__.
-_tuple_new = tuple.__new__
 
 
 @dataclass
@@ -386,6 +380,9 @@ _KIND_TO_OP = {
 
 _DELIVERABLE = frozenset({MessageKind.HTTP_RESP, MessageKind.CCN_DATA, MessageKind.HTTP_PUSH})
 
+# A RECV's detail by message kind, before any extra text.
+_RECV_DETAIL = {kind: f"kind={kind._value_}" for kind in MessageKind}
+
 # A consult's query and answer events, and its drop reason when no server is reachable.
 _CONSULT_EVENTS = {NodeKind.NRS: (EventKind.NRS_Q, EventKind.NRS_R, "nrs-unreachable"),
                    NodeKind.ORS: (EventKind.ORS_Q, EventKind.ORS_R, "ors-unreachable")}
@@ -421,13 +418,13 @@ class _Flight:
     it is, or is dropped there.  In a nested realm each hop is tunnelled: an
     HTTP push flies in the parent realm with this flight as its ``carried``,
     and lands it when it lands, or drops it when it is lost.  The text every
-    hop shares is built once: ``detail`` for each FWD, and the message's
-    encoding and tunnel text for each tunnelled hop."""
+    hop shares is built once: ``uri`` and ``detail`` for each FWD, and the
+    message's encoding and tunnel text for each tunnelled hop."""
 
     __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "carried",
-                 "detail", "parent", "encoded", "tunnel")
+                 "uri", "detail", "parent", "encoded", "tunnel")
 
-    def __init__(self, fabric, msg, realm, path, call, carried, detail):
+    def __init__(self, fabric, msg, realm, path, call, carried, uri, detail):
         self.fabric = fabric
         self.msg = msg
         self.realm = realm
@@ -435,6 +432,7 @@ class _Flight:
         self.i = 1  # the hop under way ends at path[i]
         self.call = call
         self.carried = carried
+        self.uri = uri
         self.detail = detail
         self.parent = fabric.realms[realm].parent_realm
         self.encoded = None
@@ -469,8 +467,8 @@ class _Flight:
                              carried.tunnel)
                 carried.land()
             return
-        fabric._emit(path[i], self.realm, EventKind.FWD, msg.msg_id, msg.target_name,
-                     self.detail)
+        fabric._rows.append((fabric.clock.now_tick, path[i], self.realm, EventKind.FWD,
+                             msg.msg_id, self.uri, self.detail))
         self.i = i + 1
         self.hop()
 
@@ -518,7 +516,8 @@ class Fabric:
         self.topic_home: dict[str, str] = {}
         self.node_tags: dict[str, frozenset[str]] = {}
         self.clock = SimClock()
-        self.trace: list[TraceEvent] = []
+        # the trace in emission order, one TraceEvent-shaped tuple per event
+        self._rows: list[tuple] = []
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self._msg_ids = itertools.count(1)
@@ -635,16 +634,25 @@ class Fabric:
     def at(self, tick: int, fn) -> None:
         self.clock.schedule(tick, fn)
 
+    @property
+    def trace(self) -> list[TraceEvent]:
+        """The trace as TraceEvents in emission order, read from its rows."""
+        return list(map(TraceEvent._make, self._rows))
+
     def _emit(self, node, realm, event, msg_id, name, detail) -> None:
         uri = name.uri if isinstance(name, Name) else (name or "-")
-        self.trace.append(_tuple_new(TraceEvent, (self.clock.now_tick, node, realm, event,
-                                                  msg_id, uri, detail)))
+        self._rows.append((self.clock.now_tick, node, realm, event, msg_id, uri, detail))
 
-    def sorted_trace(self) -> list[TraceEvent]:
-        return sorted(self.trace, key=_TRACE_ORDER)
+    def sorted_trace(self) -> list[tuple]:
+        """The rows in trace order; rows that tie keep their emission order."""
+        return sorted(self._rows, key=_TRACE_ORDER)
 
     def trace_text(self) -> str:
-        return "\n".join(map(TraceEvent.line, self.sorted_trace()))
+        # _value_ skips Enum's Python-level value property; the text is the same.
+        return "\n".join([f"t={tick} node={node} realm={realm} event={event._value_}"
+                          f" msg={msg_id} name={uri} detail={detail}"
+                          for tick, node, realm, event, msg_id, uri, detail
+                          in self.sorted_trace()])
 
     # The route entry points: perfbench wraps both as Fabric attributes.
     def _path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
@@ -804,10 +812,13 @@ class Fabric:
         if path is None:
             self._lost(src, realm_id, msg, call, carried)
             return
+        name = msg.target_name
         flight = _Flight(self, msg, realm_id, path, call, carried,
+                         "-" if name is None else name.uri,
                          f"to={dst_node} kind={msg.kind._value_}")
         detail = flight.detail if carried is None else f"{flight.detail} {carried.tunnel}"
-        self._emit(src, realm_id, first_event, msg.msg_id, msg.target_name, detail)
+        self._rows.append((self.clock.now_tick, src, realm_id, first_event, msg.msg_id,
+                           flight.uri, detail))
         if len(path) == 1:
             flight.i = 0
             self.at(self.clock.now_tick, flight.land)
@@ -920,9 +931,11 @@ class Fabric:
         return f"{node_id}.{realm_id}" in self.bindings.get(name, ())
 
     def _recv(self, msg, node_id, realm_id, extra="") -> None:
-        kind = msg.kind._value_
-        detail = f"kind={kind} {extra}" if extra else f"kind={kind}"
-        self._emit(node_id, realm_id, EventKind.RECV, msg.msg_id, msg.target_name, detail)
+        detail = _RECV_DETAIL[msg.kind]
+        name = msg.target_name
+        self._rows.append((self.clock.now_tick, node_id, realm_id, EventKind.RECV, msg.msg_id,
+                           "-" if name is None else name.uri,
+                           f"{detail} {extra}" if extra else detail))
 
     def _deliver(self, msg, node_id, realm_id, call) -> None:
         nap_id = f"{node_id}.{realm_id}"

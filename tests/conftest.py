@@ -12,6 +12,14 @@ from internames.scenario import (
     save_scenario,
 )
 
+def trace_line(event) -> str:
+    """One trace line, formatted field by field from a TraceEvent or a row:
+    the oracle of Fabric.trace_text."""
+    tick, node, realm, kind, msg_id, name, detail = event
+    return (f"t={tick} node={node} realm={realm} event={kind.value}"
+            f" msg={msg_id} name={name} detail={detail}")
+
+
 # Deeper runs of the oracle properties: pytest -k oracle --hypothesis-profile=ci.
 # Without the option every test keeps hypothesis's default profile.
 settings.register_profile("ci", max_examples=1000, deadline=None)

@@ -357,8 +357,12 @@ def repeat_record(draw, s):
         r = s.nrs_records[one_line(draw, s.nrs_records)]
     elif s.bindings:
         b = s.bindings[one_line(draw, s.bindings)]
-        rid = next(rid for n in s.nodes for rid in n.realms if f"{n.id}.{rid}" == b.nap)
-        tech = next(r.technology for r in s.realms if r.id == rid)
+        # An earlier mutation may have left the NAP undefined or its realm's
+        # technology unknown; then there is no host record to repeat.
+        rid = next((rid for n in s.nodes for rid in n.realms if f"{n.id}.{rid}" == b.nap), None)
+        tech = next((r.technology for r in s.realms if r.id == rid), None)
+        if tech not in _NEXT_HOP_TECHS:
+            return None
         protocol = PROTOCOL_OF_TECH[_NEXT_HOP_TECHS[tech]]._value_
         r = RecordSpec(b.uri, protocol, b.uri if tech == "CCNISH" else "", tech, b.nap)
     else:

@@ -52,7 +52,7 @@ from internames.wire import (
     fib_lookup,
 )
 
-from conftest import CROSS_REALM, UNFIRABLE_OPS, fig3_and, run_checked, watched_drops
+from conftest import CROSS_REALM, UNFIRABLE_OPS, fig3_and, run_checked, trace_line, watched_drops
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # perfbench's generator; perfbench is not a package
@@ -131,7 +131,8 @@ def test_random_sends_trace_order_and_conservation():
     f.run_until_idle()
     # ordering equals an independent sort by (tick, node, msg)
     lines = f.trace_text().splitlines()
-    assert lines == [e.line() for e in sorted(f.trace, key=lambda e: (e.tick, e.node, e.msg_id))]
+    by_key = sorted(f.trace, key=lambda e: (e.tick, e.node, e.msg_id))
+    assert lines == [trace_line(e) for e in by_key]
     # every send is received exactly once and nothing is dropped
     by_kind = {}
     for e in f.trace:
@@ -333,7 +334,9 @@ TOPOLOGY_MEMOS = {"_routes", "_roots", "_servers"}
 
 def test_fabric_private_state_is_its_memos_and_set_up_indexes():
     private = {attr for attr in vars(Fabric()) if attr.startswith("_")}
-    assert private == {*MEMOS, "_msg_ids"}
+    # _msg_ids counts the run's messages; _rows holds its trace, read through
+    # Fabric.trace and sorted_trace.
+    assert private == {*MEMOS, "_msg_ids", "_rows"}
 
 
 def test_topology_private_state_is_its_set_up_indexes_and_memos_and_forget_clears_them():
@@ -727,7 +730,8 @@ def test_link_dying_in_flight_reroutes():
     f.at(1, lambda: f.partition("cell"))  # runs before the message leaves b
     f.send("a.net", "c", resp(f, tgt))
     f.run_until_idle()
-    hops = [(e.tick, e.node, e.event) for e in f.sorted_trace() if e.event is not EventKind.REBIND]
+    hops = [(tick, node, event) for tick, node, _, event, *_ in f.sorted_trace()
+            if event is not EventKind.REBIND]
     assert hops == [
         (0, "a", EventKind.SEND),
         (1, "b", EventKind.FWD),
@@ -1217,8 +1221,9 @@ def drop_scenario(text, timeline, policies=()):
 
 def run_drops(text, timeline, policies=()):
     result, _ = run_checked(drop_scenario(text, timeline, policies))
-    drops = [(e.tick, e.node, e.realm, e.name, e.detail)
-             for e in result.fabric.sorted_trace() if e.event is EventKind.DROP]
+    drops = [(tick, node, realm, uri, detail)
+             for tick, node, realm, event, _, uri, detail in result.fabric.sorted_trace()
+             if event is EventKind.DROP]
     return drops, [(c.kind, c.error) for c in result.calls]
 
 
@@ -1348,8 +1353,8 @@ def test_send_to_name_delivers_one_copy_per_binding():
     # RNx skips the host record of cli1, whose copy host3a sent itself.
     result, _ = run_checked(drop_scenario(
         SERVED_BY_SENDER, ["0,push,n2n://users:u3,n2n://users:u1,hi"]))
-    delivers = [(e.tick, e.node) for e in result.fabric.sorted_trace()
-                if e.event is EventKind.DELIVER]
+    delivers = [(tick, node) for tick, node, _, event, *_ in result.fabric.sorted_trace()
+                if event is EventKind.DELIVER]
     assert delivers == [(6, "cli1")]
     (call,) = result.calls
     assert [nap for nap, _, _ in call.deliveries] == ["cli1.internet"]
@@ -1358,8 +1363,9 @@ def test_send_to_name_delivers_one_copy_per_binding():
 def test_name_router_serving_a_get_logs_one_recv():
     text = CROSS_REALM + SERVING_ROUTER + "[timeline]\n0,pull,n2n://users:u1,n2n://web.org:page\n"
     result = run_scenario(parse_scenario(text, name="serving-router"))
-    at_router = [(e.tick, e.event, e.msg_id, e.detail) for e in result.fabric.sorted_trace()
-                 if e.node == "RNy"]
+    at_router = [(tick, event, msg_id, detail)
+                 for tick, node, _, event, msg_id, _, detail in result.fabric.sorted_trace()
+                 if node == "RNy"]
     assert at_router == [(6, EventKind.RECV, 2, "kind=HTTP_GET"),
                          (6, EventKind.SEND, 3, "to=cli1 kind=HTTP_RESP")]
 

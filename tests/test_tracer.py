@@ -25,3 +25,16 @@ def test_tracer_counts_the_route_entry_points_and_uninstall_restores_them():
     assert tracer.calls("fabric.path") > 0
     assert tracer.calls("fabric.nearest_server") > 0
     assert dict(vars(Fabric)) == before
+
+
+def test_trace_text_sorts_through_the_wrapped_sorted_trace():
+    # perfbench's smoke run flags a layer that records zero calls.
+    program = SimpleNamespace(fabric=fabric, scenario=scenario, nrs=nrs, ors=ors, wire=wire,
+                              node_api=node_api)
+    tracer = Tracer()
+    tracer.install(program)
+    try:
+        scenario.run_scenario(scenario.load_builtin("fig3"))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls("fabric.trace.render") == tracer.calls("fabric.trace.sort") == 1
