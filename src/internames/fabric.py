@@ -118,6 +118,11 @@ class TraceEvent(NamedTuple):
     detail: str
 
 
+# A row of the trace is a TraceEvent with the event's text in place of its
+# kind: a tuple of str and int only, which the cyclic collector untracks.
+_EVENT_KIND = {kind._value_: kind for kind in EventKind}
+
+
 # The trace order: (tick, node, msg_id), fetched in C.
 _TRACE_ORDER = itemgetter(0, 1, 4)
 
@@ -153,25 +158,38 @@ class Link:
 _NO_NEIGHBOURS: dict[str, list[Link]] = {}  # those of a node with no links; never written
 _DELAY = attrgetter("delay")
 
+# A route: its path, and the search tree it was read from (see Topology).
+Route = tuple[tuple[str, ...], dict[str, tuple]]
+
 
 class Topology:
     """Links, their liveness and the routes over them: the locator layer.
 
     A link is alive iff it crosses the edge of no cut (partitioned) realm.
-    forget() clears every memo; adding a link or cutting or restoring an
-    edge calls it.  Adding a node changes no memo: it has no links yet."""
+    forget() clears every memo and bumps ``epoch``; adding a link or cutting
+    or restoring an edge calls it, and so must anything else that changes a
+    link's ``alive``.  Adding a node changes no memo: it has no links yet.
+
+    A route is ``(path, tree)``: the path as a tuple of node ids, and the
+    search tree it was read from, which maps each node the search settled to
+    its entry ``(delay, path, link)``: its delay and path from the tree's
+    root, and the link the search reached it by (None at the root).  Both
+    are the memo's own, shared by every caller, and stand for as long as
+    ``epoch`` does not change."""
 
     def __init__(self):
         self.links: list[Link] = []
         self.cut: dict[str, set[str]] = {}  # each cut realm -> its members
+        self.epoch = 0
         # (realm, node) -> {neighbour: the links to it, cheapest first}
         self._adjacency: dict[tuple[str, str], dict[str, list[Link]]] = {}
         self._members_of_kind: dict[tuple[str, NodeKind], list[str]] = {}
-        self._routes: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
+        self._routes: dict[tuple[str, str], dict[str, tuple]] = {}
         self._roots: dict[tuple[str, str], str] = {}
         self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
 
     def forget(self) -> None:
+        self.epoch += 1
         self._routes.clear()
         self._roots.clear()
         self._servers.clear()
@@ -217,16 +235,16 @@ class Topology:
                 return link
         return None
 
-    def path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
-        """Shortest path by total delay, ties broken by node-id order.
+    def route(self, realm_id: str, src: str, dst: str) -> Route | None:
+        """The shortest route by total delay, ties broken by node-id order.
 
-        Each search runs from its root to completion; its tree (each settled
-        node's path) is kept per (realm, root).  A stub, a node whose alive
-        links all lead to one neighbour, is not a root: no shortest path from
-        the neighbour comes back through the stub, so the stub's route to dst
-        is itself followed by the neighbour's, ties included."""
+        Each search runs from its root to completion; its tree is kept per
+        (realm, root).  A stub, a node whose alive links all lead to one
+        neighbour, is not a root: no shortest path from the neighbour comes
+        back through the stub, so the stub's route to dst is itself followed
+        by the neighbour's, ties included."""
         if src == dst:
-            return [src]
+            return (src,), {}
         key = (realm_id, src)
         root = self._roots.get(key)
         if root is None:
@@ -236,32 +254,48 @@ class Topology:
         tree = self._routes.get((realm_id, root))
         if tree is None:
             tree = self._routes[(realm_id, root)] = self.search(realm_id, root)
-        route = tree.get(dst)
+        entry = tree.get(dst)
+        if entry is None:
+            return None
+        return (entry[1] if root == src else (src, *entry[1])), tree
+
+    def path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
+        """The nodes of the route from src to dst, or None."""
+        route = self.route(realm_id, src, dst)
+        return None if route is None else list(route[0])
+
+    def delay(self, realm_id: str, src: str, dst: str) -> int | None:
+        """The total delay of the route from src to dst, or None."""
+        route = self.route(realm_id, src, dst)
         if route is None:
             return None
-        return list(route) if root == src else [src, *route]
+        # The tree's root is src, at delay 0, or the one neighbour of stub src.
+        tree = route[1]
+        return tree[src][0] + tree[dst][0] if src != dst else 0
 
-    def search(self, realm_id: str, root: str) -> dict[str, tuple[str, ...]]:
-        """Every node reachable from root in the realm -> its path from root."""
-        # (delay, path) is unique per push, so pops follow a total order and
-        # equal delays fall to the lexicographically smaller node-id path;
-        # a node's first pop is its path, as in a search stopped there.
+    def search(self, realm_id: str, root: str) -> dict[str, tuple]:
+        """Every node reachable from root in the realm -> its entry."""
+        # (delay, path) is unique per push, so pops follow a total order,
+        # equal delays fall to the lexicographically smaller node-id path and
+        # no comparison reaches a link; a node's first pop is its entry, as
+        # in a search stopped there.
         adjacency = self._adjacency
-        settled: dict[str, tuple[str, ...]] = {}
-        best: dict[str, tuple[int, tuple[str, ...]]] = {root: (0, (root,))}
-        frontier = [(0, (root,))]
+        settled: dict[str, tuple] = {}
+        best: dict[str, tuple] = {}
+        frontier = [(0, (root,), None)]
         while frontier:
-            dist, path = heapq.heappop(frontier)
+            entry = heapq.heappop(frontier)
+            dist, path, _ = entry
             node = path[-1]
             if node in settled:
                 continue
-            settled[node] = path
+            settled[node] = entry
             for nbr, links in adjacency.get((realm_id, node), _NO_NEIGHBOURS).items():
                 if nbr in settled:
                     continue
                 for link in links:
                     if link.alive:
-                        cand = (dist + link.delay, path + (nbr,))
+                        cand = (dist + link.delay, path + (nbr,), link)
                         if nbr not in best or cand < best[nbr]:
                             best[nbr] = cand
                             heapq.heappush(frontier, cand)
@@ -274,10 +308,9 @@ class Topology:
         reaches in realm_ids, ties to the lower realm id, then node id."""
         key = (node_id, kind)
         if key not in self._servers:
-            routes = ((rid, member, self.path(rid, node_id, member))
+            delays = ((self.delay(rid, node_id, member), rid, member)
                       for rid in realm_ids for member in self.members(rid, kind))
-            best = min(((sum(self.link_between(rid, a, b).delay for a, b in zip(p, p[1:])), rid, m)
-                        for rid, m, p in routes if p is not None), default=None)
+            best = min((d for d in delays if d[0] is not None), default=None)
             self._servers[key] = None if best is None else (best[2], best[0], best[1])
         return self._servers[key]
 
@@ -411,24 +444,27 @@ DROP_REASONS: dict[str, type[InternamesError]] = {
 
 
 class _Flight:
-    """One transmit: msg on its way along path in one realm, hop by hop.
+    """One transmit: msg on its way along its route in one realm, hop by hop.
 
-    Each hop is scheduled when the previous one lands, over the cheapest
-    link alive at that moment; if none is, the flight re-routes from where
-    it is, or is dropped there.  In a nested realm each hop is tunnelled: an
-    HTTP push flies in the parent realm with this flight as its ``carried``,
-    and lands it when it lands, or drops it when it is lost.  The text every
-    hop shares is built once: ``uri`` and ``detail`` for each FWD, and the
+    Each hop is scheduled when the previous one lands.  While the topology's
+    epoch is the one the route was read in, the hop goes over the link the
+    route's tree holds for it; after that, over the cheapest link alive at
+    that moment, and if none is, the flight re-routes from where it is, or
+    is dropped there.  In a nested realm each hop is tunnelled: an HTTP push
+    flies in the parent realm with this flight as its ``carried``, and lands
+    it when it lands, or drops it when it is lost.  The text every hop
+    shares is built once: ``uri`` and ``detail`` for each FWD, and the
     message's encoding and tunnel text for each tunnelled hop."""
 
-    __slots__ = ("fabric", "msg", "realm", "path", "i", "call", "carried",
+    __slots__ = ("fabric", "msg", "realm", "path", "tree", "epoch", "i", "call", "carried",
                  "uri", "detail", "parent", "encoded", "tunnel")
 
-    def __init__(self, fabric, msg, realm, path, call, carried, uri, detail):
+    def __init__(self, fabric, msg, realm, route, call, carried, uri, detail):
         self.fabric = fabric
         self.msg = msg
         self.realm = realm
-        self.path = path
+        self.path, self.tree = route
+        self.epoch = fabric.topology.epoch
         self.i = 1  # the hop under way ends at path[i]
         self.call = call
         self.carried = carried
@@ -440,20 +476,29 @@ class _Flight:
     def hop(self) -> None:
         """Send msg from path[i - 1] to path[i]."""
         fabric, path, i = self.fabric, self.path, self.i
-        link = fabric.topology.link_between(self.realm, path[i - 1], path[i])
-        if link is None:
-            # Link died after the path was computed; recompute from path[i - 1].
-            fresh = fabric._path(self.realm, path[i - 1], path[-1])
-            if fresh is None:
-                fabric.at(fabric.clock.now_tick, self.lost)
+        topology = fabric.topology
+        if self.epoch == topology.epoch:
+            # A hop's link is the entry link of its end farther from the
+            # tree's root: path[i], but for a stub's first hop, into the root.
+            tree = self.tree
+            link = tree[path[i]][2] or tree[path[i - 1]][2]
+        else:
+            link = topology.link_between(self.realm, path[i - 1], path[i])
+            if link is None:
+                # Link died after the path was computed; recompute from path[i - 1].
+                route = fabric._path(self.realm, path[i - 1], path[-1])
+                if route is None:
+                    fabric.at(fabric.clock.now_tick, self.lost)
+                    return
+                self.path, self.tree = route
+                self.epoch, self.i = topology.epoch, 1
+                self.hop()
                 return
-            self.path, self.i = fresh, 1
-            self.hop()
-            return
         if self.parent is not None:
             self.tunnel_hop()
             return
-        fabric.at(fabric.clock.now_tick + link.delay, self.land)
+        clock = fabric.clock
+        clock.schedule(clock.now_tick + link.delay, self.land)
 
     def land(self) -> None:
         """msg reached path[i]: arrive if it is the last hop, else forward."""
@@ -467,9 +512,14 @@ class _Flight:
                              carried.tunnel)
                 carried.land()
             return
-        fabric._rows.append((fabric.clock.now_tick, path[i], self.realm, EventKind.FWD,
-                             msg.msg_id, self.uri, self.detail))
-        self.i = i + 1
+        clock = fabric.clock
+        now = clock.now_tick
+        fabric._rows.append((now, path[i], self.realm, "FWD", msg.msg_id, self.uri, self.detail))
+        self.i = i = i + 1
+        if self.parent is None and self.epoch == fabric.topology.epoch:
+            # Past its first hop a route leads away from its tree's root.
+            clock.schedule(now + self.tree[path[i]][2].delay, self.land)
+            return
         self.hop()
 
     def lost(self) -> None:
@@ -516,7 +566,7 @@ class Fabric:
         self.topic_home: dict[str, str] = {}
         self.node_tags: dict[str, frozenset[str]] = {}
         self.clock = SimClock()
-        # the trace in emission order, one TraceEvent-shaped tuple per event
+        # the trace in emission order, one row (see _EVENT_KIND) per event
         self._rows: list[tuple] = []
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
@@ -609,9 +659,9 @@ class Fabric:
                 hops = {}
                 for owner in owners:
                     if owner != member:
-                        path = self._path(rid, member, owner)
-                        if path is not None:
-                            hops[owner] = path[1]
+                        route = self._path(rid, member, owner)
+                        if route is not None:
+                            hops[owner] = route[0][1]
                 self.nodes[member].ccn[rid].fib = shared.through(hops)
 
     # ---------------------------------------------------------------- helpers
@@ -629,7 +679,9 @@ class Fabric:
 
     def _new_msg(self, *fields) -> WireMessage:
         """A kept message with the next id; fields are WireMessage's from kind on."""
-        return self._register_msg(WireMessage(self.new_msg_id(), *fields))
+        msg = WireMessage(next(self._msg_ids), *fields)
+        self.messages[msg.msg_id] = msg
+        return msg
 
     def at(self, tick: int, fn) -> None:
         self.clock.schedule(tick, fn)
@@ -637,26 +689,28 @@ class Fabric:
     @property
     def trace(self) -> list[TraceEvent]:
         """The trace as TraceEvents in emission order, read from its rows."""
-        return list(map(TraceEvent._make, self._rows))
+        return [TraceEvent(tick, node, realm, _EVENT_KIND[event], msg_id, uri, detail)
+                for tick, node, realm, event, msg_id, uri, detail in self._rows]
 
     def _emit(self, node, realm, event, msg_id, name, detail) -> None:
+        # _value_ skips Enum's Python-level value property; the text is the same.
         uri = name.uri if isinstance(name, Name) else (name or "-")
-        self._rows.append((self.clock.now_tick, node, realm, event, msg_id, uri, detail))
+        self._rows.append((self.clock.now_tick, node, realm, event._value_, msg_id, uri, detail))
 
     def sorted_trace(self) -> list[tuple]:
         """The rows in trace order; rows that tie keep their emission order."""
         return sorted(self._rows, key=_TRACE_ORDER)
 
     def trace_text(self) -> str:
-        # _value_ skips Enum's Python-level value property; the text is the same.
-        return "\n".join([f"t={tick} node={node} realm={realm} event={event._value_}"
+        return "\n".join([f"t={tick} node={node} realm={realm} event={event}"
                           f" msg={msg_id} name={uri} detail={detail}"
                           for tick, node, realm, event, msg_id, uri, detail
                           in self.sorted_trace()])
 
     # The route entry points: perfbench wraps both as Fabric attributes.
-    def _path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
-        return self.topology.path(realm_id, src, dst)
+    def _path(self, realm_id: str, src: str, dst: str) -> Route | None:
+        """The route from src to dst, as Topology.route gives it: shared, not copied."""
+        return self.topology.route(realm_id, src, dst)
 
     def _nearest_server(self, node_id: str, kind: NodeKind) -> tuple[str, int, str] | None:
         return self.topology.nearest(node_id, self.nodes[node_id].realms, kind)
@@ -808,18 +862,18 @@ class Fabric:
             msg, carried = carried.msg, carried.carried
 
     def _transmit(self, msg, src, realm_id, dst_node, first_event, call, carried=None) -> None:
-        path = self._path(realm_id, src, dst_node)
-        if path is None:
+        route = self._path(realm_id, src, dst_node)
+        if route is None:
             self._lost(src, realm_id, msg, call, carried)
             return
         name = msg.target_name
-        flight = _Flight(self, msg, realm_id, path, call, carried,
+        flight = _Flight(self, msg, realm_id, route, call, carried,
                          "-" if name is None else name.uri,
                          f"to={dst_node} kind={msg.kind._value_}")
         detail = flight.detail if carried is None else f"{flight.detail} {carried.tunnel}"
-        self._rows.append((self.clock.now_tick, src, realm_id, first_event, msg.msg_id,
+        self._rows.append((self.clock.now_tick, src, realm_id, first_event._value_, msg.msg_id,
                            flight.uri, detail))
-        if len(path) == 1:
+        if len(flight.path) == 1:
             flight.i = 0
             self.at(self.clock.now_tick, flight.land)
             return
@@ -933,7 +987,7 @@ class Fabric:
     def _recv(self, msg, node_id, realm_id, extra="") -> None:
         detail = _RECV_DETAIL[msg.kind]
         name = msg.target_name
-        self._rows.append((self.clock.now_tick, node_id, realm_id, EventKind.RECV, msg.msg_id,
+        self._rows.append((self.clock.now_tick, node_id, realm_id, "RECV", msg.msg_id,
                            "-" if name is None else name.uri,
                            f"{detail} {extra}" if extra else detail))
 

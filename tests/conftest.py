@@ -3,7 +3,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
-from internames.fabric import Fabric
+from internames.fabric import EventKind, Fabric
 from internames.scenario import (
     build_fabric,
     load_builtin,
@@ -13,10 +13,11 @@ from internames.scenario import (
 )
 
 def trace_line(event) -> str:
-    """One trace line, formatted field by field from a TraceEvent or a row:
-    the oracle of Fabric.trace_text."""
+    """One trace line, formatted field by field from a TraceEvent or a row
+    (whose event is its text): the oracle of Fabric.trace_text."""
     tick, node, realm, kind, msg_id, name, detail = event
-    return (f"t={tick} node={node} realm={realm} event={kind.value}"
+    text = kind.value if isinstance(kind, EventKind) else kind
+    return (f"t={tick} node={node} realm={realm} event={text}"
             f" msg={msg_id} name={name} detail={detail}")
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import weakref
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -255,10 +256,10 @@ def test_heal_of_one_realm_keeps_another_realms_partition(realms_of_x):
     x_in_b = "B" in realms_of_x
     assert f.node_tags["z"] == frozenset({"disaster"})
     assert f.node_tags["x"] == frozenset({"disaster" if x_in_b else "normal"})
-    assert f._path("net", "x", "z") == (["x", "z"] if x_in_b else None)
-    assert f._path("net", "x", "y") == (None if x_in_b else ["x", "y"])
+    assert f.topology.path("net", "x", "z") == (["x", "z"] if x_in_b else None)
+    assert f.topology.path("net", "x", "y") == (None if x_in_b else ["x", "y"])
     f.heal("B")
-    assert f._path("net", "x", "z") == ["x", "z"] and f._path("net", "x", "y") == ["x", "y"]
+    assert f.topology.path("net", "x", "z") == ["x", "z"] and f.topology.path("net", "x", "y") == ["x", "y"]
     assert set(f.node_tags.values()) == {frozenset({"normal"})}
 
 
@@ -349,8 +350,50 @@ def test_topology_private_state_is_its_set_up_indexes_and_memos_and_forget_clear
     assert all(getattr(topology, index) for index in TOPOLOGY_INDEXES)
 
 
+@contextmanager
+def forgetting_every_memo():
+    """Within it, each Fabric made forgets every memo around each clock
+    callback, so each hop of a flight finds the epoch of its route gone and
+    reads its link through link_between: the oracle of the hops that read
+    it from their route.  Yields the list of those link_between calls."""
+    def forget(fabric):
+        fabric.topology.forget()
+        for memo in MEMOS:
+            getattr(fabric, memo).clear()
+        fabric.name_of = parse_name
+
+    # Hops are scheduled on the clock itself, past Fabric.at, so the clock's
+    # schedule is wrapped, and each clock is mapped back to its fabric.
+    fabric_of, fallbacks = {}, []
+    real_init, real_schedule = Fabric.__init__, SimClock.schedule
+    real_link_between = Topology.link_between
+
+    def recording_init(fabric):
+        real_init(fabric)
+        fabric_of[fabric.clock] = fabric
+
+    def forgetful_schedule(clock, tick, fn):
+        def callback():
+            forget(fabric_of[clock])
+            fn()
+            forget(fabric_of[clock])
+        real_schedule(clock, tick, callback)
+
+    def counted_link_between(topology, *args):
+        fallbacks.append(args)
+        return real_link_between(topology, *args)
+
+    Fabric.__init__, SimClock.schedule = recording_init, forgetful_schedule
+    Topology.link_between = counted_link_between
+    try:
+        yield fallbacks
+    finally:
+        Fabric.__init__, SimClock.schedule = real_init, real_schedule
+        Topology.link_between = real_link_between
+
+
 @pytest.mark.parametrize("name", [*BUILTIN_NAMES, "churn", "bridge-pull"])
-def test_a_run_that_forgets_every_memo_gives_the_same_trace(name, monkeypatch):
+def test_a_run_that_forgets_every_memo_gives_the_same_trace(name):
     # Two perfbench workloads, at smoke size, are checked against their own
     # plain run.  churn tunnels its vault realm's hops through core, and its
     # stub partition cuts nr-b's vault link while they are under way.
@@ -359,24 +402,9 @@ def test_a_run_that_forgets_every_memo_gives_the_same_trace(name, monkeypatch):
     else:
         scenario = parse_scenario(workloads.generate(name, 1, "smoke").scenario_text, name=name)
         expected = run_scenario(scenario).trace_text + "\n"
-
-    def forget(fabric):
-        fabric.topology.forget()
-        for memo in MEMOS:
-            getattr(fabric, memo).clear()
-        fabric.name_of = parse_name
-
-    real_at = Fabric.at
-
-    def forgetful_at(fabric, tick, fn):
-        def callback():
-            forget(fabric)
-            fn()
-            forget(fabric)
-        real_at(fabric, tick, callback)
-
-    monkeypatch.setattr(Fabric, "at", forgetful_at)
-    assert run_scenario(scenario).trace_text + "\n" == expected
+    with forgetting_every_memo() as fallbacks:
+        assert run_scenario(scenario).trace_text + "\n" == expected
+    assert fallbacks  # the run took the per-hop fallback
 
 
 # ------------------------------------------------------------ route oracle
@@ -457,12 +485,12 @@ ROUTE_STEP = st.one_of(
 )
 
 
-@settings(deadline=None)
-@given(st.lists(ROUTE_NODE, min_size=2, max_size=5), st.lists(ROUTE_STEP, max_size=10))
-def test_routes_match_link_scan_oracle(initial, steps):
-    # One routing realm, "net", and two cells that may overlap.  A link of
-    # net is down while it crosses the edge of a cell that is partitioned,
-    # and a node is tagged disaster while a cell it is in is partitioned.
+def route_fabric_states(initial, steps):
+    """One routing realm, "net", and two cells that may overlap, built from
+    ROUTE_NODE and ROUTE_STEP draws: yields (fabric, its nodes, the cells
+    partitioned) once the initial nodes are in, and again after each step.
+    A link of net is down while it crosses the edge of a cell that is
+    partitioned, and a node is tagged disaster while a cell it is in is."""
     f = Fabric()
     for realm in ("net", *CELLS):
         f.add_realm(realm, RealmTech.IPISH)
@@ -473,24 +501,9 @@ def test_routes_match_link_scan_oracle(initial, steps):
         f.add_node(node, kind, ["net"] + [c for c, inside in zip(CELLS, in_cells) if inside])
         nodes.append(node)
 
-    def check():
-        for link in f.topology.links:
-            ends = [set(f.nodes[n].realms) for n in (link.a, link.b)]
-            assert link.alive == all((c in ends[0]) == (c in ends[1]) for c in down)
-        for a in nodes:
-            tag = "disaster" if down.intersection(f.nodes[a].realms) else "normal"
-            assert f.node_tags[a] == frozenset({tag})
-            for b in nodes:
-                assert f._path("net", a, b) == oracle_path(f, "net", a, b)
-                assert f.topology.link_between("net", a, b) is oracle_link_between(f, "net", a, b)
-            for kind in (NodeKind.NRS, NodeKind.ORS):
-                assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
-            for toward in ({"cell0"}, {"cell1"}, set()):
-                assert f._gateway("net", a, toward) == oracle_gateway(f, "net", a, toward)
-
     for node in initial:
         add(*node)
-    check()
+    yield f, nodes, down
     for step in steps:
         if step[0] == "link":
             a, b = nodes[step[1] % len(nodes)], nodes[step[2] % len(nodes)]
@@ -502,7 +515,73 @@ def test_routes_match_link_scan_oracle(initial, steps):
             op, cell = step
             getattr(f, op)(cell)
             (down.add if op == "partition" else down.discard)(cell)
-        check()
+        yield f, nodes, down
+
+
+@settings(deadline=None)
+@given(st.lists(ROUTE_NODE, min_size=2, max_size=5), st.lists(ROUTE_STEP, max_size=10))
+def test_routes_match_link_scan_oracle(initial, steps):
+    for f, nodes, down in route_fabric_states(initial, steps):
+        for link in f.topology.links:
+            ends = [set(f.nodes[n].realms) for n in (link.a, link.b)]
+            assert link.alive == all((c in ends[0]) == (c in ends[1]) for c in down)
+        for a in nodes:
+            tag = "disaster" if down.intersection(f.nodes[a].realms) else "normal"
+            assert f.node_tags[a] == frozenset({tag})
+            for b in nodes:
+                assert f.topology.path("net", a, b) == oracle_path(f, "net", a, b)
+                assert f.topology.link_between("net", a, b) is oracle_link_between(f, "net", a, b)
+            for kind in (NodeKind.NRS, NodeKind.ORS):
+                assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
+            for toward in ({"cell0"}, {"cell1"}, set()):
+                assert f._gateway("net", a, toward) == oracle_gateway(f, "net", a, toward)
+
+
+def route_links(route):
+    """The link a flight takes on each hop of route while the epoch it was
+    read in stands: the first as _Flight.hop reads it, where a stub's hop
+    into its tree's root takes the stub's own entry link, and every later
+    one as _Flight.land does, from its far end's entry."""
+    path, tree = route
+    links = [tree[node][2] for node in path[1:]]
+    if links and links[0] is None:
+        links[0] = tree[path[0]][2]
+    return links
+
+
+def summing_nearest(topology, node_id, realm_ids, kind):
+    """Topology.nearest as it was before route entries held delays: each
+    route's delay is the sum of link_between's delays along its path."""
+    routes = ((rid, m, topology.path(rid, node_id, m))
+              for rid in realm_ids for m in topology.members(rid, kind))
+    best = min(((sum(topology.link_between(rid, a, b).delay for a, b in zip(p, p[1:])), rid, m)
+                for rid, m, p in routes if p is not None), default=None)
+    return None if best is None else (best[2], best[0], best[1])
+
+
+@settings(deadline=None)
+@given(st.lists(ROUTE_NODE, min_size=2, max_size=6), st.lists(ROUTE_STEP, max_size=12))
+def test_route_entries_match_link_between_and_the_summing_oracle(initial, steps):
+    # Delays 1 and 2 tie, repeated endpoints make parallel links (which
+    # compare equal as dataclasses, so links are matched by identity) and
+    # partitioned cells cut links; stubs arise wherever a node has one
+    # alive neighbour.
+    for f, nodes, _ in route_fabric_states(initial, steps):
+        topology = f.topology
+        for a in nodes:
+            for b in nodes:
+                route = f._path("net", a, b)
+                if route is None:
+                    assert topology.delay("net", a, b) is None
+                    continue
+                path = route[0]
+                links = route_links(route)
+                expected = [topology.link_between("net", x, y) for x, y in zip(path, path[1:])]
+                assert list(map(id, links)) == list(map(id, expected))
+                assert topology.delay("net", a, b) == sum(link.delay for link in links)
+            for kind in (NodeKind.NRS, NodeKind.ORS, NodeKind.NAME_ROUTER):
+                assert f._nearest_server(a, kind) == summing_nearest(
+                    topology, a, f.nodes[a].realms, kind)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
@@ -532,7 +611,7 @@ def test_add_link_refuses_a_delay_below_one(delay):
     with pytest.raises(ValueError, match="delay must be >= 1"):
         f.add_link("a", "b", "net", delay)
     assert len(f.topology.links) == 1
-    assert f._path("net", "a", "b") == ["a", "b"]
+    assert f.topology.path("net", "a", "b") == ["a", "b"]
 
 
 # ------------------------------------------------------------- FIB oracle
@@ -725,20 +804,15 @@ def test_link_dying_in_flight_reroutes():
     for a, b, delay in (("a", "b", 1), ("b", "x", 1), ("x", "c", 1), ("b", "d", 2), ("d", "c", 2)):
         f.add_link(a, b, "net", delay)
     tgt = bound(f, "c", "carol")
-    assert f._path("net", "a", "c") == ["a", "b", "x", "c"]
-    assert f._path("net", "b", "c") == ["b", "x", "c"]  # memoised before x is cut off
+    assert f.topology.path("net", "a", "c") == ["a", "b", "x", "c"]
+    assert f.topology.path("net", "b", "c") == ["b", "x", "c"]  # memoised before x is cut off
     f.at(1, lambda: f.partition("cell"))  # runs before the message leaves b
     f.send("a.net", "c", resp(f, tgt))
     f.run_until_idle()
     hops = [(tick, node, event) for tick, node, _, event, *_ in f.sorted_trace()
-            if event is not EventKind.REBIND]
-    assert hops == [
-        (0, "a", EventKind.SEND),
-        (1, "b", EventKind.FWD),
-        (3, "d", EventKind.FWD),
-        (5, "c", EventKind.RECV),
-        (5, "c", EventKind.DELIVER),
-    ]
+            if event != "REBIND"]
+    assert hops == [(0, "a", "SEND"), (1, "b", "FWD"), (3, "d", "FWD"), (5, "c", "RECV"),
+                    (5, "c", "DELIVER")]
 
 
 def test_parallel_links_take_the_cheapest():
@@ -750,7 +824,7 @@ def test_parallel_links_take_the_cheapest():
         f.add_node(node, kind, ["r"])
     for a, b, delay in (("a", "b", 3), ("a", "b", 1), ("a", "c", 1), ("c", "b", 1), ("b", "s", 1)):
         f.add_link(a, b, "r", delay)
-    assert f._path("r", "a", "b") == ["a", "b"]
+    assert f.topology.path("r", "a", "b") == ["a", "b"]
     assert f.topology.link_between("r", "a", "b").delay == 1
     assert f._nearest_server("a", NodeKind.NRS) == ("s", 2, "r")
     bob = parse_name("n2n://users:bob")
@@ -771,13 +845,32 @@ def test_cheaper_link_healed_between_hops_takes_the_next_hop():
     cheap.alive = False
     f.topology.forget()
     tgt = bound(f, "c", "carol")
-    assert f._path("net", "a", "c") == ["a", "b", "c"]
+    assert f.topology.path("net", "a", "c") == ["a", "b", "c"]
 
     def heal():
         cheap.alive = True
         f.topology.forget()
 
     f.at(1, heal)  # runs before the message leaves b
+    f.send("a.net", "c", resp(f, tgt))
+    f.run_until_idle()
+    assert [(e.tick, e.node, e.event) for e in f.trace if e.event is not EventKind.REBIND] == [
+        (0, "a", EventKind.SEND),
+        (1, "b", EventKind.FWD),
+        (2, "c", EventKind.RECV),
+        (2, "c", EventKind.DELIVER),
+    ]
+
+
+def test_link_added_in_flight_is_priced_at_the_next_hop():
+    # a-b then b-c (delay 5); a second b-c link, delay 1, is added after the
+    # message leaves a and before it leaves b.  add_link must make the
+    # flight drop the link its route planned for that hop.
+    f = tiny_ip_fabric(("a", "b"))
+    f.add_node("c", NodeKind.HOST, ["net"])
+    f.add_link("b", "c", "net", 5)
+    tgt = bound(f, "c", "carol")
+    f.at(1, lambda: f.add_link("b", "c", "net", 1))
     f.send("a.net", "c", resp(f, tgt))
     f.run_until_idle()
     assert [(e.tick, e.node, e.event) for e in f.trace if e.event is not EventKind.REBIND] == [
@@ -971,11 +1064,8 @@ def nested_runs(draw):
     return depth, nodes, links, draw(node), cut_at, heal_at, sends
 
 
-@settings(deadline=None)
-@given(nested_runs())
-# r0 has no link, so r1's push from a to b, carrying r2's message, has no route.
-@example((3, "ab", [[], [(("a", "b"), 1)], [(("a", "b"), 1)]], "a", 9, None, [(0, "a", "b")]))
-def test_every_sent_message_is_received_at_its_destination_or_dropped_once(run):
+def run_nested(run):
+    """The fabric of a nested_runs draw, run until idle."""
     depth, nodes, links, cell, cut_at, heal_at, sends = run
     realms = [f"r{level}" for level in range(depth)]
     f = Fabric()
@@ -996,6 +1086,15 @@ def test_every_sent_message_is_received_at_its_destination_or_dropped_once(run):
         f.bind(name, f"{dst}.{realms[-1]}")
         f.at(tick, partial(f._transmit, resp(f, name), src, realms[-1], dst, EventKind.SEND, None))
     f.run_until_idle()
+    return f
+
+
+@settings(deadline=None)
+@given(nested_runs())
+# r0 has no link, so r1's push from a to b, carrying r2's message, has no route.
+@example((3, "ab", [[], [(("a", "b"), 1)], [(("a", "b"), 1)]], "a", 9, None, [(0, "a", "b")]))
+def test_every_sent_message_is_received_at_its_destination_or_dropped_once(run):
+    f = run_nested(run)
     to, ends = {}, {}
     for e in f.trace:
         if e.event is EventKind.SEND:
@@ -1006,6 +1105,22 @@ def test_every_sent_message_is_received_at_its_destination_or_dropped_once(run):
         end = ends.get(msg_id, [])
         assert end == [(EventKind.RECV, dst)] or [e for e, _ in end] == [EventKind.DROP], \
             f.trace_text()
+
+
+@settings(deadline=None)
+@given(nested_runs())
+# c's only link is cut at tick 1, as the message from a lands at b: the hop
+# from b must find it dead, and the message is dropped there.
+@example((1, "abc", [[(("a", "b"), 1), (("b", "c"), 1)]], "c", 1, None, [(0, "a", "c")]))
+def test_oracle_hops_read_from_their_route_match_the_per_hop_path(run):
+    # The cell's partition and heal fall at random ticks, while flights are
+    # under way in every realm, tunnelled or not.
+    expected = run_nested(run).trace_text()
+    with forgetting_every_memo() as fallbacks:
+        f = run_nested(run)
+    assert f.trace_text() == expected
+    # Each hop on from a FWD took the per-hop path, so the oracle read no route.
+    assert len(fallbacks) >= sum(row[3] == "FWD" for row in f._rows)
 
 
 def test_tunnelled_bodies_decode_to_their_inner_message(monkeypatch):
@@ -1044,7 +1159,7 @@ def assert_routes_match_oracle(f, realm_id="net"):
     nodes = sorted(f.realms[realm_id].member_nodes)
     for a in nodes:
         for b in nodes:
-            assert f._path(realm_id, a, b) == oracle_path(f, realm_id, a, b)
+            assert f.topology.path(realm_id, a, b) == oracle_path(f, realm_id, a, b)
             assert f.topology.link_between(realm_id, a, b) is oracle_link_between(f, realm_id, a, b)
         for kind in (NodeKind.NRS, NodeKind.ORS):
             assert f._nearest_server(a, kind) == oracle_nearest_server(f, a, kind)
@@ -1065,15 +1180,15 @@ def stub_fabric(links, cell=()):
 def test_stub_two_node_component():
     # a and b are each the other's only neighbour; z is another component.
     f = stub_fabric([("a", "b", 1), ("z", "s", 1)])
-    assert f._path("net", "a", "b") == ["a", "b"]
-    assert f._path("net", "b", "a") == ["b", "a"]
-    assert f._path("net", "a", "s") is None
+    assert f.topology.path("net", "a", "b") == ["a", "b"]
+    assert f.topology.path("net", "b", "a") == ["b", "a"]
+    assert f.topology.path("net", "a", "s") is None
     assert_routes_match_oracle(f)
 
 
 def test_stub_with_parallel_links_to_its_router():
     f = stub_fabric([("h", "r", 2), ("h", "r", 1), ("r", "x", 1), ("x", "s", 1), ("r", "s", 3)])
-    assert f._path("net", "h", "s") == ["h", "r", "x", "s"]
+    assert f.topology.path("net", "h", "s") == ["h", "r", "x", "s"]
     assert f.topology.link_between("net", "h", "r").delay == 1
     assert f._nearest_server("h", NodeKind.NRS) == ("s", 3, "net")
     assert_routes_match_oracle(f)
@@ -1081,28 +1196,28 @@ def test_stub_with_parallel_links_to_its_router():
 
 def test_stub_cut_off_by_partition_and_healed():
     f = stub_fabric([("h", "r", 1), ("r", "s", 1), ("r", "x", 1)], cell=("h",))
-    assert f._path("net", "h", "s") == ["h", "r", "s"]
+    assert f.topology.path("net", "h", "s") == ["h", "r", "s"]
     f.partition("cell")
-    assert f._path("net", "h", "s") is None
-    assert f._path("net", "s", "h") is None
+    assert f.topology.path("net", "h", "s") is None
+    assert f.topology.path("net", "s", "h") is None
     assert_routes_match_oracle(f)
     f.heal("cell")
-    assert f._path("net", "h", "s") == ["h", "r", "s"]
+    assert f.topology.path("net", "h", "s") == ["h", "r", "s"]
     assert_routes_match_oracle(f)
 
 
 def test_stub_behind_a_stub():
     # h1's only neighbour is h2, whose only other neighbour is r.
     f = stub_fabric([("h1", "h2", 1), ("h2", "r", 1), ("r", "s", 1), ("r", "x", 1)])
-    assert f._path("net", "h1", "s") == ["h1", "h2", "r", "s"]
-    assert f._path("net", "s", "h1") == ["s", "r", "h2", "h1"]
+    assert f.topology.path("net", "h1", "s") == ["h1", "h2", "r", "s"]
+    assert f.topology.path("net", "s", "h1") == ["s", "r", "h2", "h1"]
     assert_routes_match_oracle(f)
 
 
 def test_stub_route_to_its_own_neighbour():
     f = stub_fabric([("h", "r", 2), ("r", "x", 1), ("x", "s", 1)])
-    assert f._path("net", "h", "r") == ["h", "r"]
-    assert f._path("net", "r", "h") == ["r", "h"]
+    assert f.topology.path("net", "h", "r") == ["h", "r"]
+    assert f.topology.path("net", "r", "h") == ["r", "h"]
     assert_routes_match_oracle(f)
 
 
@@ -1132,7 +1247,7 @@ def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
         router = routers[i % 4]
         assert f._nearest_server(h, NodeKind.NRS) == ("nrs", 2 + int(router[1]), "net")
         assert f._gateway("net", h, {"far"}) == "RN"
-        assert f._path("net", h, "RN") == oracle_path(f, "net", h, "RN")
+        assert f.topology.path("net", h, "RN") == oracle_path(f, "net", h, "RN")
     assert len(searches) <= 5
 
 
@@ -1223,7 +1338,7 @@ def run_drops(text, timeline, policies=()):
     result, _ = run_checked(drop_scenario(text, timeline, policies))
     drops = [(tick, node, realm, uri, detail)
              for tick, node, realm, event, _, uri, detail in result.fabric.sorted_trace()
-             if event is EventKind.DROP]
+             if event == "DROP"]
     return drops, [(c.kind, c.error) for c in result.calls]
 
 
@@ -1354,7 +1469,7 @@ def test_send_to_name_delivers_one_copy_per_binding():
     result, _ = run_checked(drop_scenario(
         SERVED_BY_SENDER, ["0,push,n2n://users:u3,n2n://users:u1,hi"]))
     delivers = [(tick, node) for tick, node, _, event, *_ in result.fabric.sorted_trace()
-                if event is EventKind.DELIVER]
+                if event == "DELIVER"]
     assert delivers == [(6, "cli1")]
     (call,) = result.calls
     assert [nap for nap, _, _ in call.deliveries] == ["cli1.internet"]
@@ -1366,8 +1481,7 @@ def test_name_router_serving_a_get_logs_one_recv():
     at_router = [(tick, event, msg_id, detail)
                  for tick, node, _, event, msg_id, _, detail in result.fabric.sorted_trace()
                  if node == "RNy"]
-    assert at_router == [(6, EventKind.RECV, 2, "kind=HTTP_GET"),
-                         (6, EventKind.SEND, 3, "to=cli1 kind=HTTP_RESP")]
+    assert at_router == [(6, "RECV", 2, "kind=HTTP_GET"), (6, "SEND", 3, "to=cli1 kind=HTTP_RESP")]
 
 
 def test_subscribe_at_a_node_that_is_not_a_rendezvous_fails(cross_realm_fabric):

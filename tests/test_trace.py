@@ -1,6 +1,7 @@
 """The trace as the fabric records and renders it: rows in emission order,
 read through Fabric.trace, sorted stably and rendered by trace_text."""
 
+import gc
 import sys
 from pathlib import Path
 
@@ -75,9 +76,18 @@ def test_fabric_trace_yields_trace_events_in_emission_order():
     rows = fabric._rows
     events = fabric.trace
     assert len(events) == len(rows) > 0
-    assert all(type(e) is TraceEvent for e in events)
-    assert events == rows
+    assert all(type(e) is TraceEvent and type(e.event) is EventKind for e in events)
+    # A row holds the event's text where its TraceEvent holds the kind.
+    assert [e._replace(event=e.event.value) for e in events] == rows
     assert [e.tick for e in events] == sorted(e.tick for e in events)
     assert any(e.event is EventKind.DELIVER for e in events)
     with pytest.raises(AttributeError):
         fabric.trace = []
+
+
+def test_rows_hold_only_values_the_collector_untracks():
+    # A row of str and int is untracked by the first collection that sees
+    # it, so a long trace is not scanned again by every later one.
+    fabric = run_fabric("churn")
+    gc.collect()
+    assert not [row for row in fabric._rows if gc.is_tracked(row)]
