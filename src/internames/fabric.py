@@ -451,13 +451,18 @@ class _Flight:
     route's tree holds for it; after that, over the cheapest link alive at
     that moment, and if none is, the flight re-routes from where it is, or
     is dropped there.  In a nested realm each hop is tunnelled: an HTTP push
-    flies in the parent realm with this flight as its ``carried``, and lands
-    it when it lands, or drops it when it is lost.  The text every hop
-    shares is built once: ``uri`` and ``detail`` for each FWD, and the
-    message's encoding and tunnel text for each tunnelled hop."""
+    carries it in the parent realm.  When the parent realm is top level and
+    the push's route there is one hop, this flight lands the push itself:
+    ``outer`` is the push's id, and carrier_landed logs its RECV and lands
+    this flight.  Such a push is never checked again once it leaves, so it
+    cannot be lost.  Any other push flies as a flight of its own with this
+    flight as its ``carried``, and lands it when it lands, or drops it when
+    it is lost.  The text every hop shares is built once: ``uri`` and
+    ``detail`` for each FWD, and the message's encoding and tunnel text for
+    each tunnelled hop."""
 
     __slots__ = ("fabric", "msg", "realm", "path", "tree", "epoch", "i", "call", "carried",
-                 "uri", "detail", "parent", "encoded", "tunnel")
+                 "uri", "detail", "parent", "encoded", "tunnel", "outer")
 
     def __init__(self, fabric, msg, realm, route, call, carried, uri, detail):
         self.fabric = fabric
@@ -477,12 +482,7 @@ class _Flight:
         """Send msg from path[i - 1] to path[i]."""
         fabric, path, i = self.fabric, self.path, self.i
         topology = fabric.topology
-        if self.epoch == topology.epoch:
-            # A hop's link is the entry link of its end farther from the
-            # tree's root: path[i], but for a stub's first hop, into the root.
-            tree = self.tree
-            link = tree[path[i]][2] or tree[path[i - 1]][2]
-        else:
+        if self.epoch != topology.epoch:
             link = topology.link_between(self.realm, path[i - 1], path[i])
             if link is None:
                 # Link died after the path was computed; recompute from path[i - 1].
@@ -494,6 +494,11 @@ class _Flight:
                 self.epoch, self.i = topology.epoch, 1
                 self.hop()
                 return
+        elif self.parent is None:
+            # A hop's link is the entry link of its end farther from the
+            # tree's root: path[i], but for a stub's first hop, into the root.
+            tree = self.tree
+            link = tree[path[i]][2] or tree[path[i - 1]][2]
         if self.parent is not None:
             self.tunnel_hop()
             return
@@ -508,17 +513,20 @@ class _Flight:
             if carried is None:
                 fabric._arrive(msg, path[i], self.realm, self.call)
             else:
-                fabric._emit(path[i], self.realm, EventKind.RECV, msg.msg_id, "-",
-                             carried.tunnel)
+                fabric._rows.append((fabric.clock.now_tick, path[i], self.realm, "RECV",
+                                     msg.msg_id, "-", carried.tunnel))
                 carried.land()
             return
         clock = fabric.clock
         now = clock.now_tick
         fabric._rows.append((now, path[i], self.realm, "FWD", msg.msg_id, self.uri, self.detail))
         self.i = i = i + 1
-        if self.parent is None and self.epoch == fabric.topology.epoch:
-            # Past its first hop a route leads away from its tree's root.
-            clock.schedule(now + self.tree[path[i]][2].delay, self.land)
+        if self.epoch == fabric.topology.epoch:
+            if self.parent is None:
+                # Past its first hop a route leads away from its tree's root.
+                clock.schedule(now + self.tree[path[i]][2].delay, self.land)
+            else:
+                self.tunnel_hop()
             return
         self.hop()
 
@@ -528,13 +536,35 @@ class _Flight:
 
     def tunnel_hop(self) -> None:
         """Carry the hop as a payload message in the parent realm."""
-        fabric, msg = self.fabric, self.msg
+        fabric, msg, parent = self.fabric, self.msg, self.parent
         if self.encoded is None:
             self.encoded = encode(msg)
             self.tunnel = f"tunnel realm={self.realm} inner={msg.msg_id}"
         outer = fabric._new_msg(MessageKind.HTTP_PUSH, "", None, None, self.encoded)
-        fabric._transmit(outer, self.path[self.i - 1], self.parent, self.path[self.i],
-                         EventKind.SEND, self.call, carried=self)
+        src, dst = self.path[self.i - 1], self.path[self.i]
+        route = fabric._path(parent, src, dst)
+        if route is None:
+            fabric._lost(src, parent, outer, self.call, self)
+            return
+        if len(route[0]) > 2 or fabric.realms[parent].parent_realm is not None:
+            fabric._fly(outer, src, parent, dst, route, EventKind.SEND, self.call, self)
+            return
+        clock = fabric.clock
+        now = clock.now_tick
+        self.outer = outer.msg_id
+        fabric._rows.append((now, src, parent, "SEND", outer.msg_id, "-",
+                             f"to={dst} kind=HTTP_PUSH {self.tunnel}"))
+        # The one hop's link, as hop reads it: dst's entry, or a stub's own.
+        tree = route[1]
+        link = tree[dst][2] or tree[src][2]
+        clock.schedule(now + link.delay, self.carrier_landed)
+
+    def carrier_landed(self) -> None:
+        """The one-hop push carrying this flight's hop reached path[i]."""
+        fabric = self.fabric
+        fabric._rows.append((fabric.clock.now_tick, self.path[self.i], self.parent, "RECV",
+                             self.outer, "-", self.tunnel))
+        self.land()
 
 
 class Fabric:
@@ -835,10 +865,11 @@ class Fabric:
         if dst_realm is not None and dst_realm != nap.realm_id:
             if self.nodes[dst_node].kind is not NodeKind.NAME_ROUTER:
                 raise RealmViolation(f"{to_address} crosses out of realm {nap.realm_id}")
-        if self._path(nap.realm_id, nap.node_id, dst_node) is None:
+        route = self._path(nap.realm_id, nap.node_id, dst_node)
+        if route is None:
             raise NoRoute(f"no path from {nap.node_id} to {dst_node} in {nap.realm_id}")
         self._register_msg(payload)
-        self._transmit(payload, nap.node_id, nap.realm_id, dst_node, EventKind.SEND, None)
+        self._fly(payload, nap.node_id, nap.realm_id, dst_node, route, EventKind.SEND, None, None)
         return payload.msg_id
 
     def drop(self, node, realm_id, msg, reason, call, name="-", extra="") -> None:
@@ -861,11 +892,15 @@ class Fabric:
                       extra=f"outer={msg.msg_id}")
             msg, carried = carried.msg, carried.carried
 
-    def _transmit(self, msg, src, realm_id, dst_node, first_event, call, carried=None) -> None:
+    def _transmit(self, msg, src, realm_id, dst_node, first_event, call) -> None:
         route = self._path(realm_id, src, dst_node)
         if route is None:
-            self._lost(src, realm_id, msg, call, carried)
+            self._lost(src, realm_id, msg, call, None)
             return
+        self._fly(msg, src, realm_id, dst_node, route, first_event, call, None)
+
+    def _fly(self, msg, src, realm_id, dst_node, route, first_event, call, carried) -> None:
+        """Log msg's first event at src and start its flight along route."""
         name = msg.target_name
         flight = _Flight(self, msg, realm_id, route, call, carried,
                          "-" if name is None else name.uri,

@@ -114,6 +114,23 @@ def test_send_without_path():
         f.send("nowhere.net", "b", resp(f, None))
 
 
+def test_send_routes_once(monkeypatch):
+    # The route send checks is the route the message flies.
+    f = tiny_ip_fabric()
+    tgt = bound(f, "b", "bob")
+    routed, real_path = [], Fabric._path
+
+    def counted_path(fabric, *args):
+        routed.append(args)
+        return real_path(fabric, *args)
+
+    monkeypatch.setattr(Fabric, "_path", counted_path)
+    f.send("a.net", "b", resp(f, tgt))
+    f.run_until_idle()
+    assert routed == [("net", "a", "b")]
+    assert [row[3] for row in f._rows if row[3] != "REBIND"] == ["SEND", "RECV", "DELIVER"]
+
+
 def test_random_sends_trace_order_and_conservation():
     hosts = tuple("h%d" % i for i in range(6))
     f = tiny_ip_fabric(hosts)
@@ -1148,6 +1165,79 @@ def test_tunnelled_bodies_decode_to_their_inner_message(monkeypatch):
             body = fabric.messages[outer].body
             assert decode(body) == inner_of[body]
             assert inner_of[body].msg_id == inner_id
+
+
+def child_flight_tunnel_hop(flight):
+    """The reference tunnel hop: every carrier, one hop or not, flies as a
+    flight of its own in the parent realm, with the inner flight as its
+    carried."""
+    fabric, msg = flight.fabric, flight.msg
+    if flight.encoded is None:
+        flight.encoded = fabric_module.encode(msg)
+        flight.tunnel = f"tunnel realm={flight.realm} inner={msg.msg_id}"
+    outer = fabric._new_msg(MessageKind.HTTP_PUSH, "", None, None, flight.encoded)
+    src, dst = flight.path[flight.i - 1], flight.path[flight.i]
+    route = fabric._path(flight.parent, src, dst)
+    if route is None:
+        fabric._lost(src, flight.parent, outer, flight.call, flight)
+        return
+    fabric._fly(outer, src, flight.parent, dst, route, EventKind.SEND, flight.call, flight)
+
+
+def trace_and_messages(fabric):
+    return fabric.trace_text(), {i: (m.kind, m.body) for i, m in fabric.messages.items()}
+
+
+def assert_carriers_match_child_flights(run):
+    """run() gives a fabric run until idle; it must log the same trace and
+    keep the same messages when every carrier is a child flight."""
+    expected = trace_and_messages(run())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fabric_module._Flight, "tunnel_hop", child_flight_tunnel_hop)
+        assert trace_and_messages(run()) == expected
+
+
+@settings(deadline=None)
+@given(nested_runs())
+def test_oracle_one_hop_carriers_match_child_flights(run):
+    # Depth 1-3, with the cell partitioned and healed at random ticks.
+    assert_carriers_match_child_flights(partial(run_nested, run))
+
+
+@pytest.mark.parametrize("name", ["migration", "churn"])
+def test_oracle_one_hop_carriers_match_child_flights_on_scenarios(name):
+    # churn, at smoke size, tunnels its vault realm's hops through core.
+    if name == "churn":
+        scenario = parse_scenario(workloads.generate(name, 1, "smoke").scenario_text, name=name)
+    else:
+        scenario = load_builtin(name)
+    assert_carriers_match_child_flights(lambda: run_scenario(scenario).fabric)
+
+
+@pytest.mark.parametrize("realms, net_links, flights", [
+    # net carries each hop of sub in one hop: only sub's flight is built.
+    (("net", "sub"), [("a", "b"), ("b", "c")], ["sub"]),
+    # net carries sub's b-c hop by d, two hops: that push is a flight.
+    (("net", "sub"), [("a", "b"), ("b", "d"), ("d", "c")], ["sub", "net"]),
+    # mid is nested, so each of its pushes is a flight; net carries their
+    # hops in one hop each.
+    (("net", "mid", "sub"), [("a", "b"), ("b", "c")], ["sub", "mid", "mid"]),
+], ids=["one-hop", "lost-in-flight", "twice-nested"])
+def test_a_one_hop_carrier_in_a_top_level_realm_is_no_flight(monkeypatch, realms, net_links,
+                                                              flights):
+    f, tgt = tunnel_fabric(realms, net_links)
+    built, real_init = [], fabric_module._Flight.__init__
+
+    def counted_init(flight, fabric, msg, realm, *args):
+        built.append(realm)
+        real_init(flight, fabric, msg, realm, *args)
+
+    monkeypatch.setattr(fabric_module._Flight, "__init__", counted_init)
+    f.send("a.sub", "c", resp(f, tgt, b"hi"))
+    f.run_until_idle()
+    assert built == flights
+    events = [row[3] for row in f._rows]
+    assert "DELIVER" in events and "DROP" not in events
 
 
 # ------------------------------------------------------------ stub routing
