@@ -49,6 +49,10 @@ def _golden_path_for(arg: str) -> str:
 
 
 def _cmd_run(args) -> int:
+    if args.bless and args.until is not None:
+        # diff runs to idle, so a golden cut at a tick could never match.
+        print("error: --bless freezes a run to idle; it cannot take --until", file=sys.stderr)
+        return EXIT_INVALID
     scenario = _resolve_scenario(args.scenario)
     result = run_scenario(scenario, until_tick=args.until)
     text = result.trace_text + "\n"

@@ -455,11 +455,14 @@ class _Flight:
     the push's route there is one hop, this flight lands the push itself:
     ``outer`` is the push's id, and carrier_landed logs its RECV and lands
     this flight.  Such a push is never checked again once it leaves, so it
-    cannot be lost.  Any other push flies as a flight of its own with this
+    cannot be lost, and it is only an id in the trace: no message is made
+    for it and nothing is encoded.  Any other push is a kept message whose
+    body is msg's encoding.  With no route as it leaves it is dropped at
+    once, and msg with it; else it flies as a flight of its own with this
     flight as its ``carried``, and lands it when it lands, or drops it when
     it is lost.  The text every hop shares is built once: ``uri`` and
-    ``detail`` for each FWD, and the message's encoding and tunnel text for
-    each tunnelled hop."""
+    ``detail`` for each FWD, the tunnel text for each tunnelled hop, and
+    msg's encoding for each kept push."""
 
     __slots__ = ("fabric", "msg", "realm", "path", "tree", "epoch", "i", "call", "carried",
                  "uri", "detail", "parent", "encoded", "tunnel", "outer")
@@ -476,7 +479,7 @@ class _Flight:
         self.uri = uri
         self.detail = detail
         self.parent = fabric.realms[realm].parent_realm
-        self.encoded = None
+        self.encoded = self.tunnel = None
 
     def hop(self) -> None:
         """Send msg from path[i - 1] to path[i]."""
@@ -536,23 +539,27 @@ class _Flight:
 
     def tunnel_hop(self) -> None:
         """Carry the hop as a payload message in the parent realm."""
-        fabric, msg, parent = self.fabric, self.msg, self.parent
-        if self.encoded is None:
-            self.encoded = encode(msg)
-            self.tunnel = f"tunnel realm={self.realm} inner={msg.msg_id}"
-        outer = fabric._new_msg(MessageKind.HTTP_PUSH, "", None, None, self.encoded)
+        fabric, parent = self.fabric, self.parent
+        if self.tunnel is None:
+            self.tunnel = f"tunnel realm={self.realm} inner={self.msg.msg_id}"
+        outer = fabric.new_msg_id()
         src, dst = self.path[self.i - 1], self.path[self.i]
         route = fabric._path(parent, src, dst)
-        if route is None:
-            fabric._lost(src, parent, outer, self.call, self)
-            return
-        if len(route[0]) > 2 or fabric.realms[parent].parent_realm is not None:
-            fabric._fly(outer, src, parent, dst, route, EventKind.SEND, self.call, self)
+        if route is None or len(route[0]) > 2 or fabric.realms[parent].parent_realm is not None:
+            # A carrier that is lost or flies is kept, with msg's encoding as its body.
+            if self.encoded is None:
+                self.encoded = encode(self.msg)
+            carrier = fabric._register_msg(
+                WireMessage(outer, MessageKind.HTTP_PUSH, "", None, None, self.encoded))
+            if route is None:
+                fabric._lost(src, parent, carrier, self.call, self)
+            else:
+                fabric._fly(carrier, src, parent, dst, route, EventKind.SEND, self.call, self)
             return
         clock = fabric.clock
         now = clock.now_tick
-        self.outer = outer.msg_id
-        fabric._rows.append((now, src, parent, "SEND", outer.msg_id, "-",
+        self.outer = outer
+        fabric._rows.append((now, src, parent, "SEND", outer, "-",
                              f"to={dst} kind=HTTP_PUSH {self.tunnel}"))
         # The one hop's link, as hop reads it: dst's entry, or a stub's own.
         tree = route[1]
@@ -598,6 +605,8 @@ class Fabric:
         self.clock = SimClock()
         # the trace in emission order, one row (see _EVENT_KIND) per event
         self._rows: list[tuple] = []
+        # the run's messages by id; a one-hop tunnel push is no message,
+        # only an id in the trace (see _Flight)
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self._msg_ids = itertools.count(1)

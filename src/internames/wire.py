@@ -48,7 +48,7 @@ REQUEST_KINDS = frozenset({
 @dataclass(frozen=True, slots=True, init=False)
 class WireMessage:
     """One message on the wire; slotted, as a run builds thousands and the
-    fabric keeps every one, and __init__ sets each slot through its
+    fabric keeps each one it mints, and __init__ sets each slot through its
     descriptor, past the frozen __setattr__."""
 
     msg_id: int

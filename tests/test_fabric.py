@@ -315,16 +315,39 @@ def tunnelled_hops(fabric):
     return hops
 
 
-def test_nesting_soundness_on_migration():
-    fabric = run_scenario(load_builtin("migration")).fabric
+def one_hop_carriers(fabric):
+    """The ids the trace shows only as one-hop carriers: a tunnelling SEND
+    and a RECV in a top-level realm, and no FWD."""
+    rows = {}
+    for e in fabric.trace:
+        rows.setdefault(e.msg_id, []).append(e)
+    return {outer for outer, _, _ in tunnelled_hops(fabric)
+            if [e.event for e in rows[outer]] == [EventKind.SEND, EventKind.RECV]
+            and fabric.realms[rows[outer][0].realm].parent_realm is None}
+
+
+def assert_carriers_sound(fabric):
+    """Each tunnelled hop leaves a nested realm; a one-hop carrier is no
+    kept message, and every other carrier is kept and its body decodes to
+    the inner message.  Gives the number of kept carriers."""
     tunnelled = tunnelled_hops(fabric)
-    assert tunnelled, "nested realm hops should be tunneled"
     outers = [outer for outer, _, _ in tunnelled]
     assert len(outers) == len(set(outers))
+    one_hop = one_hop_carriers(fabric)
     for outer, inner, realm in tunnelled:
         assert fabric.realms[realm].parent_realm is not None
-        carried = decode(fabric.messages[outer].body)
-        assert carried.msg_id == inner
+        if outer in one_hop:
+            assert outer not in fabric.messages
+        else:
+            assert decode(fabric.messages[outer].body).msg_id == inner
+    return len(tunnelled) - len(one_hop)
+
+
+def test_nesting_soundness_on_migration():
+    fabric = run_scenario(load_builtin("migration")).fabric
+    assert tunnelled_hops(fabric), "nested realm hops should be tunneled"
+    # migration's two tunnelled hops each take one hop in the top-level realm.
+    assert assert_carriers_sound(fabric) == 0
 
 
 def test_name_to_name_symmetry_over_builtins():
@@ -1056,6 +1079,11 @@ def test_lost_tunnelled_hop_drops_its_inner_message(realms, net_links, cut, line
     f.run_until_idle()
     assert [line for line in f.trace_text().splitlines() if "event=REBIND" not in line] == lines
     assert call.error == "partitioned"
+    # A lost carrier is kept, and its body decodes to the message it drops.
+    for e in f.trace:
+        outer = re.search(r" outer=(\d+)$", e.detail)
+        if outer is not None:
+            assert decode(f.messages[int(outer[1])].body).msg_id == e.msg_id
 
 
 CONSERVED_NODES = "abcd"
@@ -1156,15 +1184,22 @@ def test_tunnelled_bodies_decode_to_their_inner_message(monkeypatch):
     nested.at(1, lambda: nested.partition("cell"))
     nested.send("a.sub", "c", resp(nested, tgt))
     nested.run_until_idle()
-    # One flight, re-routed on its way, tunnels three hops on one encoding.
-    assert len(tunnelled_hops(nested)) == 3 and len(encoded) == 1
-    migration = run_scenario(load_builtin("migration")).fabric
+    # One flight, re-routed on its way, tunnels three hops, each a one-hop
+    # carrier in net: none is kept, and nothing is encoded.
+    assert len(tunnelled_hops(nested)) == 3 and encoded == []
+    assert assert_carriers_sound(nested) == 0
+    # net carries each hop of sub by d, in two hops: both carriers are
+    # kept, on one encoding.
+    detour, tgt = tunnel_fabric(("net", "sub"), [("a", "d"), ("d", "b"), ("d", "c")])
+    detour.send("a.sub", "c", resp(detour, tgt))
+    detour.run_until_idle()
+    assert len(encoded) == 1
+    assert assert_carriers_sound(detour) == 2
     inner_of = {body: msg for msg, body in encoded}
-    for fabric in (nested, migration):
-        for outer, inner_id, _ in tunnelled_hops(fabric):
-            body = fabric.messages[outer].body
-            assert decode(body) == inner_of[body]
-            assert inner_of[body].msg_id == inner_id
+    for outer, inner_id, _ in tunnelled_hops(detour):
+        body = detour.messages[outer].body
+        assert decode(body) == inner_of[body]
+        assert inner_of[body].msg_id == inner_id
 
 
 def child_flight_tunnel_hop(flight):
@@ -1184,17 +1219,24 @@ def child_flight_tunnel_hop(flight):
     fabric._fly(outer, src, flight.parent, dst, route, EventKind.SEND, flight.call, flight)
 
 
-def trace_and_messages(fabric):
-    return fabric.trace_text(), {i: (m.kind, m.body) for i, m in fabric.messages.items()}
+def kept_messages(fabric):
+    return {i: (m.kind, m.body) for i, m in fabric.messages.items()}
 
 
 def assert_carriers_match_child_flights(run):
-    """run() gives a fabric run until idle; it must log the same trace and
-    keep the same messages when every carrier is a child flight."""
-    expected = trace_and_messages(run())
+    """run() gives a fabric run until idle; it must log the same trace as
+    when every carrier is a child flight, and keep the same messages but
+    the one-hop carriers, which the child flights mint and it does not."""
+    fabric = run()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fabric_module._Flight, "tunnel_hop", child_flight_tunnel_hop)
-        assert trace_and_messages(run()) == expected
+        oracle = run()
+    assert fabric.trace_text() == oracle.trace_text()
+    assert_carriers_sound(fabric)
+    one_hop = one_hop_carriers(oracle)
+    expected = kept_messages(oracle)
+    assert one_hop <= expected.keys()
+    assert kept_messages(fabric) == {i: m for i, m in expected.items() if i not in one_hop}
 
 
 @settings(deadline=None)
@@ -1214,28 +1256,38 @@ def test_oracle_one_hop_carriers_match_child_flights_on_scenarios(name):
     assert_carriers_match_child_flights(lambda: run_scenario(scenario).fabric)
 
 
-@pytest.mark.parametrize("realms, net_links, flights", [
-    # net carries each hop of sub in one hop: only sub's flight is built.
-    (("net", "sub"), [("a", "b"), ("b", "c")], ["sub"]),
-    # net carries sub's b-c hop by d, two hops: that push is a flight.
-    (("net", "sub"), [("a", "b"), ("b", "d"), ("d", "c")], ["sub", "net"]),
-    # mid is nested, so each of its pushes is a flight; net carries their
-    # hops in one hop each.
-    (("net", "mid", "sub"), [("a", "b"), ("b", "c")], ["sub", "mid", "mid"]),
+@pytest.mark.parametrize("realms, net_links, flights, encodes", [
+    # net carries each hop of sub in one hop: only sub's flight is built,
+    # and nothing is encoded.
+    (("net", "sub"), [("a", "b"), ("b", "c")], ["sub"], 0),
+    # net carries sub's b-c hop by d, two hops: that push is a flight, and
+    # sub's message is encoded as its body.
+    (("net", "sub"), [("a", "b"), ("b", "d"), ("d", "c")], ["sub", "net"], 1),
+    # mid is nested, so each of its pushes is a flight, on one encoding of
+    # sub's message; net carries their hops in one hop each, so mid's
+    # pushes are not encoded.
+    (("net", "mid", "sub"), [("a", "b"), ("b", "c")], ["sub", "mid", "mid"], 1),
 ], ids=["one-hop", "lost-in-flight", "twice-nested"])
 def test_a_one_hop_carrier_in_a_top_level_realm_is_no_flight(monkeypatch, realms, net_links,
-                                                              flights):
+                                                              flights, encodes):
     f, tgt = tunnel_fabric(realms, net_links)
     built, real_init = [], fabric_module._Flight.__init__
+    encoded = []
 
     def counted_init(flight, fabric, msg, realm, *args):
         built.append(realm)
         real_init(flight, fabric, msg, realm, *args)
 
+    def counted_encode(msg):
+        encoded.append(msg.msg_id)
+        return encode(msg)
+
     monkeypatch.setattr(fabric_module._Flight, "__init__", counted_init)
+    monkeypatch.setattr(fabric_module, "encode", counted_encode)
     f.send("a.sub", "c", resp(f, tgt, b"hi"))
     f.run_until_idle()
     assert built == flights
+    assert len(encoded) == encodes
     events = [row[3] for row in f._rows]
     assert "DELIVER" in events and "DROP" not in events
 

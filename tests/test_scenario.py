@@ -774,6 +774,17 @@ def test_cli_run_until(capsys):
     assert "event=DELIVER" not in out
 
 
+def test_cli_bless_refuses_until(tmp_path, capsys):
+    # diff runs to idle, so a golden cut at tick 4 could never match it.
+    scn = tmp_path / "mine.scn"
+    scn.write_text(save_scenario(load_builtin("fig3")))
+    assert main(["run", str(scn), "--until", "4", "--bless"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot take --until" in captured.err
+    assert not (tmp_path / "mine.golden").exists()
+
+
 def test_cli_diff_match_and_mismatch(tmp_path, capsys):
     assert main(["diff", "fig3", "fig3"]) == 0
     bad = tmp_path / "bad.golden"
