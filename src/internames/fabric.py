@@ -173,9 +173,10 @@ class Topology:
     A route is ``(path, tree)``: the path as a tuple of node ids, and the
     search tree it was read from, which maps each node the search settled to
     its entry ``(delay, path, link)``: its delay and path from the tree's
-    root, and the link the search reached it by (None at the root).  Both
-    are the memo's own, shared by every caller, and stand for as long as
-    ``epoch`` does not change."""
+    root, and the link the search reached it by (None at the root).  The
+    tree is kept under (realm, src): src's own, or for a stub src its one
+    neighbour's.  Both are the memo's own, shared by every caller, and stand
+    for as long as ``epoch`` does not change."""
 
     def __init__(self):
         self.links: list[Link] = []
@@ -185,13 +186,11 @@ class Topology:
         self._adjacency: dict[tuple[str, str], dict[str, list[Link]]] = {}
         self._members_of_kind: dict[tuple[str, NodeKind], list[str]] = {}
         self._routes: dict[tuple[str, str], dict[str, tuple]] = {}
-        self._roots: dict[tuple[str, str], str] = {}
         self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
 
     def forget(self) -> None:
         self.epoch += 1
         self._routes.clear()
-        self._roots.clear()
         self._servers.clear()
 
     def add_node(self, node_id: str, kind: NodeKind, realm_ids: list[str]) -> None:
@@ -238,26 +237,32 @@ class Topology:
     def route(self, realm_id: str, src: str, dst: str) -> Route | None:
         """The shortest route by total delay, ties broken by node-id order.
 
-        Each search runs from its root to completion; its tree is kept per
-        (realm, root).  A stub, a node whose alive links all lead to one
-        neighbour, is not a root: no shortest path from the neighbour comes
-        back through the stub, so the stub's route to dst is itself followed
-        by the neighbour's, ties included."""
+        Each search runs from its root to completion.  A stub, a node whose
+        alive links all lead to one neighbour, is not a root: no shortest
+        path from the neighbour comes back through the stub, so the stub's
+        route to dst is itself followed by the neighbour's, ties included,
+        and the stub keeps the neighbour's tree, as the neighbour does."""
         if src == dst:
             return (src,), {}
         key = (realm_id, src)
-        root = self._roots.get(key)
-        if root is None:
+        tree = self._routes.get(key)
+        if tree is None:
             nbrs = [nbr for nbr, links in self._adjacency.get(key, _NO_NEIGHBOURS).items()
                     if any(link.alive for link in links)]
-            root = self._roots[key] = nbrs[0] if len(nbrs) == 1 else src
-        tree = self._routes.get((realm_id, root))
-        if tree is None:
-            tree = self._routes[(realm_id, root)] = self.search(realm_id, root)
+            if len(nbrs) == 1:
+                # The neighbour's kept tree is its own, or src's if it is a stub too.
+                root = (realm_id, nbrs[0])
+                tree = self._routes.get(root)
+                if tree is None:
+                    tree = self._routes[root] = self.search(realm_id, nbrs[0])
+            else:
+                tree = self.search(realm_id, src)
+            self._routes[key] = tree
         entry = tree.get(dst)
         if entry is None:
             return None
-        return (entry[1] if root == src else (src, *entry[1])), tree
+        path = entry[1]
+        return (path if path[0] == src else (src, *path)), tree
 
     def path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
         """The nodes of the route from src to dst, or None."""
@@ -446,23 +451,23 @@ DROP_REASONS: dict[str, type[InternamesError]] = {
 class _Flight:
     """One transmit: msg on its way along its route in one realm, hop by hop.
 
-    Each hop is scheduled when the previous one lands.  While the topology's
-    epoch is the one the route was read in, the hop goes over the link the
-    route's tree holds for it; after that, over the cheapest link alive at
-    that moment, and if none is, the flight re-routes from where it is, or
-    is dropped there.  In a nested realm each hop is tunnelled: an HTTP push
-    carries it in the parent realm.  When the parent realm is top level and
-    the push's route there is one hop, this flight lands the push itself:
-    ``outer`` is the push's id, and carrier_landed logs its RECV and lands
-    this flight.  Such a push is never checked again once it leaves, so it
-    cannot be lost, and it is only an id in the trace: no message is made
-    for it and nothing is encoded.  Any other push is a kept message whose
-    body is msg's encoding.  With no route as it leaves it is dropped at
-    once, and msg with it; else it flies as a flight of its own with this
-    flight as its ``carried``, and lands it when it lands, or drops it when
-    it is lost.  The text every hop shares is built once: ``uri`` and
-    ``detail`` for each FWD, the tunnel text for each tunnelled hop, and
-    msg's encoding for each kept push."""
+    hop sends each hop, the first from _fly and each later one from land.
+    While the topology's epoch is the one the route was read in, the hop
+    goes over the link the route's tree holds for it; after that, over the
+    cheapest link alive at that moment, and if none is, the flight re-routes
+    from where it is, or is dropped there.  In a nested realm each hop is
+    tunnelled: an HTTP push carries it in the parent realm.  When the parent
+    realm is top level and the push's route there is one hop, this flight
+    lands the push itself.  Such a push is never checked again once it
+    leaves, so it cannot be lost, and it is only an id in the trace: no
+    message is made for it and nothing is encoded.  Any other push is a kept
+    message whose body is msg's encoding.  With no route as it leaves it is
+    dropped at once, and msg with it; else it flies as a flight of its own
+    with this flight as its ``carried``, and lands it when it lands, or
+    drops it when it is lost.  Either way the push's id is ``outer`` when it
+    lands, and carrier_landed logs its RECV and lands this flight.  The text
+    every hop shares is built once: ``uri`` and ``detail`` for each FWD,
+    ``tunnel`` for each tunnelled hop, and msg's encoding for each kept push."""
 
     __slots__ = ("fabric", "msg", "realm", "path", "tree", "epoch", "i", "call", "carried",
                  "uri", "detail", "parent", "encoded", "tunnel", "outer")
@@ -479,7 +484,8 @@ class _Flight:
         self.uri = uri
         self.detail = detail
         self.parent = fabric.realms[realm].parent_realm
-        self.encoded = self.tunnel = None
+        self.encoded = None
+        self.tunnel = None if self.parent is None else f"tunnel realm={realm} inner={msg.msg_id}"
 
     def hop(self) -> None:
         """Send msg from path[i - 1] to path[i]."""
@@ -516,21 +522,12 @@ class _Flight:
             if carried is None:
                 fabric._arrive(msg, path[i], self.realm, self.call)
             else:
-                fabric._rows.append((fabric.clock.now_tick, path[i], self.realm, "RECV",
-                                     msg.msg_id, "-", carried.tunnel))
-                carried.land()
+                carried.outer = msg.msg_id
+                carried.carrier_landed()
             return
-        clock = fabric.clock
-        now = clock.now_tick
-        fabric._rows.append((now, path[i], self.realm, "FWD", msg.msg_id, self.uri, self.detail))
-        self.i = i = i + 1
-        if self.epoch == fabric.topology.epoch:
-            if self.parent is None:
-                # Past its first hop a route leads away from its tree's root.
-                clock.schedule(now + self.tree[path[i]][2].delay, self.land)
-            else:
-                self.tunnel_hop()
-            return
+        fabric._rows.append((fabric.clock.now_tick, path[i], self.realm, "FWD", msg.msg_id,
+                             self.uri, self.detail))
+        self.i = i + 1
         self.hop()
 
     def lost(self) -> None:
@@ -540,8 +537,6 @@ class _Flight:
     def tunnel_hop(self) -> None:
         """Carry the hop as a payload message in the parent realm."""
         fabric, parent = self.fabric, self.parent
-        if self.tunnel is None:
-            self.tunnel = f"tunnel realm={self.realm} inner={self.msg.msg_id}"
         outer = fabric.new_msg_id()
         src, dst = self.path[self.i - 1], self.path[self.i]
         route = fabric._path(parent, src, dst)
@@ -567,7 +562,7 @@ class _Flight:
         clock.schedule(now + link.delay, self.carrier_landed)
 
     def carrier_landed(self) -> None:
-        """The one-hop push carrying this flight's hop reached path[i]."""
+        """The push ``outer`` carrying this flight's hop reached path[i]."""
         fabric = self.fabric
         fabric._rows.append((fabric.clock.now_tick, self.path[self.i], self.parent, "RECV",
                              self.outer, "-", self.tunnel))
@@ -605,8 +600,9 @@ class Fabric:
         self.clock = SimClock()
         # the trace in emission order, one row (see _EVENT_KIND) per event
         self._rows: list[tuple] = []
-        # the run's messages by id; a one-hop tunnel push is no message,
-        # only an id in the trace (see _Flight)
+        # the run's messages by id, each in the form it was minted in: a
+        # bridged copy keeps its id and is not kept; a one-hop tunnel push is
+        # no message, only an id in the trace (see _Flight)
         self.messages: dict[int, WireMessage] = {}
         self.response_of: dict[int, int] = {}  # response msg -> request msg
         self._msg_ids = itertools.count(1)
@@ -1160,6 +1156,7 @@ class Fabric:
         self._transmit(out, node_id, realm_out, dst_node, EventKind.BRIDGE, call)
 
     def _bridged(self, msg, realm_in, realm_out, sd) -> WireMessage:
+        """msg in realm_out's protocol: a copy with msg's id, which is not kept."""
         key = (realm_in, realm_out)
         rule = self._bridge_rules.get(key)
         if rule is None:
@@ -1168,7 +1165,7 @@ class Fabric:
                 PROTOCOL_OF_TECH[self.realms[realm_in].technology],
                 PROTOCOL_OF_TECH[self.realms[realm_out].technology],
                 realm_in, realm_out)
-        return self._register_msg(bridge(msg, rule, sd))
+        return bridge(msg, rule, sd)
 
     # ------------------------------------------------------------ router paths
 

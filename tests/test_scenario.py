@@ -659,6 +659,16 @@ n2n://users:x,HTTPISH,-,IPISH,a.net,0,100,-,-,-,-
     assert [r.sd.next_hop_address for r in result.fabric.nrs.records()] == ["a.net"]
 
 
+def test_bind_at_a_nap_already_bound_changes_nothing_and_logs_nothing():
+    # fig3 binds alice at client1.internet in [bindings]: a timeline bind
+    # of the same NAP is no duplicate record, only a no-op.
+    result, drops = run_checked(fig3_and("99,bind,n2n://users:alice,client1.internet"))
+    assert result.trace_text + "\n" == golden_trace("fig3")
+    assert drops == []
+    assert [nap.nap_id for nap in result.fabric.bindings_of(Name("users", ("alice",)))] == [
+        "client1.internet"]
+
+
 def test_builtins_match_frozen_goldens():
     for name in BUILTIN_NAMES:
         actual = run_scenario(load_builtin(name)).trace_text + "\n"
