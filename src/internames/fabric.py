@@ -158,8 +158,8 @@ class Link:
 _NO_NEIGHBOURS: dict[str, list[Link]] = {}  # those of a node with no links; never written
 _DELAY = attrgetter("delay")
 
-# A route: its path, and the search tree it was read from (see Topology).
-Route = tuple[tuple[str, ...], dict[str, tuple]]
+# A route: its path, and the link each hop takes (see Topology).
+Route = tuple[tuple[str, ...], tuple[Link, ...]]
 
 
 class Topology:
@@ -170,13 +170,20 @@ class Topology:
     or restoring an edge calls it, and so must anything else that changes a
     link's ``alive``.  Adding a node changes no memo: it has no links yet.
 
-    A route is ``(path, tree)``: the path as a tuple of node ids, and the
-    search tree it was read from, which maps each node the search settled to
-    its entry ``(delay, path, link)``: its delay and path from the tree's
-    root, and the link the search reached it by (None at the root).  The
-    tree is kept under (realm, src): src's own, or for a stub src its one
-    neighbour's.  Both are the memo's own, shared by every caller, and stand
-    for as long as ``epoch`` does not change."""
+    A route is ``(path, links)``: the path as a tuple of node ids, and the
+    link each hop takes, ``links[i - 1]`` from ``path[i - 1]`` to
+    ``path[i]``.  Routes are read from search trees, kept per (realm, root),
+    which map each node the search settled to its entry ``(delay, link)``:
+    its delay from the root and the link the search reached it by (None at
+    the root).  Links are undirected, so one tree gives the routes out of
+    its root and the routes into it (see route).  The tree of a stub, a node
+    whose alive links all lead to one neighbour, is not searched but planted
+    on the neighbour's, as a copy whose root is the stub, at minus its
+    link's delay, and in which the neighbour is reached by that link at 0.
+    Every delay in it is then the stub's own less its link's; routes read
+    only differences of delays, so each tree may count from its own origin.
+    Trees, routes and next hops are the memo's own, shared by every caller,
+    and stand for as long as ``epoch`` does not change."""
 
     def __init__(self):
         self.links: list[Link] = []
@@ -185,12 +192,17 @@ class Topology:
         # (realm, node) -> {neighbour: the links to it, cheapest first}
         self._adjacency: dict[tuple[str, str], dict[str, list[Link]]] = {}
         self._members_of_kind: dict[tuple[str, NodeKind], list[str]] = {}
-        self._routes: dict[tuple[str, str], dict[str, tuple]] = {}
+        self._trees: dict[tuple[str, str], dict[str, tuple[int, Link | None]]] = {}
+        self._routes: dict[tuple[str, str, str], Route] = {}
+        # (realm, dst) -> {node: (its next hop toward dst, the link to it)}
+        self._hops: dict[tuple[str, str], dict[str, tuple[str, Link]]] = {}
         self._servers: dict[tuple[str, NodeKind], tuple[str, int, str] | None] = {}
 
     def forget(self) -> None:
         self.epoch += 1
+        self._trees.clear()
         self._routes.clear()
+        self._hops.clear()
         self._servers.clear()
 
     def add_node(self, node_id: str, kind: NodeKind, realm_ids: list[str]) -> None:
@@ -237,32 +249,84 @@ class Topology:
     def route(self, realm_id: str, src: str, dst: str) -> Route | None:
         """The shortest route by total delay, ties broken by node-id order.
 
-        Each search runs from its root to completion.  A stub, a node whose
-        alive links all lead to one neighbour, is not a root: no shortest
-        path from the neighbour comes back through the stub, so the stub's
-        route to dst is itself followed by the neighbour's, ties included,
-        and the stub keeps the neighbour's tree, as the neighbour does."""
+        Memoised per (realm, src, dst).  When src's tree is held, the route
+        is dst's entry link, the entry link of its far end, and so on back
+        to src.  Otherwise it is read from dst's tree, searched (or planted,
+        for a stub dst) if need be: from src, each hop goes to the
+        smallest-id neighbour whose cheapest alive link's delay plus the
+        neighbour's delay is the delay of the node it leaves.  Paths compare
+        position by position, so that neighbour starts the smallest
+        node-id path among the shortest, the one a search from src picks.
+        Next hops are memoised per destination."""
+        key = (realm_id, src, dst)
+        route = self._routes.get(key)
+        if route is not None:
+            return route
+        tree = self._trees.get((realm_id, src))
         if src == dst:
-            return (src,), {}
-        key = (realm_id, src)
-        tree = self._routes.get(key)
-        if tree is None:
-            nbrs = [nbr for nbr, links in self._adjacency.get(key, _NO_NEIGHBOURS).items()
-                    if any(link.alive for link in links)]
-            if len(nbrs) == 1:
-                # The neighbour's kept tree is its own, or src's if it is a stub too.
-                root = (realm_id, nbrs[0])
-                tree = self._routes.get(root)
-                if tree is None:
-                    tree = self._routes[root] = self.search(realm_id, nbrs[0])
-            else:
-                tree = self.search(realm_id, src)
-            self._routes[key] = tree
-        entry = tree.get(dst)
-        if entry is None:
-            return None
-        path = entry[1]
-        return (path if path[0] == src else (src, *path)), tree
+            route = (src,), ()
+        elif tree is not None:
+            # A walk back from dst ends at the tree's root, src.
+            entry = tree.get(dst)
+            if entry is None:
+                return None
+            path, links = [dst], []
+            node, link = dst, entry[1]
+            while link is not None:
+                links.append(link)
+                node = link.other(node)
+                path.append(node)
+                link = tree[node][1]
+            route = tuple(reversed(path)), tuple(reversed(links))
+        else:
+            tree = self._tree(realm_id, dst)
+            if src not in tree:
+                return None
+            hops = self._hops.setdefault((realm_id, dst), {})
+            path, links = [src], []
+            node = src
+            while node != dst:
+                hop = hops.get(node)
+                if hop is None:
+                    hop = hops[node] = self._next_hop(realm_id, tree, node)
+                node, link = hop
+                path.append(node)
+                links.append(link)
+            route = tuple(path), tuple(links)
+        self._routes[key] = route
+        return route
+
+    def _next_hop(self, realm_id: str, tree: dict, node: str) -> tuple[str, Link]:
+        """The smallest-id neighbour one link nearer tree's root, and that link."""
+        delay = tree[node][0]
+        best = None
+        for nbr, links in self._adjacency[(realm_id, node)].items():
+            if best is None or nbr < best[0]:
+                for link in links:
+                    if link.alive:
+                        if link.delay + tree[nbr][0] == delay:
+                            best = nbr, link
+                        break
+        return best
+
+    def _tree(self, realm_id: str, node: str) -> dict[str, tuple[int, Link | None]]:
+        """node's tree: held, searched, or for a stub planted on its neighbour's."""
+        tree = self._trees.get((realm_id, node))
+        if tree is not None:
+            return tree
+        nbrs = [nbr for nbr, links in self._adjacency.get((realm_id, node), _NO_NEIGHBOURS).items()
+                if any(link.alive for link in links)]
+        if len(nbrs) != 1:
+            tree = self.search(realm_id, node)
+        else:
+            nbr = nbrs[0]
+            base = self._trees.get((realm_id, nbr))
+            if base is None:
+                base = self._trees[(realm_id, nbr)] = self.search(realm_id, nbr)
+            delay, link = base[node]
+            tree = {**base, nbr: (0, link), node: (-delay, None)}
+        self._trees[(realm_id, node)] = tree
+        return tree
 
     def path(self, realm_id: str, src: str, dst: str) -> list[str] | None:
         """The nodes of the route from src to dst, or None."""
@@ -270,31 +334,33 @@ class Topology:
         return None if route is None else list(route[0])
 
     def delay(self, realm_id: str, src: str, dst: str) -> int | None:
-        """The total delay of the route from src to dst, or None."""
-        route = self.route(realm_id, src, dst)
-        if route is None:
-            return None
-        # The tree's root is src, at delay 0, or the one neighbour of stub src.
-        tree = route[1]
-        return tree[src][0] + tree[dst][0] if src != dst else 0
+        """The total delay of the route from src to dst, or None: the
+        difference of the two ends' delays in whichever end's tree is held."""
+        if src == dst:
+            return 0
+        tree = self._trees.get((realm_id, src))
+        if tree is None:
+            src, dst = dst, src
+            tree = self._tree(realm_id, src)
+        entry = tree.get(dst)
+        return None if entry is None else entry[0] - tree[src][0]
 
-    def search(self, realm_id: str, root: str) -> dict[str, tuple]:
+    def search(self, realm_id: str, root: str) -> dict[str, tuple[int, Link | None]]:
         """Every node reachable from root in the realm -> its entry."""
         # (delay, path) is unique per push, so pops follow a total order,
         # equal delays fall to the lexicographically smaller node-id path and
         # no comparison reaches a link; a node's first pop is its entry, as
         # in a search stopped there.
         adjacency = self._adjacency
-        settled: dict[str, tuple] = {}
+        settled: dict[str, tuple[int, Link | None]] = {}
         best: dict[str, tuple] = {}
         frontier = [(0, (root,), None)]
         while frontier:
-            entry = heapq.heappop(frontier)
-            dist, path, _ = entry
+            dist, path, link = heapq.heappop(frontier)
             node = path[-1]
             if node in settled:
                 continue
-            settled[node] = entry
+            settled[node] = dist, link
             for nbr, links in adjacency.get((realm_id, node), _NO_NEIGHBOURS).items():
                 if nbr in settled:
                     continue
@@ -453,7 +519,7 @@ class _Flight:
 
     hop sends each hop, the first from _fly and each later one from land.
     While the topology's epoch is the one the route was read in, the hop
-    goes over the link the route's tree holds for it; after that, over the
+    goes over the link the route holds for it; after that, over the
     cheapest link alive at that moment, and if none is, the flight re-routes
     from where it is, or is dropped there.  In a nested realm each hop is
     tunnelled: an HTTP push carries it in the parent realm.  When the parent
@@ -469,14 +535,14 @@ class _Flight:
     every hop shares is built once: ``uri`` and ``detail`` for each FWD,
     ``tunnel`` for each tunnelled hop, and msg's encoding for each kept push."""
 
-    __slots__ = ("fabric", "msg", "realm", "path", "tree", "epoch", "i", "call", "carried",
+    __slots__ = ("fabric", "msg", "realm", "path", "links", "epoch", "i", "call", "carried",
                  "uri", "detail", "parent", "encoded", "tunnel", "outer")
 
     def __init__(self, fabric, msg, realm, route, call, carried, uri, detail):
         self.fabric = fabric
         self.msg = msg
         self.realm = realm
-        self.path, self.tree = route
+        self.path, self.links = route
         self.epoch = fabric.topology.epoch
         self.i = 1  # the hop under way ends at path[i]
         self.call = call
@@ -499,15 +565,12 @@ class _Flight:
                 if route is None:
                     fabric.at(fabric.clock.now_tick, self.lost)
                     return
-                self.path, self.tree = route
+                self.path, self.links = route
                 self.epoch, self.i = topology.epoch, 1
                 self.hop()
                 return
         elif self.parent is None:
-            # A hop's link is the entry link of its end farther from the
-            # tree's root: path[i], but for a stub's first hop, into the root.
-            tree = self.tree
-            link = tree[path[i]][2] or tree[path[i - 1]][2]
+            link = self.links[i - 1]
         if self.parent is not None:
             self.tunnel_hop()
             return
@@ -556,10 +619,7 @@ class _Flight:
         self.outer = outer
         fabric._rows.append((now, src, parent, "SEND", outer, "-",
                              f"to={dst} kind=HTTP_PUSH {self.tunnel}"))
-        # The one hop's link, as hop reads it: dst's entry, or a stub's own.
-        tree = route[1]
-        link = tree[dst][2] or tree[src][2]
-        clock.schedule(now + link.delay, self.carrier_landed)
+        clock.schedule(now + route[1][0].delay, self.carrier_landed)
 
     def carrier_landed(self) -> None:
         """The push ``outer`` carrying this flight's hop reached path[i]."""
@@ -655,7 +715,8 @@ class Fabric:
                     raise UnknownNode(f"link references undefined node {n}")
                 raise RealmViolation(f"link {a}-{b}: {n} not in realm {realm_id}")
         if delay < 1:
-            # Route search and its stub shortcut assume every hop costs time.
+            # A route read from its far end's tree steps to a neighbour of
+            # smaller delay, which ends at dst only if every hop costs time.
             raise ValueError(f"link {a}-{b}: delay must be >= 1")
         return self.topology.add_link(a, b, realm_id, delay)
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from hypothesis import strategies as st
 
 import internames.fabric as fabric_module
@@ -375,7 +376,7 @@ def test_name_to_name_symmetry_over_builtins():
 
 MEMOS = ("_query_text", "_bridge_rules")
 TOPOLOGY_INDEXES = {"_adjacency", "_members_of_kind"}
-TOPOLOGY_MEMOS = {"_routes", "_servers"}
+TOPOLOGY_MEMOS = {"_trees", "_routes", "_hops", "_servers"}
 
 
 def test_fabric_private_state_is_its_memos_and_set_up_indexes():
@@ -582,17 +583,6 @@ def test_routes_match_link_scan_oracle(initial, steps):
                 assert f._gateway("net", a, toward) == oracle_gateway(f, "net", a, toward)
 
 
-def route_links(route):
-    """The link a flight takes on each hop of route while the epoch it was
-    read in stands, as _Flight.hop reads it: its far end's entry link, but
-    where a stub's first hop goes into its tree's root, the stub's own."""
-    path, tree = route
-    links = [tree[node][2] for node in path[1:]]
-    if links and links[0] is None:
-        links[0] = tree[path[0]][2]
-    return links
-
-
 def summing_nearest(topology, node_id, realm_ids, kind):
     """Topology.nearest as it was before route entries held delays: each
     route's delay is the sum of link_between's delays along its path."""
@@ -618,14 +608,84 @@ def test_route_entries_match_link_between_and_the_summing_oracle(initial, steps)
                 if route is None:
                     assert topology.delay("net", a, b) is None
                     continue
-                path = route[0]
-                links = route_links(route)
+                # A flight takes links[i - 1] from path[i - 1] to path[i]
+                # while the epoch the route was read in stands.
+                path, links = route
                 expected = [topology.link_between("net", x, y) for x, y in zip(path, path[1:])]
                 assert list(map(id, links)) == list(map(id, expected))
                 assert topology.delay("net", a, b) == sum(link.delay for link in links)
             for kind in (NodeKind.NRS, NodeKind.ORS, NodeKind.NAME_ROUTER):
                 assert f._nearest_server(a, kind) == summing_nearest(
                     topology, a, f.nodes[a].realms, kind)
+
+
+class RouteQueriesOracleMachine(RuleBasedStateMachine):
+    """Links, partitions and heals interleaved with route, delay and
+    nearest-server queries from random ends in random order.  A route is
+    read from whichever end's tree is held, so its answer depends on which
+    queries came first; a heal that leaves a memo stale shows only in such
+    a sequence.  Each answer is checked against the memo-free search and
+    link_between."""
+
+    NODE = st.integers(0, 7)
+
+    @initialize(initial=st.lists(ROUTE_NODE, min_size=2, max_size=6))
+    def build(self, initial):
+        self.states = route_fabric_states(initial, ())
+        self.f, self.nodes, self.down = next(self.states)
+
+    def node(self, i):
+        return self.nodes[i % len(self.nodes)]
+
+    # delays 1 and 2 make equal-delay ties; repeated endpoints make parallel links
+    @rule(a=NODE, b=NODE, delay=st.integers(1, 2))
+    def add_link(self, a, b, delay):
+        if self.node(a) != self.node(b):
+            self.f.add_link(self.node(a), self.node(b), "net", delay)
+
+    @rule(cell=st.sampled_from(CELLS))
+    def partition(self, cell):
+        self.f.partition(cell)
+        self.down.add(cell)
+
+    @rule(cell=st.sampled_from(CELLS))
+    def heal(self, cell):
+        self.f.heal(cell)
+        self.down.discard(cell)
+
+    @rule(a=NODE, b=NODE)
+    def route(self, a, b):
+        src, dst = self.node(a), self.node(b)
+        route, want = self.f._path("net", src, dst), oracle_path(self.f, "net", src, dst)
+        if want is None:
+            assert route is None
+            return
+        path, links = route
+        assert list(path) == want
+        expected = [oracle_link_between(self.f, "net", x, y) for x, y in zip(want, want[1:])]
+        assert list(map(id, links)) == list(map(id, expected))
+
+    @rule(a=NODE, b=NODE)
+    def delay(self, a, b):
+        src, dst = self.node(a), self.node(b)
+        want = oracle_path(self.f, "net", src, dst)
+        assert self.f.topology.delay("net", src, dst) == (None if want is None else sum(
+            oracle_link_between(self.f, "net", x, y).delay for x, y in zip(want, want[1:])))
+
+    @rule(a=NODE, kind=st.sampled_from([NodeKind.NRS, NodeKind.ORS, NodeKind.NAME_ROUTER]))
+    def nearest_server(self, a, kind):
+        node = self.node(a)
+        assert self.f._nearest_server(node, kind) == oracle_nearest_server(self.f, node, kind)
+
+    @invariant()
+    def links_are_alive_iff_they_cross_no_cut(self):
+        for link in self.f.topology.links:
+            ends = [set(self.f.nodes[n].realms) for n in (link.a, link.b)]
+            assert link.alive == all((c in ends[0]) == (c in ends[1]) for c in self.down)
+
+
+test_route_queries_from_either_end_match_the_oracle = RouteQueriesOracleMachine.TestCase
+test_route_queries_from_either_end_match_the_oracle.settings = settings(deadline=None)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(1, 2)),
@@ -1337,8 +1397,9 @@ def test_stub_two_node_component(monkeypatch):
     searches = recorded_searches(monkeypatch)
     assert f.topology.path("net", "a", "b") == ["a", "b"]
     assert f.topology.path("net", "b", "a") == ["b", "a"]
-    # a reads b's tree, which b then reads as its own: one search serves both.
-    assert searches == ["b"]
+    # b is a stub too: a reads b's tree, planted on a's, and b reads it as
+    # its own, so one search serves both.
+    assert searches == ["a"]
     assert f.topology.path("net", "a", "s") is None
     assert_routes_match_oracle(f)
 
@@ -1378,8 +1439,10 @@ def test_stub_route_to_its_own_neighbour():
     assert_routes_match_oracle(f)
 
 
-def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
-    # 40 hosts on a chain of 4 routers; an NRS on r0, a name-router on r3.
+def hosts_on_routers(dual_homed=False):
+    """40 hosts on a chain of 4 routers; an NRS on r0, a name-router on r3.
+    Dual-homed, each host not on r3 is also linked, at delay 2, to the
+    router after its own, so that it is no stub and its routes to RN tie."""
     f = Fabric()
     f.add_realm("net", RealmTech.IPISH)
     f.add_realm("far", RealmTech.IPISH)
@@ -1396,6 +1459,12 @@ def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
     for i, h in enumerate(hosts):
         f.add_node(h, NodeKind.HOST, ["net"])
         f.add_link(h, routers[i % 4], "net", 1)
+        if dual_homed and i % 4 < 3:
+            f.add_link(h, routers[i % 4 + 1], "net", 2)
+    return f, routers, hosts
+
+
+def assert_hosts_route_with_few_searches(monkeypatch, f, routers, hosts):
     searches = recorded_searches(monkeypatch)
     for i, h in enumerate(hosts):
         router = routers[i % 4]
@@ -1403,6 +1472,16 @@ def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
         assert f._gateway("net", h, {"far"}) == "RN"
         assert f.topology.path("net", h, "RN") == oracle_path(f, "net", h, "RN")
     assert len(searches) <= 5
+
+
+def test_hosts_on_routers_share_one_search_per_router(monkeypatch):
+    assert_hosts_route_with_few_searches(monkeypatch, *hosts_on_routers())
+
+
+def test_dual_homed_hosts_are_routed_from_the_servers_searches(monkeypatch):
+    # Thirty hosts are no stubs, yet their routes are read from the searches
+    # of the servers and name-router they reach.
+    assert_hosts_route_with_few_searches(monkeypatch, *hosts_on_routers(dual_homed=True))
 
 
 # Two name-routers in the server's realm; only the second borders the
